@@ -70,7 +70,12 @@ std::vector<uint8_t> ingest::encodeByePayload(uint64_t TotalEvents) {
 }
 
 bool ingest::decodeWirePayload(ByteSpan Payload, WirePayload &Out) {
-  Out = WirePayload();
+  // Reset field by field: Out.Events keeps its capacity, so a caller that
+  // decodes every frame into one WirePayload allocates the batch once.
+  Out.Kind = WireFrameKind::Hello;
+  Out.FunctionCount = 0;
+  Out.Events.clear();
+  Out.TotalEvents = 0;
   ByteReader R(Payload);
   uint8_t KindByte = R.readByte();
   if (R.hasError())

@@ -97,6 +97,8 @@ std::vector<uint8_t> encodeByePayload(uint64_t TotalEvents);
 /// (unknown kind byte, bad varint, truncated batch, trailing bytes) —
 /// possible despite the CRC when the *producer* is buggy or malicious,
 /// so the receiver treats it as accounted damage, never trusts it.
+/// Every field of \p Out is reset first; Out.Events keeps its capacity,
+/// so decoding a stream into one WirePayload reuses the batch buffer.
 bool decodeWirePayload(ByteSpan Payload, WirePayload &Out);
 
 /// Appends one complete framed record to \p Out.

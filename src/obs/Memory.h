@@ -103,8 +103,8 @@ inline constexpr const char *ArenaDecode = "arena.decode";
 
 /// One tag's running byte ledger. All members are plain atomics so accounts
 /// can be fed concurrently from pool workers; recording is NOT gated here —
-/// gating happens in the memAlloc/memFree helpers so that private instances
-/// (the streaming budget) keep working with tracking disabled.
+/// gating happens in the memAlloc/memFree helpers and at call sites that
+/// cache an account.
 class MemAccount {
 public:
   void recordAlloc(uint64_t Bytes) {

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Table-driven CRC-32 (the IEEE 802.3 polynomial, reflected form
-/// 0xEDB88320) used to frame journal checkpoint records so a torn or
-/// bit-flipped record is detected before its payload is trusted. Header
-/// only: the journal writer lives in twpp_wpp while tests and tools
-/// checksum byte vectors directly.
+/// 0xEDB88320, computed slicing-by-8) used to frame journal checkpoint
+/// records and wire frames, so a torn or bit-flipped record is detected
+/// before its payload is trusted. Header only: the journal writer lives
+/// in twpp_wpp while tests and tools checksum byte vectors directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,18 +24,24 @@ namespace twpp {
 
 namespace detail {
 
-inline const std::array<uint32_t, 256> &crc32Table() {
-  static const std::array<uint32_t, 256> Table = [] {
-    std::array<uint32_t, 256> T{};
+/// Slicing-by-8 tables: Table[0] is the classic bytewise table, and
+/// Table[K][I] is the CRC of byte I followed by K zero bytes, so eight
+/// input bytes fold in with eight independent lookups.
+inline const std::array<std::array<uint32_t, 256>, 8> &crc32Tables() {
+  static const std::array<std::array<uint32_t, 256>, 8> Tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> T{};
     for (uint32_t I = 0; I < 256; ++I) {
       uint32_t C = I;
       for (int K = 0; K < 8; ++K)
         C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : (C >> 1);
-      T[I] = C;
+      T[0][I] = C;
     }
+    for (uint32_t I = 0; I < 256; ++I)
+      for (size_t K = 1; K < 8; ++K)
+        T[K][I] = T[0][T[K - 1][I] & 0xFF] ^ (T[K - 1][I] >> 8);
     return T;
   }();
-  return Table;
+  return Tables;
 }
 
 } // namespace detail
@@ -46,9 +52,20 @@ inline constexpr uint32_t crc32Init() { return 0xFFFFFFFFu; }
 
 inline uint32_t crc32Update(uint32_t Crc, const void *Data, size_t Size) {
   const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
-  const auto &Table = detail::crc32Table();
-  for (size_t I = 0; I < Size; ++I)
-    Crc = Table[(Crc ^ Bytes[I]) & 0xFF] ^ (Crc >> 8);
+  const auto &T = detail::crc32Tables();
+  for (; Size >= 8; Size -= 8, Bytes += 8) {
+    // Little-endian assembly of the words, so the result does not depend
+    // on the host's byte order or on alignment.
+    uint32_t Lo = Crc ^ (uint32_t(Bytes[0]) | uint32_t(Bytes[1]) << 8 |
+                         uint32_t(Bytes[2]) << 16 | uint32_t(Bytes[3]) << 24);
+    uint32_t Hi = uint32_t(Bytes[4]) | uint32_t(Bytes[5]) << 8 |
+                  uint32_t(Bytes[6]) << 16 | uint32_t(Bytes[7]) << 24;
+    Crc = T[7][Lo & 0xFF] ^ T[6][(Lo >> 8) & 0xFF] ^ T[5][(Lo >> 16) & 0xFF] ^
+          T[4][Lo >> 24] ^ T[3][Hi & 0xFF] ^ T[2][(Hi >> 8) & 0xFF] ^
+          T[1][(Hi >> 16) & 0xFF] ^ T[0][Hi >> 24];
+  }
+  for (; Size > 0; --Size, ++Bytes)
+    Crc = T[0][(Crc ^ *Bytes) & 0xFF] ^ (Crc >> 8);
   return Crc;
 }
 

@@ -11,16 +11,74 @@
 #include "obs/PhaseSpan.h"
 #include "support/ByteStream.h"
 
-#include <unordered_map>
+#include <vector>
 
 using namespace twpp;
 
 namespace {
 
-/// Encoder dictionary key: (prefix code, next byte) packed into 64 bits.
-uint64_t packKey(uint32_t PrefixCode, uint8_t Byte) {
-  return (static_cast<uint64_t>(PrefixCode) << 8) | Byte;
-}
+/// Encoder dictionary: open addressing with linear probing over packed
+/// 64-bit slots, each `(prefix << 8 | byte) << 20 | code`. Codes are below
+/// LZWMaxDictSize (2^20) and at least 256, so a zero slot is empty. The
+/// table starts small and doubles when half full; it is not sized from
+/// the input, whose length says little about how many strings it holds.
+class EncodeDict {
+public:
+  static constexpr unsigned CodeBits = 20;
+  static_assert(LZWMaxDictSize <= (1u << CodeBits), "codes must fit a slot");
+
+  EncodeDict() : Slots(1u << 12, 0), Mask(Slots.size() - 1) {}
+
+  /// The slot holding (\p Prefix, \p Byte), or the empty slot where
+  /// insert() would put it.
+  size_t lookup(uint32_t Prefix, uint8_t Byte) const {
+    uint64_t Key = packKey(Prefix, Byte);
+    size_t I = slotOf(Key);
+    while (Slots[I] != 0 && (Slots[I] >> CodeBits) != Key)
+      I = (I + 1) & Mask;
+    return I;
+  }
+
+  /// The code stored in \p Slot, or 0 when the slot is empty.
+  uint32_t codeAt(size_t Slot) const {
+    return static_cast<uint32_t>(Slots[Slot] & ((1u << CodeBits) - 1));
+  }
+
+  /// Stores (\p Prefix, \p Byte) -> \p Code in the empty \p Slot that
+  /// lookup() returned for it.
+  void insert(size_t Slot, uint32_t Prefix, uint8_t Byte, uint32_t Code) {
+    Slots[Slot] = packKey(Prefix, Byte) << CodeBits | Code;
+    if (++Count * 2 > Slots.size())
+      grow();
+  }
+
+private:
+  static uint64_t packKey(uint32_t Prefix, uint8_t Byte) {
+    return static_cast<uint64_t>(Prefix) << 8 | Byte;
+  }
+
+  size_t slotOf(uint64_t Key) const {
+    return static_cast<size_t>((Key * 0x9E3779B97F4A7C15ULL) >> 32) & Mask;
+  }
+
+  void grow() {
+    std::vector<uint64_t> Old(Slots.size() * 2, 0);
+    Old.swap(Slots);
+    Mask = Slots.size() - 1;
+    for (uint64_t Slot : Old) {
+      if (Slot == 0)
+        continue;
+      size_t I = slotOf(Slot >> CodeBits);
+      while (Slots[I] != 0)
+        I = (I + 1) & Mask;
+      Slots[I] = Slot;
+    }
+  }
+
+  std::vector<uint64_t> Slots;
+  size_t Mask;
+  size_t Count = 0;
+};
 
 /// Decoder-side dictionary entry. Entries 0-255 are the implicit single
 /// byte roots; later entries chain back through Prefix.
@@ -40,21 +98,20 @@ std::vector<uint8_t> twpp::lzwCompress(const std::vector<uint8_t> &Input) {
     return Writer.take();
 
   // Codes 0-255 are the single-byte strings; new codes start at 256.
-  std::unordered_map<uint64_t, uint32_t> Dict;
-  Dict.reserve(1u << 16);
+  EncodeDict Dict;
   uint32_t NextCode = 256;
 
   uint32_t Current = Input[0];
   for (size_t I = 1, E = Input.size(); I != E; ++I) {
     uint8_t Byte = Input[I];
-    auto It = Dict.find(packKey(Current, Byte));
-    if (It != Dict.end()) {
-      Current = It->second;
+    size_t Slot = Dict.lookup(Current, Byte);
+    if (uint32_t Code = Dict.codeAt(Slot)) {
+      Current = Code;
       continue;
     }
     Writer.writeVarUint(Current);
     if (NextCode < LZWMaxDictSize)
-      Dict.emplace(packKey(Current, Byte), NextCode++);
+      Dict.insert(Slot, Current, Byte, NextCode++);
     Current = Byte;
   }
   Writer.writeVarUint(Current);

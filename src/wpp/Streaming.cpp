@@ -32,7 +32,9 @@ namespace {
 /// hash and verified by comparison.
 class TraceInterner {
 public:
-  uint32_t intern(FunctionTraceTable &Table, PathTrace &&Trace) {
+  /// \returns the index of \p Trace in \p Table, copying it in only when
+  /// it is new (so the caller's buffer can be reused).
+  uint32_t intern(FunctionTraceTable &Table, const PathTrace &Trace) {
     uint64_t Hash = hashBlockSequence(Trace);
     auto Range = Buckets.equal_range(Hash);
     for (auto It = Range.first; It != Range.second; ++It)
@@ -42,7 +44,7 @@ public:
         obs::metrics().counter(obs::names::PartitionUniqueTraces);
     UniqueTraces.add();
     uint32_t Index = static_cast<uint32_t>(Table.UniqueTraces.size());
-    Table.UniqueTraces.push_back(std::move(Trace));
+    Table.UniqueTraces.push_back(Trace);
     Table.UseCounts.push_back(0);
     Buckets.emplace(Hash, Index);
     return Index;
@@ -89,36 +91,60 @@ struct StreamingCompactor::Impl {
   uint64_t EventCount = 0;
   uint64_t Checkpoints = 0;
   uint64_t Degraded = 0;
-  /// Unique-trace + open-frame bytes per the deep-size model. An
-  /// unconditional instance ledger — the budget must behave identically
-  /// whether or not tracking is enabled — mirrored into the global
-  /// stream.state tag when it is.
-  obs::MemAccount StateAccount;
+  /// Block buffers of exited frames, kept for reuse by the next calls so
+  /// a call does not pay for a fresh allocation.
+  std::vector<PathTrace> SpareBlocks;
+  /// Unique-trace + open-frame bytes per the deep-size model. A plain
+  /// per-instance counter (the compactor runs on one thread, and the
+  /// budget must behave identically whether or not tracking is enabled),
+  /// mirrored into the global stream.state tag when tracking is armed.
+  int64_t StateBytes = 0;
 
   static uint64_t openFrameBytes(size_t Blocks) {
     return sizeof(Frame) + Blocks * sizeof(BlockId);
   }
 
-  /// The tracker's live-bytes figure for this compactor.
+  static obs::MemAccount &stateTag() {
+    static obs::MemAccount &Tag =
+        obs::memTracker().account(obs::memtags::StreamState);
+    return Tag;
+  }
+
+  /// The ledger's live-bytes figure for this compactor.
   uint64_t stateBytes() const {
-    int64_t Live = StateAccount.liveBytes();
-    return Live > 0 ? static_cast<uint64_t>(Live) : 0;
+    return StateBytes > 0 ? static_cast<uint64_t>(StateBytes) : 0;
   }
 
   void stateAlloc(uint64_t Bytes) {
-    StateAccount.recordAlloc(Bytes);
-    obs::memAlloc(obs::memtags::StreamState, Bytes);
+    StateBytes += static_cast<int64_t>(Bytes);
+    if (obs::memTrackingEnabled())
+      stateTag().recordAlloc(Bytes);
   }
 
   void stateFree(uint64_t Bytes) {
-    StateAccount.recordFree(Bytes);
-    obs::memFree(obs::memtags::StreamState, Bytes);
+    StateBytes -= static_cast<int64_t>(Bytes);
+    if (obs::memTrackingEnabled())
+      stateTag().recordFree(Bytes);
   }
 
   void stateReset() {
-    if (uint64_t Live = stateBytes())
-      obs::memFree(obs::memtags::StreamState, Live);
-    StateAccount.reset();
+    if (uint64_t Live = stateBytes(); Live && obs::memTrackingEnabled())
+      stateTag().recordFree(Live);
+    StateBytes = 0;
+  }
+
+  /// An empty block buffer for a new frame, recycled when one is spare.
+  PathTrace takeBlocks() {
+    if (SpareBlocks.empty())
+      return PathTrace();
+    PathTrace Blocks = std::move(SpareBlocks.back());
+    SpareBlocks.pop_back();
+    return Blocks;
+  }
+
+  void recycleBlocks(PathTrace &&Blocks) {
+    Blocks.clear();
+    SpareBlocks.push_back(std::move(Blocks));
   }
 
   explicit Impl(uint32_t FunctionCount) {
@@ -263,7 +289,7 @@ void StreamingCompactor::onEnter(FunctionId F) {
     P->Wpp.Dcg.Nodes[Parent.NodeIndex].Anchors.push_back(
         static_cast<uint32_t>(Parent.Blocks.size()));
   }
-  P->Stack.push_back(Impl::Frame{NodeIndex, {}});
+  P->Stack.push_back(Impl::Frame{NodeIndex, P->takeBlocks()});
   P->stateAlloc(Impl::openFrameBytes(0));
   ++P->EventCount;
   P->enforceBudget();
@@ -301,8 +327,8 @@ void StreamingCompactor::onExit() {
   Table.TotalBlockEvents += Top.Blocks.size();
   size_t TraceLen = Top.Blocks.size();
   size_t UniqueBefore = Table.UniqueTraces.size();
-  Node.TraceIndex =
-      P->Interners[Node.Function].intern(Table, std::move(Top.Blocks));
+  Node.TraceIndex = P->Interners[Node.Function].intern(Table, Top.Blocks);
+  P->recycleBlocks(std::move(Top.Blocks));
   ++Table.UseCounts[Node.TraceIndex];
   P->stateFree(Impl::openFrameBytes(TraceLen));
   if (Table.UniqueTraces.size() > UniqueBefore)

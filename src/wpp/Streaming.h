@@ -46,11 +46,10 @@ struct StreamingConfig {
   /// Checkpoint journal path (*.twppj). Empty disables journaling.
   std::string JournalPath;
   /// Soft cap on the bytes of degradable state (unique path traces plus
-  /// open-frame detail), measured by the allocation tracker's live-bytes
-  /// ledger under the obs::deepSize model — the same figure
-  /// trackedStateBytes() reports and the memory audits verify. 0 means
-  /// unbounded. Exceeding it drops the oldest open frame's block detail
-  /// instead of aborting.
+  /// open-frame detail), measured by the compactor's own ledger under the
+  /// obs::deepSize model — the same figure trackedStateBytes() reports
+  /// and the memory audits verify. 0 means unbounded. Exceeding it drops
+  /// the oldest open frame's block detail instead of aborting.
   uint64_t MemoryBudgetBytes = 0;
 };
 
@@ -84,8 +83,8 @@ public:
   /// Open frames whose block detail was dropped under memory pressure.
   uint64_t degradedFrames() const;
 
-  /// Live bytes of degradable state per the tracker's ledger — the figure
-  /// MemoryBudgetBytes is enforced against (the obs::deepSize model of the
+  /// Live bytes of degradable state per the compactor's ledger — the
+  /// figure MemoryBudgetBytes is enforced against (the obs::deepSize model of the
   /// unique-trace pool plus open-frame detail). Incrementally maintained
   /// and exactly recomputed by restoreState, so incremental vs from-scratch
   /// agreement is testable.

@@ -78,6 +78,46 @@ TEST(IngestWireTest, ByePayloadRoundTrip) {
   EXPECT_EQ(Payload.TotalEvents, 987654321ull);
 }
 
+TEST(IngestWireTest, ReusedPayloadCarriesNoStaleFields) {
+  // One WirePayload decodes every frame of a stream: each decode must
+  // reset what the previous frame set, while the event batch keeps its
+  // buffer.
+  std::vector<TraceEvent> Events = sampleEvents();
+  std::vector<uint8_t> EventBytes =
+      encodeEventsPayload(Events.data(), Events.data() + Events.size());
+  std::vector<uint8_t> HelloBytes = encodeHelloPayload(77);
+  std::vector<uint8_t> ByeBytes = encodeByePayload(4242);
+  WirePayload Payload;
+
+  ASSERT_TRUE(decodeWirePayload(ByteSpan(EventBytes), Payload));
+  EXPECT_EQ(Payload.Kind, WireFrameKind::Events);
+  EXPECT_EQ(Payload.Events, Events);
+  EXPECT_EQ(Payload.FunctionCount, 0u);
+  EXPECT_EQ(Payload.TotalEvents, 0u);
+  size_t Capacity = Payload.Events.capacity();
+
+  ASSERT_TRUE(decodeWirePayload(ByteSpan(HelloBytes), Payload));
+  EXPECT_EQ(Payload.Kind, WireFrameKind::Hello);
+  EXPECT_EQ(Payload.FunctionCount, 77u);
+  EXPECT_TRUE(Payload.Events.empty());
+  EXPECT_EQ(Payload.TotalEvents, 0u);
+  EXPECT_EQ(Payload.Events.capacity(), Capacity);
+
+  ASSERT_TRUE(decodeWirePayload(ByteSpan(ByeBytes), Payload));
+  EXPECT_EQ(Payload.Kind, WireFrameKind::Bye);
+  EXPECT_EQ(Payload.TotalEvents, 4242u);
+  EXPECT_EQ(Payload.FunctionCount, 0u);
+  EXPECT_TRUE(Payload.Events.empty());
+
+  // A rejected payload leaves nothing of the previous frame behind.
+  ASSERT_TRUE(decodeWirePayload(ByteSpan(EventBytes), Payload));
+  std::vector<uint8_t> Garbage = {99, 0};
+  EXPECT_FALSE(decodeWirePayload(ByteSpan(Garbage), Payload));
+  EXPECT_TRUE(Payload.Events.empty());
+  EXPECT_EQ(Payload.TotalEvents, 0u);
+  EXPECT_EQ(Payload.FunctionCount, 0u);
+}
+
 TEST(IngestWireTest, PayloadRejectsUnknownKind) {
   std::vector<uint8_t> Bytes = {99, 0};
   WirePayload Payload;

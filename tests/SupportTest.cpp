@@ -6,6 +6,7 @@
 
 #include "support/Arena.h"
 #include "support/ByteStream.h"
+#include "support/Crc32.h"
 #include "support/FaultInjection.h"
 #include "support/FileIO.h"
 #include "support/Mmap.h"
@@ -13,6 +14,8 @@
 #include "support/Random.h"
 #include "support/Stats.h"
 #include "support/TablePrinter.h"
+#include "workloads/Workload.h"
+#include "wpp/Partition.h"
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include <cstdio>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -152,6 +156,118 @@ TEST_P(LzwRoundTrip, RandomBytes) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LzwRoundTrip,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
                                            12, 13, 14, 15, 16));
+
+/// A reference LZW encoder over a hash-map dictionary, kept so
+/// lzwCompress's flat table can be checked against it byte for byte.
+std::vector<uint8_t> referenceLzwCompress(const std::vector<uint8_t> &Input) {
+  ByteWriter Writer;
+  if (Input.empty())
+    return Writer.take();
+  auto PackKey = [](uint32_t PrefixCode, uint8_t Byte) {
+    return (static_cast<uint64_t>(PrefixCode) << 8) | Byte;
+  };
+  std::unordered_map<uint64_t, uint32_t> Dict;
+  uint32_t NextCode = 256;
+  uint32_t Current = Input[0];
+  for (size_t I = 1, E = Input.size(); I != E; ++I) {
+    uint8_t Byte = Input[I];
+    auto It = Dict.find(PackKey(Current, Byte));
+    if (It != Dict.end()) {
+      Current = It->second;
+      continue;
+    }
+    Writer.writeVarUint(Current);
+    if (NextCode < LZWMaxDictSize)
+      Dict.emplace(PackKey(Current, Byte), NextCode++);
+    Current = Byte;
+  }
+  Writer.writeVarUint(Current);
+  return Writer.take();
+}
+
+TEST_P(LzwRoundTrip, MatchesReferenceEncoder) {
+  Rng R(GetParam() * 7919);
+  size_t Length = R.nextBelow(200000);
+  uint64_t Alphabet = 1 + R.nextBelow(256);
+  std::vector<uint8_t> Input;
+  Input.reserve(Length);
+  for (size_t I = 0; I < Length; ++I)
+    Input.push_back(static_cast<uint8_t>(R.nextBelow(Alphabet)));
+  EXPECT_EQ(lzwCompress(Input), referenceLzwCompress(Input));
+}
+
+TEST(LzwTest, MatchesReferenceEncoderOnDcgs) {
+  for (const WorkloadProfile &Profile : testProfiles()) {
+    std::vector<uint8_t> Dcg =
+        encodeDcg(partitionWpp(generateWorkloadTrace(Profile)).Dcg);
+    EXPECT_EQ(lzwCompress(Dcg), referenceLzwCompress(Dcg)) << Profile.Name;
+  }
+}
+
+TEST(LzwTest, MatchesReferenceEncoderPastDictionaryCap) {
+  // Pseudo-random bytes rarely repeat a long string, so they add
+  // dictionary entries fast: 3 MiB fills it, and the rest is coded with
+  // it frozen.
+  Rng R(2024);
+  std::vector<uint8_t> Input(3u << 20);
+  for (uint8_t &Byte : Input)
+    Byte = static_cast<uint8_t>(R.next() >> 56);
+  std::vector<uint8_t> Compressed = lzwCompress(Input);
+  EXPECT_EQ(Compressed, referenceLzwCompress(Input));
+  // Every code but the last defines one entry until the cap, so this
+  // many codes means the cap was reached and many more were coded after.
+  ByteReader Reader(Compressed);
+  uint64_t Codes = 0;
+  for (; !Reader.atEnd(); ++Codes)
+    Reader.readVarUint();
+  EXPECT_GT(Codes, uint64_t(LZWMaxDictSize - 256) + 100000);
+  std::vector<uint8_t> Out;
+  ASSERT_TRUE(lzwDecompress(Compressed, Out));
+  EXPECT_EQ(Out, Input);
+}
+
+/// The bytewise CRC-32 the slicing-by-8 form must agree with.
+uint32_t referenceCrc32(const uint8_t *Bytes, size_t Size) {
+  uint32_t Crc = 0xFFFFFFFFu;
+  for (size_t I = 0; I < Size; ++I) {
+    Crc ^= Bytes[I];
+    for (int K = 0; K < 8; ++K)
+      Crc = (Crc & 1) ? 0xEDB88320u ^ (Crc >> 1) : (Crc >> 1);
+  }
+  return Crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  const char *Check = "123456789";
+  EXPECT_EQ(crc32(Check, 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(Check, 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Rng R(99);
+  std::vector<uint8_t> Buffer(64 + 8 + 8);
+  for (uint8_t &Byte : Buffer)
+    Byte = static_cast<uint8_t>(R.next());
+  for (size_t Offset = 0; Offset < 8; ++Offset)
+    for (size_t Length = 0; Length < 68; ++Length)
+      EXPECT_EQ(crc32(Buffer.data() + Offset, Length),
+                referenceCrc32(Buffer.data() + Offset, Length))
+          << "offset=" << Offset << " length=" << Length;
+}
+
+TEST(Crc32Test, UpdateIsInvariantToSplitPoint) {
+  Rng R(7);
+  std::vector<uint8_t> Buffer(300);
+  for (uint8_t &Byte : Buffer)
+    Byte = static_cast<uint8_t>(R.next());
+  uint32_t Whole = crc32(Buffer.data(), Buffer.size());
+  EXPECT_EQ(Whole, referenceCrc32(Buffer.data(), Buffer.size()));
+  for (size_t Split = 0; Split <= Buffer.size(); ++Split) {
+    uint32_t Crc = crc32Update(crc32Init(), Buffer.data(), Split);
+    Crc = crc32Update(Crc, Buffer.data() + Split, Buffer.size() - Split);
+    EXPECT_EQ(crc32Final(Crc), Whole) << "split=" << Split;
+  }
+}
 
 TEST(RandomTest, DeterministicAcrossInstances) {
   Rng A(42), B(42);
