@@ -30,7 +30,7 @@ int main(int Argc, char **Argv) {
   TablePrinter Table(
       "Scaling: per-function extraction time vs trace size (130.li shape)");
   Table.addRow({"Calls", "Events", "OWPP (KB)", "Archive (KB)",
-                "U scan (ms)", "C buffered (ms)", "C mmap (ms)", "Speedup"});
+                "U scan (ms)", "C (ms)", "Speedup"});
 
   WorkloadProfile Base = paperProfiles()[2]; // 130.li
   for (uint64_t Scale : {1, 2, 4, 8, 16}) {
@@ -56,37 +56,28 @@ int main(int Argc, char **Argv) {
       if (Compacted.Functions[F].CallCount > 10)
         Sample.push_back(F);
 
-    RunningStats U, CBuffered, CMmap;
+    RunningStats U, C;
     for (FunctionId F : Sample) {
       Stopwatch Sw;
       std::vector<std::vector<BlockId>> Traces;
       extractFunctionTracesFromFile(OwppPath, F, Traces);
       U.add(Sw.elapsedMs());
 
-      // Archive extraction on both read paths: buffered IO, then the
-      // zero-copy mmap + decode-arena path.
+      // Archive extraction: map the file, then decode one block.
       Sw.reset();
-      ArchiveReader Buffered;
-      Buffered.open(ArchivePath, IoMode::Buffered);
+      ArchiveReader Reader;
+      Reader.open(ArchivePath);
       FunctionPathTraces Out;
-      Buffered.extractFunctionPathTraces(F, Out);
-      CBuffered.add(Sw.elapsedMs());
-
-      Sw.reset();
-      ArchiveReader Mapped;
-      Mapped.open(ArchivePath, IoMode::Mmap);
-      FunctionPathTraces OutMmap;
-      Mapped.extractFunctionPathTraces(F, OutMmap);
-      CMmap.add(Sw.elapsedMs());
+      Reader.extractFunctionPathTraces(F, Out);
+      C.add(Sw.elapsedMs());
     }
 
     Table.addRow({std::to_string(P.TargetCalls),
                   std::to_string(Trace.Events.size()),
                   formatDouble(fileSize(OwppPath).value_or(0) / 1024.0, 1),
                   formatDouble(fileSize(ArchivePath).value_or(0) / 1024.0, 1),
-                  formatDouble(U.mean(), 2), formatDouble(CBuffered.mean(), 3),
-                  formatDouble(CMmap.mean(), 3),
-                  formatFactor(U.mean() / std::max(CMmap.mean(), 1e-9))});
+                  formatDouble(U.mean(), 2), formatDouble(C.mean(), 3),
+                  formatFactor(U.mean() / std::max(C.mean(), 1e-9))});
     std::remove(OwppPath.c_str());
     std::remove(ArchivePath.c_str());
     std::string Label = "x";

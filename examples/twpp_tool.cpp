@@ -74,9 +74,6 @@ int usage() {
       "       twpp_tool dot-trace <archive.twpp> <function-id> <trace-#>\n"
       "       twpp_tool reconstruct <archive.twpp> <out.owpp>\n"
       "global options:\n"
-      "       --io MODE              archive read path: mmap (default,\n"
-      "                              zero-copy, falls back to buffered)\n"
-      "                              or buffered\n"
       "       --jobs N               parallel compaction worker threads\n"
       "                              (0 = all hardware threads)\n"
       "       --metrics-out <path>   write pipeline telemetry\n"
@@ -371,13 +368,6 @@ int main(int Argc, char **Argv) {
       if (I + 1 >= Argc)
         return usage();
       TraceOut = Argv[++I];
-    } else if (std::strcmp(Argv[I], "--io") == 0) {
-      if (I + 1 >= Argc)
-        return usage();
-      IoMode Mode;
-      if (!parseIoMode(Argv[++I], Mode))
-        return usage();
-      setDefaultArchiveIoMode(Mode);
     } else if (std::strcmp(Argv[I], "--jobs") == 0) {
       if (I + 1 >= Argc)
         return usage();

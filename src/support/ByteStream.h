@@ -25,9 +25,9 @@
 namespace twpp {
 
 /// A non-owning view of immutable bytes — the currency of the zero-copy
-/// read path. An ArchiveReader in mmap mode hands decoders ByteSpans
-/// pointing straight into the mapping; the buffered path hands spans over
-/// its copied vectors. Either way the decoders never copy again.
+/// read path. An ArchiveReader hands decoders ByteSpans pointing straight
+/// into the mapping, or into its whole-file buffer when the file could not
+/// be mapped. Either way the decoders never copy again.
 struct ByteSpan {
   const uint8_t *Data = nullptr;
   size_t Size = 0;

@@ -7,12 +7,7 @@
 /// \file
 /// The conventions every twpp_* tool shares, in one place so they cannot
 /// drift: the 0/1/2 exit contract, `--flag=value` matching, and the
-/// common `--format=` / `--io=` flags. Header-only by design — the io
-/// helper forward-declares the archive-layer entry points it installs
-/// into, so this header adds no link dependency of its own; a tool that
-/// calls parseIoFlag() must link twpp_wpp (every archive-reading tool
-/// already does), while a tool that never touches archives (e.g.
-/// twpp_metrics_diff) can use the rest of this header linking nothing.
+/// common `--format=` flag. Header-only and link-free.
 ///
 /// Exit contract (shared by every tool, asserted by CI):
 ///
@@ -31,13 +26,6 @@
 #include <string>
 
 namespace twpp {
-
-// Archive-layer entry points behind --io= (defined in wpp/Archive.cpp;
-// redeclared here so this header stays link-free for tools that never
-// read archives).
-enum class IoMode : uint8_t;
-bool parseIoMode(const std::string &Text, IoMode &Mode);
-void setDefaultArchiveIoMode(IoMode Mode);
 
 namespace cli {
 
@@ -87,37 +75,6 @@ parseFormatFlag(const std::string &Arg, std::string &Format,
       return FlagParse::Ok;
     }
   return FlagParse::Bad;
-}
-
-/// Handles `--io=MODE` (mmap or buffered) by installing the
-/// process-default archive read path. Requires linking twpp_wpp.
-inline FlagParse parseIoFlag(const std::string &Arg) {
-  std::string Value;
-  if (!flagValue(Arg, "io", Value))
-    return FlagParse::NoMatch;
-  IoMode Mode;
-  if (!parseIoMode(Value, Mode))
-    return FlagParse::Bad;
-  setDefaultArchiveIoMode(Mode);
-  return FlagParse::Ok;
-}
-
-/// Offers \p Arg to both common handlers (`--format=`, `--io=`) in one
-/// call — the shape of most tools' parse loops:
-///
-///   switch (cli::parseCommonFlag(Arg, Format)) {
-///   case cli::FlagParse::Ok: continue;
-///   case cli::FlagParse::Bad: return usage();
-///   case cli::FlagParse::NoMatch: break;  // tool-specific flags
-///   }
-inline FlagParse
-parseCommonFlag(const std::string &Arg, std::string &Format,
-                std::initializer_list<const char *> Allowed = {"text",
-                                                               "json"}) {
-  FlagParse Result = parseFormatFlag(Arg, Format, Allowed);
-  if (Result != FlagParse::NoMatch)
-    return Result;
-  return parseIoFlag(Arg);
 }
 
 } // namespace cli

@@ -231,40 +231,6 @@ IoError twpp::readFileBytes(const std::string &Path,
   return IoError::success();
 }
 
-IoError twpp::readFileSlice(const std::string &Path, uint64_t Offset,
-                            uint64_t Length, std::vector<uint8_t> &Bytes) {
-  Bytes.clear();
-  obs::metrics().counter(obs::names::IoReads).add();
-  if (fault::shouldFailIo("open"))
-    return injected(IoStatus::OpenFailed, Path);
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return fail(IoStatus::OpenFailed, Path);
-  if (std::fseek(File, static_cast<long>(Offset), SEEK_SET) != 0) {
-    int Err = errno;
-    std::fclose(File);
-    return fail(IoStatus::ReadFailed, Path, Err);
-  }
-  Bytes.resize(static_cast<size_t>(Length));
-  bool InjectRead = fault::shouldFailIo("read");
-  size_t Read = (Bytes.empty() || InjectRead)
-                    ? 0
-                    : std::fread(Bytes.data(), 1, Bytes.size(), File);
-  std::fclose(File);
-  if (InjectRead || Read != Bytes.size()) {
-    obs::metrics().counter(obs::names::IoShortReads).add();
-    Bytes.clear();
-    return InjectRead
-               ? injected(IoStatus::ReadFailed, Path)
-               : fail(IoStatus::ShortRead,
-                      Path + " (offset " + std::to_string(Offset) +
-                          ", got " + std::to_string(Read) + " of " +
-                          std::to_string(Length) + " bytes)",
-                      0);
-  }
-  return IoError::success();
-}
-
 std::optional<uint64_t> twpp::fileSize(const std::string &Path) {
   if (fault::shouldFailIo("stat"))
     return std::nullopt;

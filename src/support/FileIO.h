@@ -95,13 +95,6 @@ IoError writeFileBytesAtomic(const std::string &Path,
 /// Reads the entire file at \p Path into \p Bytes.
 IoError readFileBytes(const std::string &Path, std::vector<uint8_t> &Bytes);
 
-/// Reads \p Length bytes starting at \p Offset from the file at \p Path.
-/// Used by the indexed archive reader to pull a single function's block
-/// without touching the rest of the file. A file shorter than
-/// Offset+Length yields IoStatus::ShortRead.
-IoError readFileSlice(const std::string &Path, uint64_t Offset,
-                      uint64_t Length, std::vector<uint8_t> &Bytes);
-
 /// Returns the file size, or nullopt when the file cannot be inspected
 /// (missing, permission, injected stat fault). An empty file is
 /// 0 — distinguishable from failure, which the old uint64_t contract

@@ -5,21 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// RAII read-only memory mapping for the zero-copy archive read path. An
-/// ArchiveReader in mmap mode maps the archive once and decodes the index,
+/// RAII read-only memory mapping for the zero-copy archive read path.
+/// ArchiveReader::open maps the archive once and decodes the index,
 /// function blocks and DCG straight out of the mapping through ByteSpan
 /// cursors — no read()-and-copy, no per-query buffer.
 ///
 /// Failure is always graceful: map() returns a typed IoError and leaves
-/// the object unmapped, and ArchiveReader falls back to buffered FileIO,
-/// so platforms (or files) that cannot be mapped behave exactly like the
-/// pre-mmap reader. On platforms without mmap at all (non-POSIX),
-/// MappedFile::available() is false and map() reports OpenFailed
-/// immediately.
+/// the object unmapped, and ArchiveReader reads the whole file into one
+/// buffer instead, decoding it exactly as it would the mapping. On
+/// platforms without mmap at all (non-POSIX), MappedFile::available() is
+/// false and the reader only ever takes that buffered path.
 ///
 /// Testability: map() consults the fault-injection seam under the io op
-/// name "mmap" (TWPP_FAULT=io:mmap:n=1), which is how the corruption and
-/// fallback tests force the buffered path deterministically. An empty file
+/// name "mmap" (TWPP_FAULT=io:mmap:every=1), which is how the reader
+/// tests force the buffered path deterministically. An empty file
 /// maps successfully to the null span — mmap(2) itself rejects length 0,
 /// so the wrapper special-cases it rather than failing on a valid archive
 /// of zero bytes (no such archive exists today, but the reader's header

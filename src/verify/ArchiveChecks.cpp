@@ -6,7 +6,6 @@
 
 #include "verify/ArchiveChecks.h"
 
-#include "support/ByteStream.h"
 #include "support/LZW.h"
 #include "verify/Checks.h"
 #include "verify/ThreadChecks.h"
@@ -15,7 +14,6 @@
 #include "wpp/DynamicCallGraph.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -24,16 +22,6 @@ using namespace twpp;
 using namespace twpp::verify;
 
 namespace {
-
-// The archive layout constants, mirrored from wpp/Archive.cpp (the
-// format is pinned by docs/FORMATS.md and ArchiveCorruptionTest).
-constexpr uint32_t ArchiveMagic = 0x54575050; // "TWPP"
-constexpr uint32_t ArchiveVersion = 1;
-constexpr uint32_t ArchiveVersionThreads = 2;
-constexpr size_t PrefixSize = 12;
-constexpr size_t DcgFieldsSize = 16;
-constexpr size_t IndexRowSize = 24;
-constexpr size_t SectionHeadSize = 12; // tag (fixed32) + length (fixed64)
 
 // Cap on materializing a trace's full timestamp vector for the partition
 // check; anything larger is structurally absurd for this repo's scales
@@ -389,24 +377,6 @@ void checkChainMaximality(const TwppFunctionTable &Table,
 // DCG checks.
 //===----------------------------------------------------------------------===//
 
-/// Length of the *uncompacted* path trace behind unique trace \p T of
-/// table \p Table (what DCG anchors are ordinals into), computed from the
-/// compacted form: each block's timestamp count times its chain length.
-uint64_t expandedTraceLength(const TwppFunctionTable &Table, uint32_t T) {
-  auto [StringIdx, DictIdx] = Table.Traces[T];
-  if (StringIdx >= Table.TraceStrings.size() ||
-      DictIdx >= Table.Dictionaries.size())
-    return 0;
-  const TwppTrace &Trace = Table.TraceStrings[StringIdx];
-  const DbbDictionary &Dict = Table.Dictionaries[DictIdx];
-  uint64_t Length = 0;
-  for (const auto &[Block, Set] : Trace.Blocks) {
-    const std::vector<BlockId> *Chain = Dict.findChain(Block);
-    Length += Set.count() * (Chain ? Chain->size() : 1);
-  }
-  return Length;
-}
-
 void checkDcg(const TwppWpp &Wpp, DiagnosticEngine &Engine) {
   const DynamicCallGraph &Dcg = Wpp.Dcg;
   const size_t N = Dcg.Nodes.size();
@@ -539,91 +509,36 @@ void checkDcg(const TwppWpp &Wpp, DiagnosticEngine &Engine) {
 // Version-2 section trailer.
 //===----------------------------------------------------------------------===//
 
-/// Walks the section trailer of a version-2 archive ([DcgEnd, end of
-/// file) as tag/length/payload records), reporting twpp-archive-section
-/// errors, and decodes the three thread sections into \p Conc.
-/// \returns true when the trailer is structurally sound and every
-/// section decoded (only then are the thread/race checks meaningful).
-bool checkSectionTrailer(const std::vector<uint8_t> &Bytes, uint64_t DcgEnd,
-                         ConcurrencyInfo &Conc, DiagnosticEngine &Engine) {
-  const uint64_t Size = Bytes.size();
-  struct SectionRec {
-    uint32_t Tag = 0;
-    uint64_t Offset = 0;
-    uint64_t Length = 0;
-  };
-  std::vector<SectionRec> Sections;
-  auto Find = [&Sections](uint32_t Tag) -> const SectionRec * {
-    for (const SectionRec &S : Sections)
-      if (S.Tag == Tag)
-        return &S;
-    return nullptr;
-  };
-
-  uint64_t Pos = DcgEnd;
-  while (Pos < Size) {
-    if (Size - Pos < SectionHeadSize) {
-      Engine.report(checks::ArchiveSection, Severity::Error,
-                    "truncated section record at offset " +
-                        std::to_string(Pos),
-                    "section directory", Pos);
-      return false;
-    }
-    ByteReader Head(
-        ByteSpan(Bytes.data() + static_cast<size_t>(Pos), SectionHeadSize));
-    SectionRec Sec;
-    Sec.Tag = Head.readFixed32();
-    Sec.Length = Head.readFixed64();
-    Sec.Offset = Pos + SectionHeadSize;
-    if (Sec.Tag != ArchiveSectionThreads && Sec.Tag != ArchiveSectionHbEdges &&
-        Sec.Tag != ArchiveSectionAccesses) {
-      char Buf[9];
-      std::snprintf(Buf, sizeof(Buf), "%08x", Sec.Tag);
-      Engine.report(checks::ArchiveSection, Severity::Error,
-                    "unknown archive section tag 0x" + std::string(Buf),
-                    "section directory", Pos);
-      return false;
-    }
-    if (Sec.Length > Size - Sec.Offset) {
-      Engine.report(checks::ArchiveSection, Severity::Error,
-                    "section payload runs past end of file",
-                    "section directory", Pos);
-      return false;
-    }
-    if (Find(Sec.Tag)) {
-      Engine.report(checks::ArchiveSection, Severity::Error,
-                    "duplicate archive section tag", "section directory", Pos);
-      return false;
-    }
-    Sections.push_back(Sec);
-    Pos = Sec.Offset + Sec.Length;
-  }
-
+/// Decodes the three thread sections of an intact version-2 trailer into
+/// \p Conc, reporting a missing HBEG or ACCS section (the layout reports
+/// a missing THRD) and each section that does not decode. \returns true
+/// when every section decoded (only then are the thread/race checks
+/// meaningful).
+bool checkSections(ByteSpan File, const ArchiveLayout &Layout,
+                   ConcurrencyInfo &Conc, DiagnosticEngine &Engine) {
   bool Ok = true;
   // THRD must decode before ACCS (the access decoder validates its
   // thread count against the table), so decode in fixed tag order rather
   // than file order.
-  const struct {
-    uint32_t Tag;
-    const char *Name;
-  } Expected[] = {{ArchiveSectionThreads, "THRD"},
-                  {ArchiveSectionHbEdges, "HBEG"},
-                  {ArchiveSectionAccesses, "ACCS"}};
-  for (const auto &[Tag, Name] : Expected) {
-    const SectionRec *Sec = Find(Tag);
+  for (uint32_t Tag : {ArchiveSectionThreads, ArchiveSectionHbEdges,
+                       ArchiveSectionAccesses}) {
+    std::string Name = archiveSectionName(Tag);
+    const ArchiveLayout::Section *Sec = Layout.findSection(Tag);
     if (!Sec) {
-      Engine.report(checks::ArchiveSection, Severity::Error,
-                    "version 2 archive is missing the " + std::string(Name) +
-                        " section",
-                    "section directory", DcgEnd);
+      if (Tag != ArchiveSectionThreads)
+        Engine.report(checks::ArchiveSection, Severity::Error,
+                      "version 2 archive is missing the " + Name +
+                          " section",
+                      "section directory",
+                      Layout.DcgOffset + Layout.DcgLength);
       Ok = false;
       continue;
     }
-    ByteSpan Payload = ByteSpan(Bytes).subspan(Sec->Offset, Sec->Length);
-    if (!decodeArchiveSection(Tag, Payload, Conc)) {
+    if (!decodeArchiveSection(Tag, File.subspan(Sec->Offset, Sec->Length),
+                              Conc)) {
       Engine.report(checks::ArchiveSection, Severity::Error,
-                    std::string(Name) + " section does not decode",
-                    std::string(Name) + " section", Sec->Offset);
+                    Name + " section does not decode", Name + " section",
+                    Sec->Offset);
       Ok = false;
     }
   }
@@ -631,6 +546,22 @@ bool checkSectionTrailer(const std::vector<uint8_t> &Bytes, uint64_t DcgEnd,
 }
 
 } // namespace
+
+uint64_t verify::expandedTraceLength(const TwppFunctionTable &Table,
+                                     uint32_t T) {
+  auto [StringIdx, DictIdx] = Table.Traces[T];
+  if (StringIdx >= Table.TraceStrings.size() ||
+      DictIdx >= Table.Dictionaries.size())
+    return 0;
+  const TwppTrace &Trace = Table.TraceStrings[StringIdx];
+  const DbbDictionary &Dict = Table.Dictionaries[DictIdx];
+  uint64_t Length = 0;
+  for (const auto &[Block, Set] : Trace.Blocks) {
+    const std::vector<BlockId> *Chain = Dict.findChain(Block);
+    Length += Set.count() * (Chain ? Chain->size() : 1);
+  }
+  return Length;
+}
 
 void verify::runFunctionTableChecks(const TwppFunctionTable &Table,
                                     uint32_t F, DiagnosticEngine &Engine) {
@@ -654,93 +585,49 @@ void verify::runWppChecks(const TwppWpp &Wpp, DiagnosticEngine &Engine) {
 
 void verify::runArchiveBytesChecks(const std::vector<uint8_t> &Bytes,
                                    DiagnosticEngine &Engine) {
-  const uint64_t Size = Bytes.size();
-  if (Size < PrefixSize + DcgFieldsSize) {
-    Engine.report(checks::ArchiveHeader, Severity::Error,
-                  "file of " + std::to_string(Size) +
-                      " bytes is smaller than the fixed header",
-                  "header", 0);
+  const ByteSpan File(Bytes);
+  ArchiveLayout Layout;
+  decodeArchiveLayout(File, Layout);
+  // Without every index row the header claims, the rest of the layout is
+  // guesswork (the clamped rows may be block bytes): report the header's
+  // defect alone, as the reader does.
+  if (!Layout.indexComplete()) {
+    Engine.report(Layout.Defects.front().Diag);
     return;
   }
-  ByteReader Reader(Bytes);
-  uint32_t Magic = Reader.readFixed32();
-  uint32_t Version = Reader.readFixed32();
-  uint32_t FunctionCount = Reader.readFixed32();
-  uint64_t DcgOffset = Reader.readFixed64();
-  uint64_t DcgLength = Reader.readFixed64();
-  if (Magic != ArchiveMagic) {
-    Engine.report(checks::ArchiveHeader, Severity::Error,
-                  "bad magic (not a TWPP archive)", "header", 0);
-    return;
-  }
-  if (Version != ArchiveVersion && Version != ArchiveVersionThreads) {
-    Engine.report(checks::ArchiveHeader, Severity::Error,
-                  "unsupported version " + std::to_string(Version), "header",
-                  4);
-    return;
-  }
-  const uint64_t IndexEnd =
-      PrefixSize + DcgFieldsSize +
-      static_cast<uint64_t>(FunctionCount) * IndexRowSize;
-  if (static_cast<uint64_t>(FunctionCount) * IndexRowSize >
-      Size - PrefixSize - DcgFieldsSize) {
-    Engine.report(checks::ArchiveHeader, Severity::Error,
-                  "function count " + std::to_string(FunctionCount) +
-                      " implies an index larger than the file",
-                  "header", 8);
-    return;
-  }
-  bool DcgExtentOk = true;
-  if (DcgOffset > Size || DcgLength > Size - DcgOffset) {
-    Engine.report(checks::ArchiveHeader, Severity::Error,
-                  "DCG extent (offset " + std::to_string(DcgOffset) +
-                      ", length " + std::to_string(DcgLength) +
-                      ") runs past end of file",
-                  "dcg extent", PrefixSize);
-    DcgExtentOk = false;
-  }
+  for (const ArchiveLayout::Defect &D : Layout.Defects)
+    Engine.report(D.Diag);
+  const uint32_t FunctionCount = Layout.FunctionCount;
+  const std::vector<ArchiveLayout::IndexRow> &Rows = Layout.Rows;
 
-  struct Row {
-    uint64_t Offset = 0, Length = 0, CallCount = 0;
-    bool InBounds = false;
-  };
-  std::vector<Row> Rows(FunctionCount);
+  // A block is usable when it lies inside the file and clear of the
+  // header and index.
+  std::vector<bool> Usable(FunctionCount, false);
   for (uint32_t F = 0; F < FunctionCount; ++F) {
-    const uint64_t RowAt =
-        PrefixSize + DcgFieldsSize + static_cast<uint64_t>(F) * IndexRowSize;
-    Row &R = Rows[F];
-    R.Offset = Reader.readFixed64();
-    R.Length = Reader.readFixed64();
-    R.CallCount = Reader.readFixed64();
-    std::string Loc = "index row " + std::to_string(F);
-    if (R.Offset > Size || R.Length > Size - R.Offset) {
+    const ArchiveLayout::IndexRow &R = Rows[F];
+    if (!R.InBounds)
+      continue;
+    if (R.Length > 0 && R.Offset < Layout.IndexEnd) {
       Engine.report(checks::ArchiveIndexBounds, Severity::Error,
-                    "block extent (offset " + std::to_string(R.Offset) +
-                        ", length " + std::to_string(R.Length) +
-                        ") runs past end of file",
-                    Loc, RowAt);
+                    "block overlaps the header/index region",
+                    "index row " + std::to_string(F), R.At);
       continue;
     }
-    if (R.Length > 0 && R.Offset < IndexEnd) {
-      Engine.report(checks::ArchiveIndexBounds, Severity::Error,
-                    "block overlaps the header/index region", Loc, RowAt);
-      continue;
-    }
-    R.InBounds = true;
+    Usable[F] = true;
   }
 
-  // Non-overlap over every in-bounds extent (function blocks + DCG).
+  // Non-overlap over every usable extent (function blocks + DCG).
   struct Extent {
     uint64_t Offset, Length;
     std::string Name;
   };
   std::vector<Extent> Extents;
   for (uint32_t F = 0; F < FunctionCount; ++F)
-    if (Rows[F].InBounds && Rows[F].Length > 0)
+    if (Usable[F] && Rows[F].Length > 0)
       Extents.push_back({Rows[F].Offset, Rows[F].Length,
                          "function " + std::to_string(F) + " block"});
-  if (DcgExtentOk && DcgLength > 0)
-    Extents.push_back({DcgOffset, DcgLength, "dcg"});
+  if (Layout.DcgInBounds && Layout.DcgLength > 0)
+    Extents.push_back({Layout.DcgOffset, Layout.DcgLength, "dcg"});
   std::sort(Extents.begin(), Extents.end(),
             [](const Extent &A, const Extent &B) {
               return A.Offset < B.Offset;
@@ -756,7 +643,7 @@ void verify::runArchiveBytesChecks(const std::vector<uint8_t> &Bytes,
   if (Engine.checkEnabled(checks::ArchiveIndexOrder)) {
     std::vector<uint32_t> ByOffset;
     for (uint32_t F = 0; F < FunctionCount; ++F)
-      if (Rows[F].InBounds)
+      if (Usable[F])
         ByOffset.push_back(F);
     std::stable_sort(ByOffset.begin(), ByOffset.end(),
                      [&Rows](uint32_t A, uint32_t B) {
@@ -777,22 +664,20 @@ void verify::runArchiveBytesChecks(const std::vector<uint8_t> &Bytes,
       }
   }
 
-  // Decode every function block and the DCG; on full success, chain into
-  // the in-memory family.
-  bool AllDecoded = DcgExtentOk;
+  // Decode every function block and the DCG in place; on full success,
+  // chain into the in-memory family.
+  bool AllDecoded = Layout.DcgInBounds;
   TwppWpp Wpp;
   Wpp.Functions.resize(FunctionCount);
   for (uint32_t F = 0; F < FunctionCount; ++F) {
-    const Row &R = Rows[F];
-    if (!R.InBounds) {
+    const ArchiveLayout::IndexRow &R = Rows[F];
+    if (!Usable[F]) {
       AllDecoded = false;
       continue;
     }
-    std::vector<uint8_t> Block(Bytes.begin() + static_cast<size_t>(R.Offset),
-                               Bytes.begin() +
-                                   static_cast<size_t>(R.Offset + R.Length));
     std::string Loc = "function " + std::to_string(F) + " block";
-    if (!decodeTwppFunctionTable(Block, Wpp.Functions[F])) {
+    if (!decodeTwppFunctionTable(File.subspan(R.Offset, R.Length),
+                                 Wpp.Functions[F])) {
       Engine.report(checks::ArchiveBlockDecode, Severity::Error,
                     "function block does not decode", Loc, R.Offset);
       AllDecoded = false;
@@ -805,19 +690,17 @@ void verify::runArchiveBytesChecks(const std::vector<uint8_t> &Bytes,
                         std::to_string(Wpp.Functions[F].CallCount),
                     Loc, R.Offset);
   }
-  if (DcgExtentOk) {
-    std::vector<uint8_t> Compressed(
-        Bytes.begin() + static_cast<size_t>(DcgOffset),
-        Bytes.begin() + static_cast<size_t>(DcgOffset + DcgLength));
+  if (Layout.DcgInBounds) {
     std::vector<uint8_t> Raw;
-    if (!lzwDecompress(Compressed, Raw)) {
+    if (!lzwDecompress(File.subspan(Layout.DcgOffset, Layout.DcgLength),
+                       Raw)) {
       Engine.report(checks::ArchiveDcgDecode, Severity::Error,
-                    "DCG does not LZW-decompress", "dcg", DcgOffset);
+                    "DCG does not LZW-decompress", "dcg", Layout.DcgOffset);
       AllDecoded = false;
     } else if (!decodeDcg(Raw, Wpp.Dcg)) {
       Engine.report(checks::ArchiveDcgDecode, Severity::Error,
                     "decompressed DCG does not decode as a call graph",
-                    "dcg", DcgOffset);
+                    "dcg", Layout.DcgOffset);
       AllDecoded = false;
     }
   }
@@ -825,9 +708,7 @@ void verify::runArchiveBytesChecks(const std::vector<uint8_t> &Bytes,
     runWppChecks(Wpp, Engine);
 
   // Version 2: the thread trailer, then the thread/race families over it.
-  if (Version == ArchiveVersionThreads && DcgExtentOk) {
-    ConcurrencyInfo Conc;
-    if (checkSectionTrailer(Bytes, DcgOffset + DcgLength, Conc, Engine))
-      runConcurrencyChecks(Conc, AllDecoded ? &Wpp : nullptr, Engine);
-  }
+  ConcurrencyInfo Conc;
+  if (Layout.TrailerIntact && checkSections(File, Layout, Conc, Engine))
+    runConcurrencyChecks(Conc, AllDecoded ? &Wpp : nullptr, Engine);
 }

@@ -41,6 +41,12 @@ void runArchiveBytesChecks(const std::vector<uint8_t> &Bytes,
 void runFunctionTableChecks(const TwppFunctionTable &Table, uint32_t F,
                             DiagnosticEngine &Engine);
 
+/// Length of the uncompacted path trace behind unique trace \p T of
+/// \p Table (what DCG anchors are ordinals into), computed from the
+/// compacted form: each block's timestamp count times its chain length.
+/// 0 when the trace's pool indices are out of range.
+uint64_t expandedTraceLength(const TwppFunctionTable &Table, uint32_t T);
+
 /// Checks one timestamp set (series order, strides, sign encoding).
 void runTimestampSetChecks(const TimestampSet &Set, const std::string &Loc,
                            DiagnosticEngine &Engine);

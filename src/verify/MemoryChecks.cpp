@@ -37,13 +37,13 @@ std::string bytesStr(uint64_t Bytes) {
 } // namespace
 
 bool verify::auditArchiveMemory(const std::string &Path, MemoryAudit &Audit,
-                                TwppWpp *Wpp, IoMode Mode) {
+                                TwppWpp *Wpp) {
   Audit = MemoryAudit();
   TwppWpp Local;
   TwppWpp &Out = Wpp ? *Wpp : Local;
 
   ArchiveReader Reader;
-  if (!Reader.open(Path, Mode))
+  if (!Reader.open(Path))
     return false;
 
   // Decode with tracking force-enabled, capturing the instrumented

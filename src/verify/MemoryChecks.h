@@ -25,7 +25,6 @@
 #define TWPP_VERIFY_MEMORYCHECKS_H
 
 #include "verify/Diagnostics.h"
-#include "wpp/Archive.h" // IoMode
 #include "wpp/Twpp.h"
 
 #include <cstdint>
@@ -55,13 +54,12 @@ inline uint64_t memReconcileToleranceBytes(uint64_t DeepBytes) {
 
 /// Decodes \p Path with tracking force-enabled into a private account and
 /// fills \p Audit. \p Wpp (optional) receives the decoded representation.
-/// \p Mode picks the read path (defaults to the process-wide mode, which
-/// the CLIs' --io flag controls); the audit figures must be identical in
-/// both, since mapped bytes land on the fixed archive.mmap tag, never in
-/// the scoped capture. Returns Audit.Decoded.
+/// The audit figures are the same whether the reader mapped the file or
+/// fell back to reading it: mapped bytes land on the fixed archive.mmap
+/// tag and the fallback buffer is not ledgered, so neither reaches the
+/// scoped capture. Returns Audit.Decoded.
 bool auditArchiveMemory(const std::string &Path, MemoryAudit &Audit,
-                        TwppWpp *Wpp = nullptr,
-                        IoMode Mode = defaultArchiveIoMode());
+                        TwppWpp *Wpp = nullptr);
 
 /// Runs the twpp-mem-* family over \p Path, honouring \p Engine's check
 /// glob. No-op diagnostics-wise when the archive is unreadable (the

@@ -23,47 +23,6 @@ using namespace twpp::verify;
 
 namespace {
 
-// The fixed layout (wpp/Archive.h). Salvage parses the header by hand
-// because ArchiveReader rejects at the first inconsistency, while salvage
-// must keep going past one.
-constexpr uint32_t ArchiveMagic = 0x54575050;
-constexpr uint32_t ArchiveVersion = 1;
-constexpr size_t PrefixSize = 12;
-constexpr size_t DcgFieldsSize = 16;
-constexpr size_t IndexRowSize = 24;
-constexpr size_t HeaderSize = PrefixSize + DcgFieldsSize;
-
-uint32_t le32At(const std::vector<uint8_t> &Bytes, size_t Pos) {
-  uint32_t V = 0;
-  for (int I = 0; I < 4; ++I)
-    V |= static_cast<uint32_t>(Bytes[Pos + I]) << (8 * I);
-  return V;
-}
-
-uint64_t le64At(const std::vector<uint8_t> &Bytes, size_t Pos) {
-  uint64_t V = 0;
-  for (int I = 0; I < 8; ++I)
-    V |= static_cast<uint64_t>(Bytes[Pos + I]) << (8 * I);
-  return V;
-}
-
-/// Mirror of the verifier's anchor bound (verify/ArchiveChecks.cpp
-/// checkDcg): the uncompacted length behind unique trace \p T.
-uint64_t expandedTraceLength(const TwppFunctionTable &Table, uint32_t T) {
-  auto [StringIdx, DictIdx] = Table.Traces[T];
-  if (StringIdx >= Table.TraceStrings.size() ||
-      DictIdx >= Table.Dictionaries.size())
-    return 0;
-  const TwppTrace &Trace = Table.TraceStrings[StringIdx];
-  const DbbDictionary &Dict = Table.Dictionaries[DictIdx];
-  uint64_t Length = 0;
-  for (const auto &[Block, Set] : Trace.Blocks) {
-    const std::vector<BlockId> *Chain = Dict.findChain(Block);
-    Length += Set.count() * (Chain ? Chain->size() : 1);
-  }
-  return Length;
-}
-
 /// Removes every node whose function is dropped (or out of range),
 /// hoisting each removed node's surviving descendants onto its nearest
 /// kept ancestor at the anchor where the removed call sat. Subtrees are
@@ -166,63 +125,54 @@ void dropFunction(SalvageReport &Report, std::vector<bool> &DropFn,
 
 bool salvageImpl(const std::vector<uint8_t> &Bytes, std::vector<uint8_t> &Out,
                  SalvageReport &Report) {
+  using Part = ArchiveLayout::Part;
   Report.InputBytes = Bytes.size();
-  if (Bytes.size() < HeaderSize) {
-    note(Report, checks::RecoverInput, Severity::Error,
-         "file holds " + std::to_string(Bytes.size()) +
-             " bytes, smaller than the fixed header (" +
-             std::to_string(HeaderSize) + ")",
-         "header", 0);
-    return false;
+  const ByteSpan File(Bytes);
+  // Salvage rebuilds single-threaded archives only, so version 2 counts
+  // as unsupported here.
+  ArchiveLayout Layout;
+  decodeArchiveLayout(File, Layout, /*MaxVersion=*/1);
+  for (const ArchiveLayout::Defect &D : Layout.Defects) {
+    const Diagnostic &Diag = D.Diag;
+    switch (D.Where) {
+    case Part::Header:
+      note(Report, checks::RecoverInput, Severity::Error, Diag.Message,
+           Diag.Location, Diag.ByteOffset);
+      return false;
+    case Part::FunctionCount:
+      note(Report, checks::RecoverIndexRow, Severity::Warning,
+           "header claims " + std::to_string(Layout.FunctionCount) +
+               " functions but the file can hold at most " +
+               std::to_string(Layout.Rows.size()) +
+               " index rows; functions " +
+               std::to_string(Layout.Rows.size()) + ".." +
+               std::to_string(Layout.FunctionCount - 1) + " are lost",
+           Diag.Location, Diag.ByteOffset);
+      break;
+    case Part::DcgExtent:
+      note(Report, checks::RecoverDcg, Severity::Warning, Diag.Message, "dcg",
+           Diag.ByteOffset);
+      break;
+    case Part::IndexRow: // dropped one function at a time below
+    case Part::Sections: // version 1 has no trailer
+      break;
+    }
   }
-  if (le32At(Bytes, 0) != ArchiveMagic) {
-    note(Report, checks::RecoverInput, Severity::Error,
-         "bad magic (not a TWPP archive)", "header", 0);
-    return false;
-  }
-  if (le32At(Bytes, 4) != ArchiveVersion) {
-    note(Report, checks::RecoverInput, Severity::Error,
-         "unsupported archive version", "header", 4);
-    return false;
-  }
-
-  uint32_t ClaimedCount = le32At(Bytes, 8);
-  uint64_t MaxRows = (Bytes.size() - HeaderSize) / IndexRowSize;
-  uint32_t Count = ClaimedCount;
-  if (ClaimedCount > MaxRows) {
-    // A corrupt count must not drive the allocation below; rows beyond
-    // what the file physically holds are unreadable anyway.
-    Count = static_cast<uint32_t>(MaxRows);
-    note(Report, checks::RecoverIndexRow, Severity::Warning,
-         "header claims " + std::to_string(ClaimedCount) +
-             " functions but the file can hold at most " +
-             std::to_string(MaxRows) + " index rows; functions " +
-             std::to_string(Count) + ".." + std::to_string(ClaimedCount - 1) +
-             " are lost",
-         "header", 8);
-  }
+  const uint32_t Count = static_cast<uint32_t>(Layout.Rows.size());
   Report.FunctionsTotal = Count;
 
   // The DCG: recover it if its extent is intact and decodes.
-  uint64_t DcgOffset = le64At(Bytes, PrefixSize);
-  uint64_t DcgLength = le64At(Bytes, PrefixSize + 8);
   DynamicCallGraph Dcg;
-  if (DcgOffset > Bytes.size() || DcgLength > Bytes.size() - DcgOffset) {
-    note(Report, checks::RecoverDcg, Severity::Warning,
-         "DCG extent (offset " + std::to_string(DcgOffset) + ", length " +
-             std::to_string(DcgLength) + ") runs past end of file",
-         "dcg", PrefixSize);
-  } else {
-    std::vector<uint8_t> Compressed(Bytes.begin() + DcgOffset,
-                                    Bytes.begin() + DcgOffset + DcgLength);
+  if (Layout.DcgInBounds) {
     std::vector<uint8_t> Serialized;
-    if (!lzwDecompress(Compressed, Serialized))
+    if (!lzwDecompress(File.subspan(Layout.DcgOffset, Layout.DcgLength),
+                       Serialized))
       note(Report, checks::RecoverDcg, Severity::Warning,
-           "DCG bytes do not LZW-decompress", "dcg", DcgOffset);
+           "DCG bytes do not LZW-decompress", "dcg", Layout.DcgOffset);
     else if (!decodeDcg(Serialized, Dcg))
       note(Report, checks::RecoverDcg, Severity::Warning,
            "decompressed DCG does not decode as a call graph", "dcg",
-           DcgOffset);
+           Layout.DcgOffset);
     else
       Report.DcgRecovered = true;
   }
@@ -232,26 +182,21 @@ bool salvageImpl(const std::vector<uint8_t> &Bytes, std::vector<uint8_t> &Out,
   // exactly one function.
   std::vector<TwppFunctionTable> Tables(Count);
   std::vector<bool> DropFn(Count, false);
-  std::vector<uint64_t> IndexCalls(Count, 0);
   for (uint32_t F = 0; F < Count; ++F) {
     fault::maybeFailAlloc();
-    size_t Row = HeaderSize + static_cast<size_t>(F) * IndexRowSize;
-    uint64_t Offset = le64At(Bytes, Row);
-    uint64_t Length = le64At(Bytes, Row + 8);
-    IndexCalls[F] = le64At(Bytes, Row + 16);
-    if (Offset > Bytes.size() || Length > Bytes.size() - Offset) {
+    const ArchiveLayout::IndexRow &Row = Layout.Rows[F];
+    if (!Row.InBounds) {
       dropFunction(Report, DropFn, F, checks::RecoverIndexRow,
-                   "block extent (offset " + std::to_string(Offset) +
-                       ", length " + std::to_string(Length) +
+                   "block extent (offset " + std::to_string(Row.Offset) +
+                       ", length " + std::to_string(Row.Length) +
                        ") runs past end of file",
-                   Row);
+                   Row.At);
       continue;
     }
-    std::vector<uint8_t> Block(Bytes.begin() + Offset,
-                               Bytes.begin() + Offset + Length);
-    if (!decodeTwppFunctionTable(Block, Tables[F])) {
+    if (!decodeTwppFunctionTable(File.subspan(Row.Offset, Row.Length),
+                                 Tables[F])) {
       dropFunction(Report, DropFn, F, checks::RecoverBlock,
-                   "function block does not decode", Offset);
+                   "function block does not decode", Row.Offset);
       Tables[F] = TwppFunctionTable();
       continue;
     }
@@ -261,7 +206,7 @@ bool salvageImpl(const std::vector<uint8_t> &Bytes, std::vector<uint8_t> &Out,
       dropFunction(Report, DropFn, F, checks::RecoverBlock,
                    "function block decodes but fails verification (" +
                        TableEngine.diagnostics().front().Message + ")",
-                   Offset);
+                   Row.Offset);
       Tables[F] = TwppFunctionTable();
     }
   }
@@ -324,7 +269,8 @@ bool salvageImpl(const std::vector<uint8_t> &Bytes, std::vector<uint8_t> &Out,
 
   for (uint32_t F = 0; F < Count; ++F) {
     if (DropFn[F]) {
-      Report.CallsLost += std::max(IndexCalls[F], Tables[F].CallCount);
+      Report.CallsLost +=
+          std::max(Layout.Rows[F].CallCount, Tables[F].CallCount);
       Tables[F] = TwppFunctionTable();
     } else {
       ++Report.FunctionsKept;

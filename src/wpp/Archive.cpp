@@ -15,10 +15,10 @@
 #include "support/ByteStream.h"
 #include "support/FileIO.h"
 #include "support/LZW.h"
+#include "verify/Checks.h"
 #include "wpp/VerifyHooks.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <numeric>
 
@@ -31,6 +31,7 @@ constexpr uint32_t ArchiveVersion = 1;        // single-threaded layout
 constexpr uint32_t ArchiveVersionThreads = 2; // + section trailer
 constexpr size_t PrefixSize = 12;       // magic + version + functionCount
 constexpr size_t DcgFieldsSize = 16;    // dcgOffset + dcgLength
+constexpr size_t HeaderSize = PrefixSize + DcgFieldsSize;
 constexpr size_t IndexRowSize = 24;     // offset + length + callCount
 constexpr size_t SectionHeadSize = 12;  // tag (fixed32) + length (fixed64)
 
@@ -89,8 +90,6 @@ bool decodeDictionary(ByteReader &Reader, DbbDictionary &Dict) {
   }
   return Reader.valid();
 }
-
-std::atomic<IoMode> DefaultIoMode{IoMode::Mmap};
 
 void encodeThreadSection(ByteWriter &Writer, const ConcurrencyInfo &Conc) {
   Writer.writeVarUint(Conc.Threads.size());
@@ -189,31 +188,12 @@ bool decodeAccessSection(ByteSpan Bytes, ConcurrencyInfo &Out) {
 
 } // namespace
 
-IoMode twpp::defaultArchiveIoMode() {
-  return DefaultIoMode.load(std::memory_order_relaxed);
-}
-
-void twpp::setDefaultArchiveIoMode(IoMode Mode) {
-  DefaultIoMode.store(Mode, std::memory_order_relaxed);
-}
-
-bool twpp::parseIoMode(const std::string &Text, IoMode &Mode) {
-  if (Text == "mmap") {
-    Mode = IoMode::Mmap;
-    return true;
-  }
-  if (Text == "buffered") {
-    Mode = IoMode::Buffered;
-    return true;
-  }
-  return false;
-}
-
-const char *twpp::ioModeName(IoMode Mode) {
-  return Mode == IoMode::Mmap ? "mmap" : "buffered";
-}
-
 void twpp::releaseArchiveDecodeScratch() { decodeArena().release(); }
+
+std::string twpp::archiveSectionName(uint32_t Tag) {
+  return {static_cast<char>(Tag >> 24), static_cast<char>(Tag >> 16),
+          static_cast<char>(Tag >> 8), static_cast<char>(Tag)};
+}
 
 bool twpp::decodeArchiveSection(uint32_t Tag, ByteSpan Payload,
                                 ConcurrencyInfo &Out) {
@@ -464,6 +444,125 @@ bool twpp::writeConcurrentArchiveFile(const std::string &Path,
   return Result.ok();
 }
 
+bool twpp::decodeArchiveLayout(ByteSpan File, ArchiveLayout &Out,
+                               uint32_t MaxVersion) {
+  using Part = ArchiveLayout::Part;
+  Out = ArchiveLayout();
+  auto Defect = [&Out](Part Where, const char *CheckId, std::string Message,
+                       std::string Location, uint64_t ByteOffset) {
+    Out.Defects.push_back({Where,
+                           {CheckId, verify::Severity::Error,
+                            std::move(Message), std::move(Location),
+                            ByteOffset}});
+    return false;
+  };
+  const uint64_t Size = File.size();
+  if (Size < HeaderSize)
+    return Defect(Part::Header, verify::checks::ArchiveHeader,
+                  "file of " + std::to_string(Size) +
+                      " bytes is smaller than the fixed header (" +
+                      std::to_string(HeaderSize) + " bytes)",
+                  "header", 0);
+  ByteReader Reader(File.subspan(0, HeaderSize));
+  uint32_t Magic = Reader.readFixed32();
+  uint32_t Version = Reader.readFixed32();
+  uint32_t FunctionCount = Reader.readFixed32();
+  uint64_t DcgOffset = Reader.readFixed64();
+  uint64_t DcgLength = Reader.readFixed64();
+  if (Magic != ArchiveMagic)
+    return Defect(Part::Header, verify::checks::ArchiveHeader,
+                  "bad magic (not a TWPP archive)", "header", 0);
+  if (Version < ArchiveVersion ||
+      Version > std::min(MaxVersion, ArchiveVersionThreads))
+    return Defect(Part::Header, verify::checks::ArchiveHeader,
+                  "unsupported archive version " + std::to_string(Version),
+                  "header", 4);
+  Out.Version = Version;
+  Out.FunctionCount = FunctionCount;
+  Out.DcgOffset = DcgOffset;
+  Out.DcgLength = DcgLength;
+  Out.IndexEnd = HeaderSize + uint64_t(FunctionCount) * IndexRowSize;
+
+  // A corrupt count must not drive the allocation below: rows beyond what
+  // the file physically holds are clamped away.
+  const uint64_t MaxRows = (Size - HeaderSize) / IndexRowSize;
+  if (FunctionCount > MaxRows)
+    Defect(Part::FunctionCount, verify::checks::ArchiveHeader,
+           "function count " + std::to_string(FunctionCount) +
+               " implies an index larger than the file",
+           "header", 8);
+  Out.DcgInBounds = File.covers(DcgOffset, DcgLength);
+  if (!Out.DcgInBounds)
+    Defect(Part::DcgExtent, verify::checks::ArchiveHeader,
+           "DCG extent (offset " + std::to_string(DcgOffset) + ", length " +
+               std::to_string(DcgLength) + ") runs past end of file (" +
+               std::to_string(Size) + " bytes)",
+           "dcg extent", PrefixSize);
+
+  Out.Rows.resize(std::min<uint64_t>(FunctionCount, MaxRows));
+  ByteReader IndexReader(
+      File.subspan(HeaderSize, Out.Rows.size() * IndexRowSize));
+  for (size_t F = 0; F != Out.Rows.size(); ++F) {
+    ArchiveLayout::IndexRow &Row = Out.Rows[F];
+    Row.At = HeaderSize + F * IndexRowSize;
+    Row.Offset = IndexReader.readFixed64();
+    Row.Length = IndexReader.readFixed64();
+    Row.CallCount = IndexReader.readFixed64();
+    Row.InBounds = File.covers(Row.Offset, Row.Length);
+    if (!Row.InBounds)
+      Defect(Part::IndexRow, verify::checks::ArchiveIndexBounds,
+             "block extent (offset " + std::to_string(Row.Offset) +
+                 ", length " + std::to_string(Row.Length) +
+                 ") runs past end of file",
+             "index row " + std::to_string(F), Row.At);
+  }
+
+  // Version 2: walk the section trailer between the DCG and end of file.
+  // Unknown tags are a hard error — a reader that does not understand a
+  // section cannot claim to have read the archive (this is how the
+  // thread trailer degrades loudly instead of being silently dropped).
+  if (Version != ArchiveVersionThreads || !Out.DcgInBounds)
+    return Out.Defects.empty();
+  const uint64_t TrailerAt = DcgOffset + DcgLength;
+  for (uint64_t Pos = TrailerAt; Pos < Size;) {
+    if (Size - Pos < SectionHeadSize)
+      return Defect(Part::Sections, verify::checks::ArchiveSection,
+                    "truncated section record at offset " +
+                        std::to_string(Pos),
+                    "section directory", Pos);
+    ByteReader Head(File.subspan(Pos, SectionHeadSize));
+    ArchiveLayout::Section Sec;
+    Sec.Tag = Head.readFixed32();
+    Sec.Length = Head.readFixed64();
+    Sec.Offset = Pos + SectionHeadSize;
+    if (Sec.Tag != ArchiveSectionThreads && Sec.Tag != ArchiveSectionHbEdges &&
+        Sec.Tag != ArchiveSectionAccesses) {
+      char Tag[9];
+      std::snprintf(Tag, sizeof(Tag), "%08x", Sec.Tag);
+      return Defect(Part::Sections, verify::checks::ArchiveSection,
+                    "unknown archive section tag 0x" + std::string(Tag),
+                    "section directory", Pos);
+    }
+    if (Sec.Length > Size - Sec.Offset)
+      return Defect(Part::Sections, verify::checks::ArchiveSection,
+                    "section payload runs past end of file",
+                    "section directory", Pos);
+    if (Out.findSection(Sec.Tag))
+      return Defect(Part::Sections, verify::checks::ArchiveSection,
+                    "duplicate archive section tag", "section directory",
+                    Pos);
+    Out.Sections.push_back(Sec);
+    Pos = Sec.Offset + Sec.Length;
+  }
+  Out.TrailerIntact = true;
+  if (!Out.findSection(ArchiveSectionThreads))
+    Defect(Part::Sections, verify::checks::ArchiveSection,
+           "version 2 archive is missing the " +
+               archiveSectionName(ArchiveSectionThreads) + " section",
+           "section directory", TrailerAt);
+  return Out.Defects.empty();
+}
+
 bool ArchiveReader::fail(std::string CheckId, std::string Message,
                          std::string Section, uint64_t ByteOffset) const {
   LastError.CheckId = std::move(CheckId);
@@ -474,222 +573,55 @@ bool ArchiveReader::fail(std::string CheckId, std::string Message,
   return false;
 }
 
-bool ArchiveReader::open(const std::string &ArchivePath) {
-  return open(ArchivePath, defaultArchiveIoMode());
-}
-
-bool ArchiveReader::readSlice(uint64_t Offset, uint64_t Length,
-                              std::vector<uint8_t> &Storage,
-                              ByteSpan &Out) const {
-  if (Mode == IoMode::Mmap) {
-    if (!Map.span().covers(Offset, Length))
-      return false;
-    Out = Map.span().subspan(Offset, Length);
-    return true;
-  }
-  if (!readFileSlice(Path, Offset, Length, Storage))
-    return false;
-  Out = ByteSpan(Storage);
-  return true;
-}
-
-bool ArchiveReader::open(const std::string &ArchivePath, IoMode WantMode) {
+bool ArchiveReader::open(const std::string &Path) {
   obs::PhaseSpan Span("archive_open");
   static obs::Counter &IndexReads =
       obs::metrics().counter(obs::names::ArchiveIndexReads);
   IndexReads.add();
-  Path = ArchivePath;
-  Index.clear();
-  Sections.clear();
-  Version = 1;
   Map.unmap();
-  Mode = IoMode::Buffered;
-  if (WantMode == IoMode::Mmap) {
-    if (MappedFile::available() && Map.map(ArchivePath))
-      Mode = IoMode::Mmap;
-    else
-      // Graceful degradation: any mmap failure (platform, fault
-      // injection, IO) silently becomes the buffered path, identical in
-      // everything but speed.
-      obs::metrics().counter(obs::names::ArchiveMmapFallbacks).add();
+  Buffer = {};
+  Layout = ArchiveLayout();
+  if (MappedFile::available() && Map.map(Path)) {
+    File = Map.span();
+  } else {
+    // Graceful degradation: any mmap failure (platform, fault injection,
+    // IO) becomes one whole-file read, identical in everything but speed.
+    obs::metrics().counter(obs::names::ArchiveMmapFallbacks).add();
+    IoError Read = readFileBytes(Path, Buffer);
+    File = ByteSpan(Buffer);
+    if (!Read)
+      return fail(verify::checks::ArchiveHeader,
+                  "cannot read the archive: " + Read.message(), "header", 0);
   }
-
-  std::vector<uint8_t> Prefix;
-  ByteSpan PrefixSpan;
-  if (!readSlice(0, PrefixSize + DcgFieldsSize, Prefix, PrefixSpan))
-    return fail("twpp-archive-header",
-                "cannot read the fixed header (file missing or smaller "
-                "than " +
-                    std::to_string(PrefixSize + DcgFieldsSize) + " bytes)",
-                "header", 0);
-  ByteReader Reader(PrefixSpan);
-  if (Reader.readFixed32() != ArchiveMagic)
-    return fail("twpp-archive-header", "bad magic (not a TWPP archive)",
-                "header", 0);
-  Version = Reader.readFixed32();
-  if (Version != ArchiveVersion && Version != ArchiveVersionThreads)
-    return fail("twpp-archive-header", "unsupported archive version",
-                "header", 4);
-  uint32_t FunctionCount = Reader.readFixed32();
-  DcgOffset = Reader.readFixed64();
-  DcgLength = Reader.readFixed64();
-  if (Reader.hasError())
-    return fail("twpp-archive-header", "truncated fixed header", "header",
-                0);
-  // Validate every extent against the actual file size so corrupt
-  // headers cannot trigger absurd allocations later. A stat failure is
-  // its own error, not an empty file: the extent checks below would
-  // otherwise reject every archive with a misleading message. In mmap
-  // mode the mapping's length IS the file size.
-  std::optional<uint64_t> MaybeSize = Mode == IoMode::Mmap
-                                          ? std::optional<uint64_t>(Map.size())
-                                          : fileSize(Path);
-  if (!MaybeSize)
-    return fail("twpp-archive-header",
-                "cannot determine the archive file size", "header", 0);
-  uint64_t Size = *MaybeSize;
-  if (DcgOffset > Size || DcgLength > Size - DcgOffset)
-    return fail("twpp-archive-header",
-                "DCG extent (offset " + std::to_string(DcgOffset) +
-                    ", length " + std::to_string(DcgLength) +
-                    ") runs past end of file (" + std::to_string(Size) +
-                    " bytes)",
-                "dcg extent", PrefixSize);
-  if (static_cast<uint64_t>(FunctionCount) * IndexRowSize >
-      Size - PrefixSize - DcgFieldsSize)
-    return fail("twpp-archive-header",
-                "function count " + std::to_string(FunctionCount) +
-                    " implies an index larger than the file",
-                "header", 8);
-
-  std::vector<uint8_t> IndexBytes;
-  ByteSpan IndexSpan;
-  if (!readSlice(PrefixSize + DcgFieldsSize,
-                 static_cast<uint64_t>(FunctionCount) * IndexRowSize,
-                 IndexBytes, IndexSpan))
-    return fail("twpp-archive-header", "cannot read the function index",
-                "index", PrefixSize + DcgFieldsSize);
-  ByteReader IndexReader(IndexSpan);
-  Index.resize(FunctionCount);
-  for (size_t F = 0; F != Index.size(); ++F) {
-    IndexEntry &Entry = Index[F];
-    Entry.Offset = IndexReader.readFixed64();
-    Entry.Length = IndexReader.readFixed64();
-    Entry.CallCount = IndexReader.readFixed64();
-    if (Entry.Offset > Size || Entry.Length > Size - Entry.Offset) {
-      Index.clear();
-      return fail("twpp-archive-index-bounds",
-                  "block extent (offset " + std::to_string(Entry.Offset) +
-                      ", length " + std::to_string(Entry.Length) +
-                      ") runs past end of file",
-                  "index row " + std::to_string(F),
-                  PrefixSize + DcgFieldsSize + F * IndexRowSize);
-    }
-  }
-  if (!IndexReader.valid()) {
-    Index.clear();
-    return fail("twpp-archive-header", "truncated function index", "index",
-                PrefixSize + DcgFieldsSize);
-  }
-
-  // Version 2: walk the section trailer between the DCG and end of file.
-  // Unknown tags are a hard error — a reader that does not understand a
-  // section cannot claim to have read the archive (this is how the
-  // thread trailer degrades loudly instead of being silently dropped).
-  if (Version == ArchiveVersionThreads) {
-    uint64_t Pos = DcgOffset + DcgLength;
-    while (Pos < Size) {
-      std::vector<uint8_t> HeadBytes;
-      ByteSpan Head;
-      if (Size - Pos < SectionHeadSize ||
-          !readSlice(Pos, SectionHeadSize, HeadBytes, Head)) {
-        Sections.clear();
-        Index.clear();
-        return fail("twpp-archive-section",
-                    "truncated section record at offset " +
-                        std::to_string(Pos),
-                    "section directory", Pos);
-      }
-      ByteReader HeadReader(Head);
-      Section Sec;
-      Sec.Tag = HeadReader.readFixed32();
-      Sec.Length = HeadReader.readFixed64();
-      Sec.Offset = Pos + SectionHeadSize;
-      if (Sec.Tag != ArchiveSectionThreads &&
-          Sec.Tag != ArchiveSectionHbEdges &&
-          Sec.Tag != ArchiveSectionAccesses) {
-        Sections.clear();
-        Index.clear();
-        return fail("twpp-archive-section",
-                    "unknown archive section tag 0x" +
-                        [Tag = Sec.Tag] {
-                          char Buf[9];
-                          std::snprintf(Buf, sizeof(Buf), "%08x", Tag);
-                          return std::string(Buf);
-                        }(),
-                    "section directory", Pos);
-      }
-      if (Sec.Length > Size - Sec.Offset) {
-        Sections.clear();
-        Index.clear();
-        return fail("twpp-archive-section",
-                    "section payload runs past end of file",
-                    "section directory", Pos);
-      }
-      if (findSection(Sec.Tag)) {
-        Sections.clear();
-        Index.clear();
-        return fail("twpp-archive-section", "duplicate archive section tag",
-                    "section directory", Pos);
-      }
-      Sections.push_back(Sec);
-      Pos = Sec.Offset + Sec.Length;
-    }
-    if (!findSection(ArchiveSectionThreads)) {
-      Sections.clear();
-      Index.clear();
-      return fail("twpp-archive-section",
-                  "version 2 archive is missing the thread table section",
-                  "section directory", DcgOffset + DcgLength);
-    }
-  }
-  return true;
-}
-
-const ArchiveReader::Section *ArchiveReader::findSection(uint32_t Tag) const {
-  for (const Section &Sec : Sections)
-    if (Sec.Tag == Tag)
-      return &Sec;
-  return nullptr;
+  if (decodeArchiveLayout(File, Layout))
+    return true;
+  LastError = Layout.Defects.front().Diag;
+  Layout = ArchiveLayout();
+  return false;
 }
 
 bool ArchiveReader::readConcurrency(ConcurrencyInfo &Out) const {
   Out = ConcurrencyInfo();
-  const Section *Thrd = findSection(ArchiveSectionThreads);
-  const Section *Hbeg = findSection(ArchiveSectionHbEdges);
-  const Section *Accs = findSection(ArchiveSectionAccesses);
+  const ArchiveLayout::Section *Thrd =
+      Layout.findSection(ArchiveSectionThreads);
+  const ArchiveLayout::Section *Hbeg =
+      Layout.findSection(ArchiveSectionHbEdges);
+  const ArchiveLayout::Section *Accs =
+      Layout.findSection(ArchiveSectionAccesses);
   if (!Thrd || !Hbeg || !Accs)
-    return fail("twpp-archive-section",
+    return fail(verify::checks::ArchiveSection,
                 "archive has no thread-aware section trailer", "sections",
                 verify::NoByteOffset);
   obs::PhaseSpan Span("archive_read_concurrency");
   obs::MemScope MemSpan(obs::memtags::ArchiveDecode,
                         obs::MemScope::Nest::IfUnscoped);
-  std::vector<uint8_t> Storage;
-  ByteSpan Bytes;
-  if (!readSlice(Thrd->Offset, Thrd->Length, Storage, Bytes) ||
-      !decodeThreadSection(Bytes, Out))
-    return fail("twpp-archive-section", "thread table section does not decode",
-                "THRD section", Thrd->Offset);
-  if (!readSlice(Hbeg->Offset, Hbeg->Length, Storage, Bytes) ||
-      !decodeEdgeSection(Bytes, Out))
-    return fail("twpp-archive-section",
-                "happens-before edge section does not decode", "HBEG section",
-                Hbeg->Offset);
-  if (!readSlice(Accs->Offset, Accs->Length, Storage, Bytes) ||
-      !decodeAccessSection(Bytes, Out))
-    return fail("twpp-archive-section", "access set section does not decode",
-                "ACCS section", Accs->Offset);
+  // THRD first: the access decoder checks its thread count against it.
+  for (const ArchiveLayout::Section *Sec : {Thrd, Hbeg, Accs})
+    if (!decodeArchiveSection(Sec->Tag,
+                              File.subspan(Sec->Offset, Sec->Length), Out))
+      return fail(verify::checks::ArchiveSection,
+                  archiveSectionName(Sec->Tag) + " section does not decode",
+                  archiveSectionName(Sec->Tag) + " section", Sec->Offset);
   return true;
 }
 
@@ -702,24 +634,18 @@ bool ArchiveReader::readAllConcurrent(ConcurrentWpp &Out) const {
 
 bool ArchiveReader::extractFunction(FunctionId Function,
                                     TwppFunctionTable &Table) const {
-  if (Function >= Index.size())
-    return fail("twpp-archive-index-bounds",
+  if (Function >= Layout.Rows.size())
+    return fail(verify::checks::ArchiveIndexBounds,
                 "function " + std::to_string(Function) +
                     " not in the archive (index holds " +
-                    std::to_string(Index.size()) + " rows)",
+                    std::to_string(Layout.Rows.size()) + " rows)",
                 "index", verify::NoByteOffset);
   obs::PhaseSpan Span("archive_extract", "function",
                       static_cast<int64_t>(Function));
   obs::MemScope MemSpan(obs::memtags::ArchiveDecode,
                         obs::MemScope::Nest::IfUnscoped);
-  std::vector<uint8_t> Storage;
-  ByteSpan Block;
-  if (!readSlice(Index[Function].Offset, Index[Function].Length, Storage,
-                 Block))
-    return fail("twpp-archive-block-decode",
-                "cannot read the function block slice",
-                "function " + std::to_string(Function) + " block",
-                Index[Function].Offset);
+  const ArchiveLayout::IndexRow &Row = Layout.Rows[Function];
+  ByteSpan Block = File.subspan(Row.Offset, Row.Length);
   if (obs::enabled()) {
     // The Table 4 access-time story: one index row + one block per query.
     obs::MetricsRegistry &M = obs::metrics();
@@ -736,9 +662,10 @@ bool ArchiveReader::extractFunction(FunctionId Function,
         .set(static_cast<int64_t>(decodeArena().bytesReserved()));
   }
   if (!decodeTwppFunctionTable(Block, Table))
-    return fail("twpp-archive-block-decode", "function block does not decode",
+    return fail(verify::checks::ArchiveBlockDecode,
+                "function block does not decode",
                 "function " + std::to_string(Function) + " block",
-                Index[Function].Offset);
+                Row.Offset);
   return true;
 }
 
@@ -758,19 +685,14 @@ bool ArchiveReader::readDcg(DynamicCallGraph &Dcg) const {
   static obs::Counter &DcgReads =
       obs::metrics().counter(obs::names::ArchiveDcgReads);
   DcgReads.add();
-  std::vector<uint8_t> Storage;
-  ByteSpan Compressed;
-  if (!readSlice(DcgOffset, DcgLength, Storage, Compressed))
-    return fail("twpp-archive-dcg-decode", "cannot read the DCG slice",
-                "dcg", DcgOffset);
   std::vector<uint8_t> Raw;
-  if (!lzwDecompress(Compressed, Raw))
-    return fail("twpp-archive-dcg-decode", "DCG does not LZW-decompress",
-                "dcg", DcgOffset);
+  if (!lzwDecompress(File.subspan(Layout.DcgOffset, Layout.DcgLength), Raw))
+    return fail(verify::checks::ArchiveDcgDecode,
+                "DCG does not LZW-decompress", "dcg", Layout.DcgOffset);
   if (!decodeDcg(Raw, Dcg))
-    return fail("twpp-archive-dcg-decode",
+    return fail(verify::checks::ArchiveDcgDecode,
                 "decompressed DCG does not decode as a call graph", "dcg",
-                DcgOffset);
+                Layout.DcgOffset);
   return true;
 }
 
@@ -780,9 +702,9 @@ bool ArchiveReader::readAll(TwppWpp &Wpp) const {
   Wpp = TwppWpp();
   if (!readDcg(Wpp.Dcg))
     return false;
-  Wpp.Functions.resize(Index.size());
-  obs::memAllocCurrent(Index.size() * sizeof(TwppFunctionTable));
-  for (FunctionId F = 0; F != Index.size(); ++F)
+  Wpp.Functions.resize(Layout.Rows.size());
+  obs::memAllocCurrent(Layout.Rows.size() * sizeof(TwppFunctionTable));
+  for (FunctionId F = 0; F != Layout.Rows.size(); ++F)
     if (!extractFunction(F, Wpp.Functions[F]))
       return false;
   return true;

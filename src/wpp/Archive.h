@@ -28,6 +28,11 @@
 /// per-address access timestamp sets); an unknown tag is a hard open()
 /// error (twpp-archive-section), never silently skipped.
 ///
+/// decodeArchiveLayout is the one walker of this layout. The reader
+/// fails on its first defect, the verifier reports every defect and then
+/// checks policy over the decoded layout, and salvage keeps what the
+/// layout says is still in bounds.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TWPP_WPP_ARCHIVE_H
@@ -50,28 +55,8 @@ inline constexpr uint32_t ArchiveSectionThreads = 0x54485244;
 inline constexpr uint32_t ArchiveSectionHbEdges = 0x48424547;
 inline constexpr uint32_t ArchiveSectionAccesses = 0x41434353;
 
-/// How ArchiveReader gets bytes off disk.
-///  - Buffered: read() each extent into an owned buffer (the historical
-///    path, and the fallback).
-///  - Mmap: map the file once and decode every extent in place through
-///    ByteSpan cursors — the zero-copy path. When the mapping cannot be
-///    established (platform without mmap, injected io:mmap fault, IO
-///    error) the reader falls back to Buffered and counts
-///    archive.mmap_fallbacks; decoded structures are identical either way.
-enum class IoMode : uint8_t { Buffered, Mmap };
-
-/// Process-wide default mode for ArchiveReader::open(Path). Ships as Mmap
-/// (zero-copy with graceful fallback); the CLIs' --io=mmap|buffered flag
-/// sets it explicitly.
-IoMode defaultArchiveIoMode();
-void setDefaultArchiveIoMode(IoMode Mode);
-
-/// Parses an --io= flag value ("mmap" or "buffered"). \returns false on
-/// anything else, leaving \p Mode untouched.
-bool parseIoMode(const std::string &Text, IoMode &Mode);
-
-/// "mmap" / "buffered".
-const char *ioModeName(IoMode Mode);
+/// The four-letter name of section \p Tag ("THRD" for the thread table).
+std::string archiveSectionName(uint32_t Tag);
 
 /// Returns the calling thread's pooled decode-scratch arena (arena.decode
 /// ledger bytes) to the heap. Decode keeps the pool warm across queries by
@@ -110,9 +95,90 @@ bool writeArchiveFile(const std::string &Path, const TwppWpp &Wpp,
 /// Decodes one version-2 section payload into the matching fields of
 /// \p Out. THRD must be decoded before ACCS (the access decoder checks
 /// the thread count against the table). \returns false on malformed
-/// bytes or an unknown tag. Exposed for the verifier's raw-byte walk.
+/// bytes or an unknown tag. Exposed for the verifier's section checks.
 bool decodeArchiveSection(uint32_t Tag, ByteSpan Payload,
                           ConcurrencyInfo &Out);
+
+/// The physical layout of one archive file, decoded from its raw bytes
+/// by decodeArchiveLayout. Decoding checks structure only: that the
+/// header, the index extents and the section directory fit the file.
+/// Nothing here decodes a function block or the DCG.
+struct ArchiveLayout {
+  /// The part of the layout a defect sits in, so a caller can react per
+  /// part (salvage files each under its own check id).
+  enum class Part : uint8_t {
+    Header,
+    FunctionCount,
+    DcgExtent,
+    IndexRow,
+    Sections
+  };
+
+  struct Defect {
+    Part Where;
+    verify::Diagnostic Diag;
+  };
+
+  struct IndexRow {
+    uint64_t At = 0; ///< File offset of the row itself.
+    uint64_t Offset = 0;
+    uint64_t Length = 0;
+    uint64_t CallCount = 0;
+    bool InBounds = false; ///< The block extent lies inside the file.
+  };
+
+  struct Section {
+    uint32_t Tag = 0;
+    uint64_t Offset = 0; ///< Payload offset, past the record head.
+    uint64_t Length = 0;
+  };
+
+  /// Format version; 0 when the header did not decode (short file, bad
+  /// magic or unsupported version), in which case nothing below is set.
+  uint32_t Version = 0;
+  /// The function count the header claims.
+  uint32_t FunctionCount = 0;
+  uint64_t DcgOffset = 0;
+  uint64_t DcgLength = 0;
+  bool DcgInBounds = false;
+  /// End of the header + index region the header claims.
+  uint64_t IndexEnd = 0;
+  /// Index rows, clamped to the rows the file physically holds.
+  std::vector<IndexRow> Rows;
+  /// The version-2 section directory, in file order.
+  std::vector<Section> Sections;
+  /// True when the version-2 trailer was walked to end of file without a
+  /// malformed record.
+  bool TrailerIntact = false;
+  /// Every structural defect, in file order.
+  std::vector<Defect> Defects;
+
+  bool headerDecoded() const { return Version != 0; }
+
+  /// True when the file holds every index row the header claims.
+  bool indexComplete() const {
+    return headerDecoded() && Rows.size() == FunctionCount;
+  }
+
+  const Section *findSection(uint32_t Tag) const {
+    for (const Section &Sec : Sections)
+      if (Sec.Tag == Tag)
+        return &Sec;
+    return nullptr;
+  }
+};
+
+/// Decodes the layout of the archive bytes \p File into \p Out: the
+/// header and DCG extent, the index rows and the version-2 section
+/// directory. Every structural defect is recorded as a diagnostic with
+/// its check id, location and byte offset; decoding goes on past a bad
+/// function count (clamping the rows), a bad DCG extent or a bad row.
+/// Versions above \p MaxVersion count as unsupported. This is the only
+/// code that knows the magic, the versions and the field sizes, and the
+/// only walker of the section directory. \returns true when no defect was
+/// found.
+bool decodeArchiveLayout(ByteSpan File, ArchiveLayout &Out,
+                         uint32_t MaxVersion = 2);
 
 /// Serializes a thread-aware concurrent WPP: the merged body in the
 /// version-2 layout plus the THRD/HBEG/ACCS section trailer.
@@ -126,62 +192,64 @@ bool writeConcurrentArchiveFile(const std::string &Path,
                                 const ParallelConfig &Config = {},
                                 IoError *Err = nullptr);
 
-/// Random-access reader over an archive file. open() reads only the fixed
-/// header and index; extractFunction() reads only that function's block.
+/// Random-access reader over an archive file. open() maps the file (or,
+/// where mapping fails, reads it into one buffer) and decodes its layout;
+/// extractFunction() then decodes only that function's block.
 class ArchiveReader {
 public:
-  /// Opens \p Path and loads the header + index. \returns false on IO or
-  /// format errors. The one-argument form uses defaultArchiveIoMode().
+  /// Opens \p Path and decodes its layout. \returns false on IO errors
+  /// and on the first layout defect, which lastError() describes.
   bool open(const std::string &Path);
-  bool open(const std::string &Path, IoMode Mode);
 
-  /// The mode the reader is actually using after open(): Buffered either
-  /// when requested or when an mmap attempt fell back.
-  IoMode ioMode() const { return Mode; }
+  /// True when open() mapped the file; false when it fell back to reading
+  /// it into a buffer (no mmap on this platform, or the mapping failed).
+  bool mapped() const { return Map.mapped(); }
 
   uint32_t functionCount() const {
-    return static_cast<uint32_t>(Index.size());
+    return static_cast<uint32_t>(Layout.Rows.size());
   }
 
   /// Number of calls to \p Function recorded in the archive; 0 when the
   /// archive holds no such function.
   uint64_t callCount(FunctionId Function) const {
-    return Function < Index.size() ? Index[Function].CallCount : 0;
+    return Function < Layout.Rows.size() ? Layout.Rows[Function].CallCount
+                                         : 0;
   }
 
   /// On-disk byte length of \p Function's block; 0 when the archive holds
   /// no such function. (twpp_memstat's compressed-size column.)
   uint64_t blockLength(FunctionId Function) const {
-    return Function < Index.size() ? Index[Function].Length : 0;
+    return Function < Layout.Rows.size() ? Layout.Rows[Function].Length : 0;
   }
 
   /// On-disk byte length of the LZW-compressed DCG extent.
-  uint64_t dcgLength() const { return DcgLength; }
+  uint64_t dcgLength() const { return Layout.DcgLength; }
 
-  /// Reads and decodes the block of \p Function (one file slice).
-  /// \returns false on IO or format errors.
+  /// Decodes the block of \p Function. \returns false on format errors.
   bool extractFunction(FunctionId Function, TwppFunctionTable &Table) const;
 
   /// Expands \p Function's unique path traces to raw block sequences.
   bool extractFunctionPathTraces(FunctionId Function,
                                  FunctionPathTraces &Out) const;
 
-  /// Reads and LZW-decompresses the dynamic call graph.
+  /// LZW-decompresses and decodes the dynamic call graph.
   bool readDcg(DynamicCallGraph &Dcg) const;
 
   /// Loads the entire archive back into memory (DCG + every function).
   bool readAll(TwppWpp &Wpp) const;
 
   /// Archive format version (1 or 2) after a successful open().
-  uint32_t version() const { return Version; }
+  uint32_t version() const { return Layout.Version; }
 
   /// True when the archive carries the thread-aware section trailer.
-  bool threadAware() const { return findSection(ArchiveSectionThreads); }
+  bool threadAware() const {
+    return Layout.findSection(ArchiveSectionThreads);
+  }
 
   /// Decodes the concurrency metadata (thread table, happens-before
   /// edges, access sets) — the race detector's whole input; the
-  /// control-flow blocks stay untouched on disk. Fails on archives
-  /// without the thread trailer.
+  /// control-flow blocks stay untouched. Fails on archives without the
+  /// thread trailer.
   bool readConcurrency(ConcurrencyInfo &Out) const;
 
   /// Loads a thread-aware archive completely: merged body + concurrency
@@ -196,39 +264,16 @@ public:
   const verify::Diagnostic &lastError() const { return LastError; }
 
 private:
-  struct IndexEntry {
-    uint64_t Offset = 0;
-    uint64_t Length = 0;
-    uint64_t CallCount = 0;
-  };
-
-  struct Section {
-    uint32_t Tag = 0;
-    uint64_t Offset = 0; ///< Payload offset (past the 12-byte record head).
-    uint64_t Length = 0;
-  };
-
-  const Section *findSection(uint32_t Tag) const;
-
-  /// Records \p D as lastError() and returns false (failure shorthand).
+  /// Records a diagnostic as lastError() and returns false.
   bool fail(std::string CheckId, std::string Message, std::string Section,
             uint64_t ByteOffset) const;
 
-  /// Produces the bytes of [Offset, Offset+Length): a view into the
-  /// mapping in mmap mode, a read into \p Storage otherwise. \returns
-  /// false when the extent cannot be produced (past-EOF, IO failure);
-  /// the caller owns the diagnostic.
-  bool readSlice(uint64_t Offset, uint64_t Length,
-                 std::vector<uint8_t> &Storage, ByteSpan &Out) const;
-
-  std::string Path;
-  uint64_t DcgOffset = 0;
-  uint64_t DcgLength = 0;
-  uint32_t Version = 1;
-  std::vector<IndexEntry> Index;
-  std::vector<Section> Sections;
   MappedFile Map;
-  IoMode Mode = IoMode::Buffered;
+  /// The whole file, when it could not be mapped.
+  std::vector<uint8_t> Buffer;
+  /// The whole file: a view of Map or of Buffer.
+  ByteSpan File;
+  ArchiveLayout Layout;
   mutable verify::Diagnostic LastError;
 };
 

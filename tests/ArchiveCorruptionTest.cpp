@@ -14,9 +14,12 @@
 
 #include "support/FileIO.h"
 #include "support/Random.h"
+#include "verify/ArchiveChecks.h"
+#include "workloads/Concurrent.h"
 #include "workloads/Workload.h"
 #include "wpp/Archive.h"
 
+#include "ReadPaths.h"
 #include "TestTraces.h"
 
 #include <gtest/gtest.h>
@@ -26,6 +29,8 @@
 #include <vector>
 
 using namespace twpp;
+using fixtures::openOn;
+using fixtures::ReadPath;
 
 namespace {
 
@@ -51,9 +56,10 @@ void writeLe64(std::vector<uint8_t> &Bytes, size_t At, uint64_t Value) {
 }
 
 /// A healthy archive (bytes + decoded form) shared by every test. The
-/// fixture is parameterized over IoMode: every corruption must be caught
-/// identically on the buffered and the zero-copy (mmap) read path.
-class ArchiveCorruption : public ::testing::TestWithParam<IoMode> {
+/// fixture is parameterized over the read path: every corruption must be
+/// caught identically on the buffered fallback and the zero-copy (mmap)
+/// path.
+class ArchiveCorruption : public ::testing::TestWithParam<ReadPath> {
 protected:
   static void SetUpTestSuite() {
     RawTrace Trace = fixtures::randomTrace(2024, 6, 3000);
@@ -69,12 +75,12 @@ protected:
   }
 
   /// Writes \p Variant to a temp file and returns its path.
-  /// Distinguishes the IoMode instances of one test, which run as
+  /// Distinguishes the read-path instances of one test, which run as
   /// concurrent ctest processes and must not race on variant files.
   /// The non-parameterized differential fixture overrides this —
   /// GetParam() would abort there.
   virtual std::string variantSuffix() {
-    return GetParam() == IoMode::Mmap ? "_mmap" : "_buffered";
+    return GetParam() == ReadPath::Mmap ? "_mmap" : "_buffered";
   }
 
   std::string writeVariant(const std::vector<uint8_t> &Variant,
@@ -100,16 +106,61 @@ TwppWpp *ArchiveCorruption::Original = nullptr;
 std::vector<uint8_t> *ArchiveCorruption::Bytes = nullptr;
 
 INSTANTIATE_TEST_SUITE_P(IoModes, ArchiveCorruption,
-                         ::testing::Values(IoMode::Buffered, IoMode::Mmap),
-                         [](const ::testing::TestParamInfo<IoMode> &Info) {
-                           return ioModeName(Info.param);
+                         ::testing::Values(ReadPath::Buffered, ReadPath::Mmap),
+                         [](const ::testing::TestParamInfo<ReadPath> &Info) {
+                           return fixtures::readPathName(Info.param);
                          });
 
-/// Mode-pair differential tests (open both readers themselves, so they
+/// Path-pair differential tests (open both readers themselves, so they
 /// are not parameterized); shares the healthy archive via inheritance.
 class ArchiveCorruptionDifferential : public ArchiveCorruption {
 protected:
   std::string variantSuffix() override { return "_diff"; }
+
+  struct Case {
+    const char *Name;
+    std::vector<uint8_t> Variant;
+  };
+
+  /// Representative corruptions, each of which open() must reject.
+  std::vector<Case> corpus() const {
+    std::vector<Case> Cases;
+    Cases.push_back({"empty", {}});
+    Cases.push_back(
+        {"short_header", std::vector<uint8_t>(Bytes->begin(),
+                                              Bytes->begin() + 20)});
+    Cases.push_back({"bad_magic", *Bytes});
+    Cases.back().Variant[0] ^= 0xFF;
+    Cases.push_back({"index_past_eof", *Bytes});
+    writeLe64(Cases.back().Variant, IndexStart, Bytes->size() + 1000);
+    Cases.push_back({"dcg_past_eof", *Bytes});
+    writeLe64(Cases.back().Variant, PrefixSize, Bytes->size() + 1);
+    return Cases;
+  }
+
+  /// The version-2 trailer corruptions: an unknown tag, a trailer cut
+  /// into its last payload, and a trailer without the THRD record.
+  static std::vector<Case> trailerCorpus() {
+    ConcurrentWpp Wpp = compactConcurrentWpp(
+        generateConcurrentTrace(testConcurrentProfiles()[0]));
+    std::vector<uint8_t> V2 = encodeConcurrentArchive(Wpp);
+    size_t TrailerAt = static_cast<size_t>(readLe64(V2, PrefixSize) +
+                                           readLe64(V2, PrefixSize + 8));
+    std::vector<Case> Cases;
+    Cases.push_back({"v2_unknown_tag", V2});
+    for (size_t I = 0; I < 4; ++I)
+      Cases.back().Variant[TrailerAt + I] = 'X';
+    Cases.push_back({"v2_truncated_trailer", V2});
+    Cases.back().Variant.resize(V2.size() - 7);
+    // The encoder writes THRD first: cut its 12-byte record head and
+    // payload out of the trailer.
+    Cases.push_back({"v2_missing_thrd", V2});
+    std::vector<uint8_t> &Cut = Cases.back().Variant;
+    size_t ThrdEnd = TrailerAt + 12 + readLe64(V2, TrailerAt + 4);
+    Cut.erase(Cut.begin() + static_cast<long>(TrailerAt),
+              Cut.begin() + static_cast<long>(ThrdEnd));
+    return Cases;
+  }
 };
 
 TEST_P(ArchiveCorruption, LayoutAssumptions) {
@@ -129,7 +180,7 @@ TEST_P(ArchiveCorruption, LayoutAssumptions) {
 TEST_P(ArchiveCorruption, SanityHealthyArchiveRoundTrips) {
   std::string Path = writeVariant(*Bytes, "healthy");
   ArchiveReader Reader;
-  ASSERT_TRUE(Reader.open(Path, GetParam()));
+  ASSERT_TRUE(openOn(Reader, Path, GetParam()));
   TwppWpp Back;
   ASSERT_TRUE(Reader.readAll(Back));
   EXPECT_EQ(Back, *Original);
@@ -148,7 +199,8 @@ TEST_P(ArchiveCorruption, TruncatedHeaderFailsOpen) {
     std::string Path =
         writeVariant(Truncated, "trunc_" + std::to_string(Length));
     ArchiveReader Reader;
-    EXPECT_FALSE(Reader.open(Path, GetParam())) << "prefix length " << Length;
+    EXPECT_FALSE(openOn(Reader, Path, GetParam()))
+        << "prefix length " << Length;
   }
 }
 
@@ -158,7 +210,8 @@ TEST_P(ArchiveCorruption, BadMagicOrVersionFailsOpen) {
     Variant[Byte] ^= 0xFF;
     std::string Path = writeVariant(Variant, "hdr_" + std::to_string(Byte));
     ArchiveReader Reader;
-    EXPECT_FALSE(Reader.open(Path, GetParam())) << "flipped header byte " << Byte;
+    EXPECT_FALSE(openOn(Reader, Path, GetParam()))
+        << "flipped header byte " << Byte;
   }
 }
 
@@ -172,7 +225,7 @@ TEST_P(ArchiveCorruption, HugeFunctionCountFailsOpen) {
   Variant[11] = 0x7F;
   std::string Path = writeVariant(Variant, "hugecount");
   ArchiveReader Reader;
-  EXPECT_FALSE(Reader.open(Path, GetParam()));
+  EXPECT_FALSE(openOn(Reader, Path, GetParam()));
 }
 
 TEST_P(ArchiveCorruption, IndexRowPastEofFailsOpen) {
@@ -187,7 +240,8 @@ TEST_P(ArchiveCorruption, IndexRowPastEofFailsOpen) {
       std::string Path =
           writeVariant(Variant, "idx_off_" + std::to_string(F));
       ArchiveReader Reader;
-      EXPECT_FALSE(Reader.open(Path, GetParam())) << "row " << F << " offset past EOF";
+      EXPECT_FALSE(openOn(Reader, Path, GetParam()))
+          << "row " << F << " offset past EOF";
     }
     {
       // Length running past the end of the file.
@@ -196,7 +250,8 @@ TEST_P(ArchiveCorruption, IndexRowPastEofFailsOpen) {
       std::string Path =
           writeVariant(Variant, "idx_len_" + std::to_string(F));
       ArchiveReader Reader;
-      EXPECT_FALSE(Reader.open(Path, GetParam())) << "row " << F << " length past EOF";
+      EXPECT_FALSE(openOn(Reader, Path, GetParam()))
+          << "row " << F << " length past EOF";
     }
     {
       // Offset + length overflowing uint64 must not wrap past the check.
@@ -206,7 +261,8 @@ TEST_P(ArchiveCorruption, IndexRowPastEofFailsOpen) {
       std::string Path =
           writeVariant(Variant, "idx_wrap_" + std::to_string(F));
       ArchiveReader Reader;
-      EXPECT_FALSE(Reader.open(Path, GetParam())) << "row " << F << " extent overflow";
+      EXPECT_FALSE(openOn(Reader, Path, GetParam()))
+          << "row " << F << " extent overflow";
     }
   }
 }
@@ -217,14 +273,14 @@ TEST_P(ArchiveCorruption, DcgExtentPastEofFailsOpen) {
     writeLe64(Variant, PrefixSize, Bytes->size() + 1);
     std::string Path = writeVariant(Variant, "dcg_off");
     ArchiveReader Reader;
-    EXPECT_FALSE(Reader.open(Path, GetParam()));
+    EXPECT_FALSE(openOn(Reader, Path, GetParam()));
   }
   {
     std::vector<uint8_t> Variant = *Bytes;
     writeLe64(Variant, PrefixSize + 8, Bytes->size());
     std::string Path = writeVariant(Variant, "dcg_len");
     ArchiveReader Reader;
-    EXPECT_FALSE(Reader.open(Path, GetParam()));
+    EXPECT_FALSE(openOn(Reader, Path, GetParam()));
   }
 }
 
@@ -245,7 +301,7 @@ TEST_P(ArchiveCorruption, BitFlippedDcgFailsOrDiffers) {
     std::string Path = writeVariant(Variant, "dcg_" + std::to_string(Case));
     ArchiveReader Reader;
     // Index is intact; only the DCG is hit.
-    ASSERT_TRUE(Reader.open(Path, GetParam()))
+    ASSERT_TRUE(openOn(Reader, Path, GetParam()))
         << Reader.lastError().CheckId << ": " << Reader.lastError().Message
         << " (" << Reader.lastError().Location << ")";
     DynamicCallGraph Dcg;
@@ -277,7 +333,7 @@ TEST_P(ArchiveCorruption, BitFlippedFunctionBlockFailsOrDiffers) {
     Variant[At] ^= static_cast<uint8_t>(1u << R.nextBelow(8));
     std::string Path = writeVariant(Variant, "blk_" + std::to_string(Case));
     ArchiveReader Reader;
-    ASSERT_TRUE(Reader.open(Path, GetParam()));
+    ASSERT_TRUE(openOn(Reader, Path, GetParam()));
     TwppFunctionTable Table;
     if (Reader.extractFunction(static_cast<FunctionId>(F), Table)) {
       EXPECT_NE(Table, Original->Functions[F])
@@ -305,7 +361,7 @@ TEST_P(ArchiveCorruption, TruncatedFunctionBlockFailsExtract) {
     std::string Path =
         writeVariant(Variant, "cutblk_" + std::to_string(Cut));
     ArchiveReader Reader;
-    ASSERT_TRUE(Reader.open(Path, GetParam()));
+    ASSERT_TRUE(openOn(Reader, Path, GetParam()));
     TwppFunctionTable Table;
     EXPECT_FALSE(
         Reader.extractFunction(static_cast<FunctionId>(Victim), Table))
@@ -316,7 +372,7 @@ TEST_P(ArchiveCorruption, TruncatedFunctionBlockFailsExtract) {
 TEST_P(ArchiveCorruption, ExtractBeyondFunctionCountFails) {
   std::string Path = writeVariant(*Bytes, "range");
   ArchiveReader Reader;
-  ASSERT_TRUE(Reader.open(Path, GetParam()));
+  ASSERT_TRUE(openOn(Reader, Path, GetParam()));
   TwppFunctionTable Table;
   EXPECT_FALSE(Reader.extractFunction(
       static_cast<FunctionId>(Original->Functions.size()), Table));
@@ -328,43 +384,47 @@ TEST_F(ArchiveCorruptionDifferential, DiagnosticsIdenticalAcrossIoModes) {
   // location, message and byte offset — must be byte-identical whether
   // the archive was read buffered or memory-mapped. A divergence here
   // means the two paths take different validation routes.
-  struct Case {
-    const char *Name;
-    std::vector<uint8_t> Variant;
-  };
-  std::vector<Case> Cases;
-  Cases.push_back({"empty", {}});
-  {
-    std::vector<uint8_t> V(Bytes->begin(), Bytes->begin() + 20);
-    Cases.push_back({"short_header", std::move(V)});
-  }
-  {
-    std::vector<uint8_t> V = *Bytes;
-    V[0] ^= 0xFF;
-    Cases.push_back({"bad_magic", std::move(V)});
-  }
-  {
-    std::vector<uint8_t> V = *Bytes;
-    writeLe64(V, IndexStart, Bytes->size() + 1000);
-    Cases.push_back({"index_past_eof", std::move(V)});
-  }
-  {
-    std::vector<uint8_t> V = *Bytes;
-    writeLe64(V, PrefixSize, Bytes->size() + 1);
-    Cases.push_back({"dcg_past_eof", std::move(V)});
-  }
-
-  for (Case &C : Cases) {
+  for (Case &C : corpus()) {
     std::string Path = writeVariant(C.Variant, std::string("diff_") + C.Name);
     ArchiveReader Buffered, Mapped;
-    EXPECT_FALSE(Buffered.open(Path, IoMode::Buffered)) << C.Name;
-    EXPECT_FALSE(Mapped.open(Path, IoMode::Mmap)) << C.Name;
+    EXPECT_FALSE(openOn(Buffered, Path, ReadPath::Buffered)) << C.Name;
+    EXPECT_FALSE(openOn(Mapped, Path, ReadPath::Mmap)) << C.Name;
     const verify::Diagnostic &A = Buffered.lastError();
     const verify::Diagnostic &B = Mapped.lastError();
     EXPECT_EQ(A.CheckId, B.CheckId) << C.Name;
     EXPECT_EQ(A.Location, B.Location) << C.Name;
     EXPECT_EQ(A.Message, B.Message) << C.Name;
     EXPECT_EQ(A.ByteOffset, B.ByteOffset) << C.Name;
+  }
+}
+
+TEST_F(ArchiveCorruptionDifferential, ReaderAndVerifierNameTheSameDefect) {
+  // The reader, the verifier and salvage share one layout decode, so the
+  // defect open() fails on must be the one the verifier names first
+  // under the same check id, at the same location and byte offset.
+  std::vector<Case> Cases = corpus();
+  for (Case &C : trailerCorpus())
+    Cases.push_back(std::move(C));
+  Cases.push_back({"truncated_index", std::vector<uint8_t>(
+                                          Bytes->begin(),
+                                          Bytes->begin() + IndexStart + 5)});
+  for (const Case &C : Cases) {
+    std::string Path = writeVariant(C.Variant, std::string("agree_") + C.Name);
+    ArchiveReader Reader;
+    ASSERT_FALSE(Reader.open(Path)) << C.Name;
+    const verify::Diagnostic &Failure = Reader.lastError();
+    verify::DiagnosticEngine Engine;
+    verify::runArchiveBytesChecks(C.Variant, Engine);
+    const verify::Diagnostic *Named = nullptr;
+    for (const verify::Diagnostic &D : Engine.diagnostics())
+      if (D.CheckId == Failure.CheckId) {
+        Named = &D;
+        break;
+      }
+    ASSERT_NE(Named, nullptr)
+        << C.Name << ": the verifier never reports " << Failure.CheckId;
+    EXPECT_EQ(Named->Location, Failure.Location) << C.Name;
+    EXPECT_EQ(Named->ByteOffset, Failure.ByteOffset) << C.Name;
   }
 }
 
@@ -387,8 +447,8 @@ TEST_F(ArchiveCorruptionDifferential, TruncatedBlockDecodeAgreesAcrossModes) {
     std::string Path =
         writeVariant(Variant, "diffcut_" + std::to_string(Cut));
     ArchiveReader Buffered, Mapped;
-    ASSERT_TRUE(Buffered.open(Path, IoMode::Buffered));
-    ASSERT_TRUE(Mapped.open(Path, IoMode::Mmap));
+    ASSERT_TRUE(openOn(Buffered, Path, ReadPath::Buffered));
+    ASSERT_TRUE(openOn(Mapped, Path, ReadPath::Mmap));
     TwppFunctionTable TableA, TableB;
     bool OkA = Buffered.extractFunction(static_cast<FunctionId>(Victim),
                                         TableA);
@@ -406,7 +466,8 @@ TEST_F(ArchiveCorruptionDifferential, TruncatedBlockDecodeAgreesAcrossModes) {
 
 TEST_P(ArchiveCorruption, MissingFileFailsOpen) {
   ArchiveReader Reader;
-  EXPECT_FALSE(Reader.open(::testing::TempDir() + "/does_not_exist.twpp", GetParam()));
+  EXPECT_FALSE(openOn(Reader, ::testing::TempDir() + "/does_not_exist.twpp",
+                     GetParam()));
 }
 
 } // namespace

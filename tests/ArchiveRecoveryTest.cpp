@@ -20,6 +20,7 @@
 #include "verify/ArchiveChecks.h"
 #include "verify/Checks.h"
 #include "verify/Recover.h"
+#include "workloads/Concurrent.h"
 #include "wpp/Archive.h"
 
 #include "TestTraces.h"
@@ -138,6 +139,23 @@ TEST_F(ArchiveRecovery, BadMagicAndVersionAreFatal) {
     EXPECT_EQ(Report.Diagnostics.front().CheckId,
               verify::checks::RecoverInput);
   }
+}
+
+TEST_F(ArchiveRecovery, ThreadAwareArchivesAreRefused) {
+  // Salvage rebuilds single-threaded archives only: a version-2 input is
+  // refused at the version field, not half-salvaged without its trailer.
+  ConcurrentWpp Wpp = compactConcurrentWpp(
+      generateConcurrentTrace(testConcurrentProfiles()[0]));
+  std::vector<uint8_t> Out;
+  SalvageReport Report;
+  EXPECT_FALSE(salvageArchive(encodeConcurrentArchive(Wpp), Out, Report));
+  EXPECT_TRUE(Out.empty());
+  ASSERT_FALSE(Report.Diagnostics.empty());
+  const verify::Diagnostic &D = Report.Diagnostics.front();
+  EXPECT_EQ(D.CheckId, verify::checks::RecoverInput);
+  EXPECT_EQ(D.Sev, verify::Severity::Error);
+  EXPECT_EQ(D.Location, "header");
+  EXPECT_EQ(D.ByteOffset, 4u);
 }
 
 TEST_F(ArchiveRecovery, HugeFunctionCountIsClamped) {

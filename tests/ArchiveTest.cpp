@@ -4,16 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The reader tests are parameterized over IoMode so every behaviour is
-// pinned on both the buffered and the zero-copy (mmap) read paths, and
-// the round-trip sweeps decode through BOTH paths and assert the results
-// are structurally identical — the differential harness of the zero-copy
-// refactor.
+// The reader tests are parameterized over the read path so every
+// behaviour is pinned on both the zero-copy (mmap) path and the buffered
+// fallback, and the round-trip sweeps decode through BOTH paths and
+// assert the results are structurally identical.
 //
 //===----------------------------------------------------------------------===//
 
 #include "wpp/Archive.h"
 
+#include "ReadPaths.h"
 #include "TestTraces.h"
 #include "support/FaultInjection.h"
 #include "support/FileIO.h"
@@ -25,6 +25,8 @@
 #include <string>
 
 using namespace twpp;
+using fixtures::openOn;
+using fixtures::ReadPath;
 
 namespace {
 
@@ -53,13 +55,13 @@ TEST(FunctionTableCodecTest, RejectsTruncated) {
   EXPECT_FALSE(decodeTwppFunctionTable(Bytes, Back));
 }
 
-/// Every reader test below runs once per IoMode.
-class ArchiveModeTest : public ::testing::TestWithParam<IoMode> {};
+/// Every reader test below runs once per read path.
+class ArchiveModeTest : public ::testing::TestWithParam<ReadPath> {};
 
 INSTANTIATE_TEST_SUITE_P(IoModes, ArchiveModeTest,
-                         ::testing::Values(IoMode::Buffered, IoMode::Mmap),
-                         [](const ::testing::TestParamInfo<IoMode> &Info) {
-                           return ioModeName(Info.param);
+                         ::testing::Values(ReadPath::Buffered, ReadPath::Mmap),
+                         [](const ::testing::TestParamInfo<ReadPath> &Info) {
+                           return fixtures::readPathName(Info.param);
                          });
 
 TEST_P(ArchiveModeTest, WriteOpenReadAll) {
@@ -69,10 +71,10 @@ TEST_P(ArchiveModeTest, WriteOpenReadAll) {
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
 
   ArchiveReader Reader;
-  ASSERT_TRUE(Reader.open(Path, GetParam()));
-  // On this platform a requested mode must actually engage (no silent
-  // fallback on healthy files).
-  EXPECT_EQ(Reader.ioMode(), GetParam());
+  ASSERT_TRUE(openOn(Reader, Path, GetParam()));
+  // On this platform a healthy file must actually be mapped (no silent
+  // fallback), and the forced fallback must actually read.
+  EXPECT_EQ(Reader.mapped(), GetParam() == ReadPath::Mmap);
   EXPECT_EQ(Reader.functionCount(), 2u);
   EXPECT_EQ(Reader.callCount(0), 1u);
   EXPECT_EQ(Reader.callCount(1), 5u);
@@ -91,7 +93,7 @@ TEST_P(ArchiveModeTest, OutOfRangeFunctionIdsAreRejected) {
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
 
   ArchiveReader Reader;
-  ASSERT_TRUE(Reader.open(Path, GetParam()));
+  ASSERT_TRUE(openOn(Reader, Path, GetParam()));
   ASSERT_EQ(Reader.functionCount(), 2u);
   // callCount() used to index the table without a bounds check; an
   // unknown id must report zero calls, not undefined behaviour.
@@ -111,7 +113,7 @@ TEST_P(ArchiveModeTest, ExtractSingleFunction) {
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
 
   ArchiveReader Reader;
-  ASSERT_TRUE(Reader.open(Path, GetParam()));
+  ASSERT_TRUE(openOn(Reader, Path, GetParam()));
   FunctionPathTraces F;
   ASSERT_TRUE(Reader.extractFunctionPathTraces(1, F));
   ASSERT_EQ(F.Traces.size(), 2u);
@@ -134,7 +136,7 @@ TEST_P(ArchiveModeTest, DcgRoundTripsThroughLzw) {
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
 
   ArchiveReader Reader;
-  ASSERT_TRUE(Reader.open(Path, GetParam()));
+  ASSERT_TRUE(openOn(Reader, Path, GetParam()));
   DynamicCallGraph Dcg;
   ASSERT_TRUE(Reader.readDcg(Dcg));
   EXPECT_EQ(Dcg, Compacted.Dcg);
@@ -145,11 +147,11 @@ TEST_P(ArchiveModeTest, OpenRejectsGarbage) {
   std::string Path = tempPath("twpp_archive_garbage.twpp");
   ASSERT_TRUE(writeFileBytes(Path, {1, 2, 3, 4, 5, 6, 7, 8}));
   ArchiveReader Reader;
-  EXPECT_FALSE(Reader.open(Path, GetParam()));
+  EXPECT_FALSE(openOn(Reader, Path, GetParam()));
   std::remove(Path.c_str());
 
   ArchiveReader Missing;
-  EXPECT_FALSE(Missing.open(tempPath("no_such_file.twpp"), GetParam()));
+  EXPECT_FALSE(openOn(Missing, tempPath("no_such_file.twpp"), GetParam()));
 }
 
 TEST_P(ArchiveModeTest, OpenRejectsEmptyFile) {
@@ -159,7 +161,7 @@ TEST_P(ArchiveModeTest, OpenRejectsEmptyFile) {
   std::string Path = tempPath("twpp_archive_empty.twpp");
   ASSERT_TRUE(writeFileBytes(Path, {}));
   ArchiveReader Reader;
-  EXPECT_FALSE(Reader.open(Path, GetParam()));
+  EXPECT_FALSE(openOn(Reader, Path, GetParam()));
   EXPECT_EQ(Reader.lastError().CheckId, "twpp-archive-header");
   std::remove(Path.c_str());
 }
@@ -174,24 +176,25 @@ TEST(ArchiveMmapFallback, InjectedMmapFaultFallsBackToBuffered) {
   {
     fault::ScopedFaultSpec Spec("io:mmap:n=1");
     ArchiveReader Reader;
-    ASSERT_TRUE(Reader.open(Path, IoMode::Mmap));
+    ASSERT_TRUE(Reader.open(Path));
     // The mapping failed (injected); the reader degrades, not errors.
-    EXPECT_EQ(Reader.ioMode(), IoMode::Buffered);
+    EXPECT_FALSE(Reader.mapped());
     ASSERT_TRUE(Reader.readAll(Back));
   }
   EXPECT_EQ(Back, Compacted);
   std::remove(Path.c_str());
 }
 
-/// Decodes \p Path through both IoModes and asserts the results are
+/// Decodes \p Path through both read paths and asserts the results are
 /// structurally identical, returning the (shared) decoded form.
 TwppWpp decodeBothModes(const std::string &Path) {
   TwppWpp Buffered, Mapped;
   ArchiveReader BufferedReader, MappedReader;
-  EXPECT_TRUE(BufferedReader.open(Path, IoMode::Buffered));
+  EXPECT_TRUE(openOn(BufferedReader, Path, ReadPath::Buffered));
+  EXPECT_FALSE(BufferedReader.mapped());
   EXPECT_TRUE(BufferedReader.readAll(Buffered));
-  EXPECT_TRUE(MappedReader.open(Path, IoMode::Mmap));
-  EXPECT_EQ(MappedReader.ioMode(), IoMode::Mmap);
+  EXPECT_TRUE(openOn(MappedReader, Path, ReadPath::Mmap));
+  EXPECT_TRUE(MappedReader.mapped());
   EXPECT_TRUE(MappedReader.readAll(Mapped));
   EXPECT_EQ(Buffered, Mapped);
   EXPECT_EQ(BufferedReader.functionCount(), MappedReader.functionCount());

@@ -18,6 +18,7 @@
 #include "wpp/Archive.h"
 #include "wpp/Dbb.h"
 
+#include "ReadPaths.h"
 #include "TestTraces.h"
 
 #include <gtest/gtest.h>
@@ -151,9 +152,10 @@ TEST(DbbQueryTest, ArchiveRoutedQueriesAgreeAcrossIoModes) {
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
 
   ArchiveReader Buffered, Mapped;
-  ASSERT_TRUE(Buffered.open(Path, IoMode::Buffered));
-  ASSERT_TRUE(Mapped.open(Path, IoMode::Mmap));
-  ASSERT_EQ(Mapped.ioMode(), IoMode::Mmap);
+  ASSERT_TRUE(
+      fixtures::openOn(Buffered, Path, fixtures::ReadPath::Buffered));
+  ASSERT_TRUE(fixtures::openOn(Mapped, Path, fixtures::ReadPath::Mmap));
+  ASSERT_TRUE(Mapped.mapped());
 
   for (FunctionId F = 0; F != Buffered.functionCount(); ++F) {
     FunctionPathTraces FromBuffered, FromMapped;

@@ -241,13 +241,6 @@ TEST(FaultSeam, ShortReadAndStatFaultsAreTyped) {
     fault::ScopedFaultSpec Spec("io:stat:every=1");
     EXPECT_FALSE(fileSize(Path).has_value());
   }
-  // A slice past EOF is a typed short read even with no faults at all.
-  {
-    fault::ScopedFaultSpec Off("");
-    std::vector<uint8_t> Bytes;
-    IoError Result = readFileSlice(Path, 2, 10, Bytes);
-    EXPECT_EQ(Result.Status, IoStatus::ShortRead);
-  }
   std::remove(Path.c_str());
 }
 

@@ -26,15 +26,18 @@
 #include "wpp/TimestampSet.h"
 #include "wpp/Twpp.h"
 
+#include "ReadPaths.h"
 #include "TestTraces.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
 using namespace twpp;
+using fixtures::ReadPath;
 
 namespace {
 
@@ -265,17 +268,22 @@ TEST_F(MemoryTest, AuditReconcilesInBothIoModes) {
   obs::memTracker().reset();
 
   verify::MemoryAudit PerMode[2];
-  for (IoMode Mode : {IoMode::Buffered, IoMode::Mmap}) {
-    verify::MemoryAudit &Audit = PerMode[Mode == IoMode::Mmap ? 1 : 0];
+  for (ReadPath Mode : {ReadPath::Buffered, ReadPath::Mmap}) {
+    verify::MemoryAudit &Audit = PerMode[Mode == ReadPath::Mmap ? 1 : 0];
     TwppWpp Decoded;
-    ASSERT_TRUE(verify::auditArchiveMemory(Path, Audit, &Decoded, Mode));
+    // The buffered instance forces the reader's fallback by failing every
+    // mmap inside the audit.
+    std::optional<fault::ScopedFaultSpec> NoMmap;
+    if (Mode == ReadPath::Buffered)
+      NoMmap.emplace("io:mmap:every=1");
+    ASSERT_TRUE(verify::auditArchiveMemory(Path, Audit, &Decoded));
     EXPECT_TRUE(Audit.Decoded);
     EXPECT_EQ(Audit.DeepBytes, obs::deepSize(Decoded));
     uint64_t Delta = Audit.TrackedBytes > Audit.DeepBytes
                          ? Audit.TrackedBytes - Audit.DeepBytes
                          : Audit.DeepBytes - Audit.TrackedBytes;
     EXPECT_LE(Delta, verify::memReconcileToleranceBytes(Audit.DeepBytes))
-        << ioModeName(Mode) << ": tracked " << Audit.TrackedBytes
+        << fixtures::readPathName(Mode) << ": tracked " << Audit.TrackedBytes
         << " vs deep " << Audit.DeepBytes;
   }
   EXPECT_EQ(PerMode[0].DeepBytes, PerMode[1].DeepBytes);

@@ -24,7 +24,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <regex>
+#include <sstream>
 
 using namespace twpp;
 
@@ -630,6 +633,38 @@ TEST_F(ObsTest, ArchiveReaderRejectsUnknownFunctionIds) {
   EXPECT_FALSE(Reader.extractFunction(2, Table));
   EXPECT_FALSE(Reader.extractFunction(0xFFFFFFFF, Table));
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Metric inventory: obs/Names.h against docs/OBSERVABILITY.md
+//===----------------------------------------------------------------------===//
+
+std::string readSourceFile(const std::string &Relative) {
+  std::ifstream In(std::string(TWPP_SOURCE_DIR) + "/" + Relative);
+  std::stringstream Text;
+  Text << In.rdbuf();
+  return Text.str();
+}
+
+TEST(MetricInventory, EveryNameIsDocumented) {
+  std::string Names = readSourceFile("src/obs/Names.h");
+  std::string Doc = readSourceFile("docs/OBSERVABILITY.md");
+  ASSERT_FALSE(Names.empty());
+  ASSERT_FALSE(Doc.empty());
+  std::regex NameDecl(
+      R"re(inline constexpr const char \*\w+ =\s*"([^"]+)")re");
+  size_t Checked = 0;
+  for (std::sregex_iterator It(Names.begin(), Names.end(), NameDecl), End;
+       It != End; ++It) {
+    std::string Name = (*It)[1];
+    EXPECT_NE(Doc.find("`" + Name + "`"), std::string::npos)
+        << Name << " is declared in src/obs/Names.h but not documented in "
+        << "docs/OBSERVABILITY.md";
+    ++Checked;
+  }
+  // Guards the regex itself: a pattern that stopped matching would pass
+  // vacuously.
+  EXPECT_GT(Checked, 100u);
 }
 
 } // namespace

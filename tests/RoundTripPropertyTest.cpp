@@ -17,6 +17,7 @@
 #include "wpp/Archive.h"
 #include "wpp/Streaming.h"
 
+#include "ReadPaths.h"
 #include "TestTraces.h"
 #include "support/Random.h"
 
@@ -26,6 +27,7 @@
 #include <string>
 
 using namespace twpp;
+using fixtures::ReadPath;
 
 namespace {
 
@@ -154,13 +156,13 @@ void checkRoundTrip(const RawTrace &Trace, const std::string &PathTag) {
   std::string Path = tempPath("round_trip_" + PathTag + ".twpp");
   ASSERT_TRUE(writeArchiveFile(Path, Twpp));
   TwppWpp PerMode[2];
-  for (IoMode Mode : {IoMode::Buffered, IoMode::Mmap}) {
-    SCOPED_TRACE(ioModeName(Mode));
+  for (ReadPath Mode : {ReadPath::Buffered, ReadPath::Mmap}) {
+    SCOPED_TRACE(fixtures::readPathName(Mode));
     ArchiveReader Reader;
-    ASSERT_TRUE(Reader.open(Path, Mode));
-    ASSERT_EQ(Reader.ioMode(), Mode);
+    ASSERT_TRUE(fixtures::openOn(Reader, Path, Mode));
+    ASSERT_EQ(Reader.mapped(), Mode == ReadPath::Mmap);
     ASSERT_EQ(Reader.functionCount(), Twpp.Functions.size());
-    TwppWpp &Back = PerMode[Mode == IoMode::Mmap ? 1 : 0];
+    TwppWpp &Back = PerMode[Mode == ReadPath::Mmap ? 1 : 0];
     ASSERT_TRUE(Reader.readAll(Back));
     EXPECT_EQ(Back, Twpp);
     EXPECT_EQ(reconstructRawTrace(Back), Trace);

@@ -385,11 +385,6 @@ TEST(FileIoTest, WholeFileAndSliceRoundTrip) {
   std::vector<uint8_t> Back;
   ASSERT_TRUE(readFileBytes(Path, Back));
   EXPECT_EQ(Back, Data);
-
-  std::vector<uint8_t> Slice;
-  ASSERT_TRUE(readFileSlice(Path, 100, 50, Slice));
-  EXPECT_EQ(Slice,
-            std::vector<uint8_t>(Data.begin() + 100, Data.begin() + 150));
   std::remove(Path.c_str());
 }
 
@@ -484,7 +479,7 @@ TEST(ArenaTest, ZeroByteAllocationsAreValid) {
 }
 
 //===----------------------------------------------------------------------===//
-// MappedFile — the mmap(2) RAII wrapper behind IoMode::Mmap.
+// MappedFile — the mmap(2) RAII wrapper behind ArchiveReader.
 //===----------------------------------------------------------------------===//
 
 TEST(MmapTest, MapsFileContents) {

@@ -21,6 +21,7 @@
 #include "workloads/Workload.h"
 #include "wpp/Archive.h"
 
+#include "ReadPaths.h"
 #include "TestTraces.h"
 
 #include <gtest/gtest.h>
@@ -32,6 +33,8 @@
 
 using namespace twpp;
 using namespace twpp::verify;
+using fixtures::openOn;
+using fixtures::ReadPath;
 
 namespace {
 
@@ -376,33 +379,36 @@ TEST_F(VerifyCorruption, BitFlippedBlockIsNamedOrDecodesDifferently) {
 
 //===----------------------------------------------------------------------===//
 // ArchiveReader::lastError() — the decode-error hardening contract.
-// Parameterized over IoMode: the named diagnostic (check id, location,
-// byte offset) must be the same whether the archive was read buffered
-// or memory-mapped.
+// Parameterized over the read path: the named diagnostic (check id,
+// location, byte offset) must be the same whether the archive was read
+// buffered or memory-mapped.
 //===----------------------------------------------------------------------===//
 
 class VerifyCorruptionMode : public VerifyCorruption,
-                             public ::testing::WithParamInterface<IoMode> {
+                             public ::testing::WithParamInterface<ReadPath> {
 protected:
-  /// The two IoMode instances run as concurrent ctest processes; the
+  /// The two read-path instances run as concurrent ctest processes; the
   /// parameter suffix keeps their variant files from racing each other.
   std::string writeVariant(const std::vector<uint8_t> &Variant,
                            const std::string &Name) {
     return VerifyCorruption::writeVariant(
-        Variant, Name + "_" + std::string(ioModeName(GetParam())));
+        Variant, Name + "_" + fixtures::readPathName(GetParam()));
+  }
+
+  bool open(ArchiveReader &Reader, const std::string &Path) {
+    return openOn(Reader, Path, GetParam());
   }
 };
 
 INSTANTIATE_TEST_SUITE_P(IoModes, VerifyCorruptionMode,
-                         ::testing::Values(IoMode::Buffered, IoMode::Mmap),
-                         [](const ::testing::TestParamInfo<IoMode> &Info) {
-                           return ioModeName(Info.param);
+                         ::testing::Values(ReadPath::Buffered, ReadPath::Mmap),
+                         [](const ::testing::TestParamInfo<ReadPath> &Info) {
+                           return fixtures::readPathName(Info.param);
                          });
 
 TEST_P(VerifyCorruptionMode, LastErrorNamesMissingFile) {
   ArchiveReader Reader;
-  ASSERT_FALSE(Reader.open(::testing::TempDir() + "/verify_missing.twpp",
-                           GetParam()));
+  ASSERT_FALSE(open(Reader, ::testing::TempDir() + "/verify_missing.twpp"));
   EXPECT_EQ(Reader.lastError().CheckId, checks::ArchiveHeader);
   EXPECT_EQ(Reader.lastError().Location, "header");
   EXPECT_EQ(Reader.lastError().ByteOffset, 0u);
@@ -414,7 +420,7 @@ TEST_P(VerifyCorruptionMode, LastErrorNamesBadMagicAndVersion) {
     Variant[Byte] ^= 0xFF;
     std::string Path = writeVariant(Variant, "hdr_" + std::to_string(Byte));
     ArchiveReader Reader;
-    ASSERT_FALSE(Reader.open(Path, GetParam()));
+    ASSERT_FALSE(open(Reader, Path));
     EXPECT_EQ(Reader.lastError().CheckId, checks::ArchiveHeader);
     EXPECT_EQ(Reader.lastError().Location, "header");
     EXPECT_EQ(Reader.lastError().ByteOffset, Byte);
@@ -430,7 +436,7 @@ TEST_P(VerifyCorruptionMode, LastErrorNamesIndexRowAndOffset) {
   writeLe64(Variant, Row, Bytes->size() + 1000);
   std::string Path = writeVariant(Variant, "idxerr");
   ArchiveReader Reader;
-  ASSERT_FALSE(Reader.open(Path, GetParam()));
+  ASSERT_FALSE(open(Reader, Path));
   EXPECT_EQ(Reader.lastError().CheckId, checks::ArchiveIndexBounds);
   EXPECT_EQ(Reader.lastError().Location, "index row " + std::to_string(F));
   EXPECT_EQ(Reader.lastError().ByteOffset, Row);
@@ -451,7 +457,7 @@ TEST_P(VerifyCorruptionMode, LastErrorNamesTruncatedBlock) {
   writeLe64(Variant, Row + 8, readLe64(*Bytes, Row + 8) / 2);
   std::string Path = writeVariant(Variant, "cuterr");
   ArchiveReader Reader;
-  ASSERT_TRUE(Reader.open(Path, GetParam()));
+  ASSERT_TRUE(open(Reader, Path));
   TwppFunctionTable Table;
   ASSERT_FALSE(Reader.extractFunction(static_cast<FunctionId>(Victim), Table));
   EXPECT_EQ(Reader.lastError().CheckId, checks::ArchiveBlockDecode);
@@ -463,7 +469,7 @@ TEST_P(VerifyCorruptionMode, LastErrorNamesTruncatedBlock) {
 TEST_P(VerifyCorruptionMode, LastErrorNamesOutOfRangeFunction) {
   std::string Path = writeVariant(*Bytes, "rangeerr");
   ArchiveReader Reader;
-  ASSERT_TRUE(Reader.open(Path, GetParam()));
+  ASSERT_TRUE(open(Reader, Path));
   TwppFunctionTable Table;
   ASSERT_FALSE(Reader.extractFunction(
       static_cast<FunctionId>(Original->Functions.size()), Table));
@@ -486,7 +492,7 @@ TEST_P(VerifyCorruptionMode, LastErrorNamesUndecodableDcg) {
     Variant[At] ^= static_cast<uint8_t>(1u << R.nextBelow(8));
     std::string Path = writeVariant(Variant, "dcgerr_" + std::to_string(Case));
     ArchiveReader Reader;
-    ASSERT_TRUE(Reader.open(Path, GetParam()));
+    ASSERT_TRUE(open(Reader, Path));
     DynamicCallGraph Dcg;
     if (Reader.readDcg(Dcg))
       continue;

@@ -386,7 +386,7 @@ int main(int Argc, char **Argv) {
 
   for (int I = 2; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    switch (cli::parseCommonFlag(Arg, Options.Format)) {
+    switch (cli::parseFormatFlag(Arg, Options.Format)) {
     case cli::FlagParse::Ok:
       continue;
     case cli::FlagParse::Bad:

@@ -48,7 +48,6 @@ int usage() {
       "  --top=N       functions to list, largest decoded first "
       "(default 10)\n"
       "  --format=FMT  output format: text (default) or json\n"
-      "  --io=MODE     archive read path: mmap (default) or buffered\n"
       "  --out FILE    write the report to FILE instead of stdout\n"
       "exit codes: 0 reconciled, 1 tracker vs deep-size audit beyond\n"
       "tolerance, 2 usage/IO error\n");
@@ -229,7 +228,7 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    switch (cli::parseCommonFlag(Arg, Format)) {
+    switch (cli::parseFormatFlag(Arg, Format)) {
     case cli::FlagParse::Ok:
       continue;
     case cli::FlagParse::Bad:

@@ -14,7 +14,6 @@
 //                 baseline), or both (run the two differentially; any
 //                 disagreement is reported and exits 2)
 //   --format=FMT  text (default) or json (schema twpp-races-v1)
-//   --io=MODE     archive read path: mmap (default) or buffered
 //
 // Exit codes: 0 no races, 1 races found, 2 usage/IO error or engine
 // mismatch — the same contract as twpp_verify.
@@ -41,7 +40,6 @@ int usage() {
       "usage: twpp_races [options] archive.twpp...\n"
       "  --engine=E    compacted (default), oracle, or both (differential)\n"
       "  --format=FMT  output format: text (default) or json\n"
-      "  --io=MODE     archive read path: mmap (default) or buffered\n"
       "exit codes: 0 race-free, 1 races found, 2 usage/IO/engine mismatch\n");
   return cli::ExitUsage;
 }
@@ -83,7 +81,7 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    switch (cli::parseCommonFlag(Arg, Format)) {
+    switch (cli::parseFormatFlag(Arg, Format)) {
     case cli::FlagParse::Ok:
       continue;
     case cli::FlagParse::Bad:

@@ -44,7 +44,6 @@ int usage() {
       stderr,
       "usage: twpp_recover [options] damaged.twpp recovered.twpp\n"
       "  --format=FMT    stdout report format: text (default) or json\n"
-      "  --io=MODE       archive read path: mmap (default) or buffered\n"
       "  --report=FILE   also write the JSON report to FILE\n"
       "exit codes: 0 salvaged (verifier-clean output written), 1 cannot\n"
       "salvage (report names why), 2 usage/IO error\n");
@@ -60,7 +59,7 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    switch (cli::parseCommonFlag(Arg, Format)) {
+    switch (cli::parseFormatFlag(Arg, Format)) {
     case cli::FlagParse::Ok:
       continue;
     case cli::FlagParse::Bad:

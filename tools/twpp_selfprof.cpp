@@ -15,7 +15,6 @@
 //   --top=N       hot paths / functions per listing (default 5)
 //   --format=FMT  text (default), collapsed (flamegraph folded
 //                 stacks: "a;b;c <exclusive_us>"), or json
-//   --io=MODE     archive read path: mmap (default) or buffered
 //   --out FILE    write the report to FILE instead of stdout
 //
 // Exit codes: 0 ok, 1 sidecar and archive disagree (function counts),
@@ -48,7 +47,6 @@ int usage() {
       "  --meta FILE   sidecar path (default: <archive>.meta)\n"
       "  --top=N       hot paths / functions per listing (default 5)\n"
       "  --format=FMT  text (default), collapsed, or json\n"
-      "  --io=MODE     archive read path: mmap (default) or buffered\n"
       "  --out FILE    write the report to FILE instead of stdout\n"
       "exit codes: 0 ok, 1 sidecar/archive mismatch, 2 usage/IO error\n");
   return cli::ExitUsage;
@@ -285,7 +283,7 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    switch (cli::parseCommonFlag(Arg, Format, {"text", "collapsed", "json"})) {
+    switch (cli::parseFormatFlag(Arg, Format, {"text", "collapsed", "json"})) {
     case cli::FlagParse::Ok:
       continue;
     case cli::FlagParse::Bad:

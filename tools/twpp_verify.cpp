@@ -56,7 +56,6 @@ int usage() {
       "usage: twpp_verify [options] [archive.twpp...]\n"
       "  --checks=GLOB   only run checks matching GLOB (default '*')\n"
       "  --format=FMT    output format: text (default) or json\n"
-      "  --io=MODE       archive read path: mmap (default) or buffered\n"
       "  --list-checks   print every check id with severity and summary\n"
       "  --program FILE  lower FILE (mini language) and run the IR and\n"
       "                  dataflow check families\n"
@@ -148,7 +147,7 @@ int main(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     if (Arg == "--list-checks")
       return listChecks();
-    switch (cli::parseCommonFlag(Arg, Format)) {
+    switch (cli::parseFormatFlag(Arg, Format)) {
     case cli::FlagParse::Ok:
       continue;
     case cli::FlagParse::Bad:
