@@ -75,6 +75,56 @@ SliceResult finalize(const std::set<BlockId> &Stmts, uint64_t Queries) {
   return Result;
 }
 
+/// The statement-granular traversal of approaches 1 and 2. \p Resolve
+/// answers a query (Stmt, V) by passing each defining statement it finds
+/// to its third argument.
+template <typename ResolveFn>
+SliceResult sliceStatements(const SliceProgram &Program,
+                            const AnnotatedDynamicCfg &Cfg,
+                            BlockId Criterion, VarId Var, ResolveFn Resolve) {
+  std::set<BlockId> Slice;
+  std::set<std::pair<BlockId, VarId>> VisitedQueries;
+  std::deque<std::pair<BlockId, VarId>> Work;
+  std::deque<BlockId> NewStmts;
+  uint64_t Queries = 0;
+
+  auto Enqueue = [&](BlockId Stmt, VarId V) {
+    if (VisitedQueries.insert({Stmt, V}).second) {
+      Work.push_back({Stmt, V});
+      ++Queries;
+    }
+  };
+  auto AddStmt = [&](BlockId Stmt) {
+    if (Slice.insert(Stmt).second)
+      NewStmts.push_back(Stmt);
+  };
+  // Resolves \p Stmt's (exercised) control dependence.
+  auto AddControlDep = [&](BlockId Stmt) {
+    if (BlockId Ctrl = Program.stmt(Stmt).ControlDep;
+        Ctrl != 0 && executed(Cfg, Ctrl))
+      AddStmt(Ctrl);
+  };
+
+  Slice.insert(Criterion);
+  Enqueue(Criterion, Var);
+  AddControlDep(Criterion);
+  while (!Work.empty() || !NewStmts.empty()) {
+    while (!NewStmts.empty()) {
+      BlockId Stmt = NewStmts.front();
+      NewStmts.pop_front();
+      for (VarId Use : Program.stmt(Stmt).Uses)
+        Enqueue(Stmt, Use);
+      AddControlDep(Stmt);
+    }
+    if (Work.empty())
+      break;
+    auto [Stmt, V] = Work.front();
+    Work.pop_front();
+    Resolve(Stmt, V, AddStmt);
+  }
+  return finalize(Slice, Queries);
+}
+
 } // namespace
 
 SliceResult twpp::sliceApproach1(const SliceProgram &Program,
@@ -82,113 +132,36 @@ SliceResult twpp::sliceApproach1(const SliceProgram &Program,
                                  BlockId Criterion, VarId Var) {
   // Static PDG traversal, restricted to executed (marked) nodes.
   std::vector<DataDepEdge> DataDeps = computeStaticDataDeps(Program);
-
-  std::set<BlockId> Slice;
-  std::set<std::pair<BlockId, VarId>> VisitedQueries;
-  std::deque<std::pair<BlockId, VarId>> Work;
-  std::deque<BlockId> NewStmts;
-  uint64_t Queries = 0;
-
-  auto Enqueue = [&](BlockId Stmt, VarId V) {
-    if (VisitedQueries.insert({Stmt, V}).second) {
-      Work.push_back({Stmt, V});
-      ++Queries;
-    }
-  };
-  auto AddStmt = [&](BlockId Stmt) {
-    if (Slice.insert(Stmt).second)
-      NewStmts.push_back(Stmt);
-  };
-
-  Slice.insert(Criterion);
-  Enqueue(Criterion, Var);
-  if (BlockId Ctrl = Program.stmt(Criterion).ControlDep;
-      Ctrl != 0 && executed(Cfg, Ctrl))
-    AddStmt(Ctrl);
-
-  while (!Work.empty() || !NewStmts.empty()) {
-    while (!NewStmts.empty()) {
-      BlockId Stmt = NewStmts.front();
-      NewStmts.pop_front();
-      for (VarId Use : Program.stmt(Stmt).Uses)
-        Enqueue(Stmt, Use);
-      if (BlockId Ctrl = Program.stmt(Stmt).ControlDep;
-          Ctrl != 0 && executed(Cfg, Ctrl))
-        AddStmt(Ctrl);
-    }
-    if (Work.empty())
-      break;
-    auto [Stmt, V] = Work.front();
-    Work.pop_front();
-    for (const DataDepEdge &Edge : DataDeps)
-      if (Edge.Use == Stmt && Edge.Var == V && executed(Cfg, Edge.Def))
-        AddStmt(Edge.Def);
-  }
-  return finalize(Slice, Queries);
+  return sliceStatements(
+      Program, Cfg, Criterion, Var,
+      [&](BlockId Stmt, VarId V, auto &AddStmt) {
+        for (const DataDepEdge &Edge : DataDeps)
+          if (Edge.Use == Stmt && Edge.Var == V && executed(Cfg, Edge.Def))
+            AddStmt(Edge.Def);
+      });
 }
 
 SliceResult twpp::sliceApproach2(const SliceProgram &Program,
                                  const AnnotatedDynamicCfg &Cfg,
                                  BlockId Criterion, VarId Var) {
-  std::set<BlockId> Slice;
-  std::set<std::pair<BlockId, VarId>> VisitedQueries;
-  // A query carries every timestamp of its statement (node granularity).
-  std::deque<std::pair<BlockId, VarId>> Work;
-  uint64_t Queries = 0;
-
-  Slice.insert(Criterion);
-  auto Enqueue = [&](BlockId Stmt, VarId V) {
-    if (VisitedQueries.insert({Stmt, V}).second) {
-      Work.push_back({Stmt, V});
-      ++Queries;
-    }
-  };
-
-  // Adds \p Stmt to the slice; raises queries for its uses and resolves
-  // its (exercised) control dependence.
-  std::deque<BlockId> NewStmts;
-  auto AddStmt = [&](BlockId Stmt) {
-    if (Slice.insert(Stmt).second)
-      NewStmts.push_back(Stmt);
-  };
-
-  Enqueue(Criterion, Var);
-  {
-    BlockId Ctrl = Program.stmt(Criterion).ControlDep;
-    if (Ctrl != 0 && executed(Cfg, Ctrl))
-      AddStmt(Ctrl);
-  }
-
-  while (!Work.empty() || !NewStmts.empty()) {
-    while (!NewStmts.empty()) {
-      BlockId Stmt = NewStmts.front();
-      NewStmts.pop_front();
-      for (VarId Use : Program.stmt(Stmt).Uses)
-        Enqueue(Stmt, Use);
-      BlockId Ctrl = Program.stmt(Stmt).ControlDep;
-      if (Ctrl != 0 && executed(Cfg, Ctrl))
-        AddStmt(Ctrl);
-    }
-    if (Work.empty())
-      break;
-    auto [Stmt, V] = Work.front();
-    Work.pop_front();
-
-    // Find the defining statements exercised by *any* instance of Stmt.
-    size_t Node = Cfg.nodeIndexOf(Stmt);
-    if (Node == AnnotatedDynamicCfg::npos)
-      continue;
-    std::set<BlockId> Defs;
-    for (Timestamp T : Cfg.Nodes[Node].Times.toVector()) {
-      BlockId DefStmt;
-      Timestamp DefTime;
-      if (findLastDefInstance(Program, Cfg, V, T, DefStmt, DefTime))
-        Defs.insert(DefStmt);
-    }
-    for (BlockId Def : Defs)
-      AddStmt(Def);
-  }
-  return finalize(Slice, Queries);
+  // A query carries every timestamp of its statement (node granularity):
+  // it finds the defining statements exercised by *any* instance.
+  return sliceStatements(
+      Program, Cfg, Criterion, Var,
+      [&](BlockId Stmt, VarId V, auto &AddStmt) {
+        size_t Node = Cfg.nodeIndexOf(Stmt);
+        if (Node == AnnotatedDynamicCfg::npos)
+          return;
+        std::set<BlockId> Defs;
+        for (Timestamp T : Cfg.Nodes[Node].Times.toVector()) {
+          BlockId DefStmt;
+          Timestamp DefTime;
+          if (findLastDefInstance(Program, Cfg, V, T, DefStmt, DefTime))
+            Defs.insert(DefStmt);
+        }
+        for (BlockId Def : Defs)
+          AddStmt(Def);
+      });
 }
 
 SliceResult twpp::sliceApproach3(const SliceProgram &Program,
@@ -218,13 +191,16 @@ SliceResult twpp::sliceApproach3(const SliceProgram &Program,
       NewInstances.push_back(T);
   };
 
-  EnqueueQuery(Time, Var);
-  {
-    BlockId Ctrl = Program.stmt(Criterion).ControlDep;
+  /// Brings in the last instance before \p T of \p Stmt's control parent.
+  auto AddControlDep = [&](BlockId Stmt, Timestamp T) {
     Timestamp CtrlTime;
-    if (Ctrl != 0 && findLastInstanceOf(Cfg, Ctrl, Time, CtrlTime))
+    if (BlockId Ctrl = Program.stmt(Stmt).ControlDep;
+        Ctrl != 0 && findLastInstanceOf(Cfg, Ctrl, T, CtrlTime))
       AddInstance(Ctrl, CtrlTime);
-  }
+  };
+
+  EnqueueQuery(Time, Var);
+  AddControlDep(Criterion, Time);
 
   while (!Work.empty() || !NewInstances.empty()) {
     while (!NewInstances.empty()) {
@@ -236,10 +212,7 @@ SliceResult twpp::sliceApproach3(const SliceProgram &Program,
       BlockId Stmt = Cfg.Nodes[Node].Head;
       for (VarId Use : Program.stmt(Stmt).Uses)
         EnqueueQuery(T, Use);
-      BlockId Ctrl = Program.stmt(Stmt).ControlDep;
-      Timestamp CtrlTime;
-      if (Ctrl != 0 && findLastInstanceOf(Cfg, Ctrl, T, CtrlTime))
-        AddInstance(Ctrl, CtrlTime);
+      AddControlDep(Stmt, T);
     }
     if (Work.empty())
       break;

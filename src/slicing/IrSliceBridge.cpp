@@ -25,13 +25,6 @@ std::vector<BlockId> IrSliceProgram::expandTrace(
   return Out;
 }
 
-BlockId IrSliceProgram::nodeOf(BlockId Block, size_t Ordinal) const {
-  if (Block == 0 || Block > NodesOfBlock.size())
-    return 0;
-  const auto &Nodes = NodesOfBlock[Block - 1];
-  return Ordinal < Nodes.size() ? Nodes[Ordinal] : 0;
-}
-
 namespace {
 
 std::string labelOf(const Stmt &S) {
@@ -60,10 +53,9 @@ IrSliceProgram twpp::buildSliceProgram(const Function &F) {
   // Pass 1: one slice node per statement, plus one per conditional or
   // value-returning terminator.
   auto Push = [&Out](BlockId Block, SliceStmt Node,
-                     IrSliceProgram::NodeKind Kind, FunctionId Callee) {
+                     IrSliceProgram::NodeKind Kind) {
     Out.Program.Stmts.push_back(std::move(Node));
     Out.Kinds.push_back(Kind);
-    Out.Callees.push_back(Callee);
     Out.NodesOfBlock[Block - 1].push_back(
         static_cast<BlockId>(Out.Program.Stmts.size()));
   };
@@ -74,23 +66,21 @@ IrSliceProgram twpp::buildSliceProgram(const Function &F) {
       Node.Label = labelOf(S);
       Node.Def = S.Target == NoVar ? NoVar : S.Target;
       Node.Uses = stmtUses(F, S);
-      bool IsCall = S.StmtKind == Stmt::Kind::Call;
       Push(Block, std::move(Node),
-           IsCall ? IrSliceProgram::NodeKind::Call
-                  : IrSliceProgram::NodeKind::Plain,
-           IsCall ? S.Callee : 0);
+           S.StmtKind == Stmt::Kind::Call ? IrSliceProgram::NodeKind::Call
+                                          : IrSliceProgram::NodeKind::Plain);
     }
     if (B.Term == BasicBlock::Terminator::Branch) {
       SliceStmt Node;
       Node.Label = "branch";
       Node.IsPredicate = true;
       collectExprUses(F, B.CondExpr, Node.Uses);
-      Push(Block, std::move(Node), IrSliceProgram::NodeKind::Predicate, 0);
+      Push(Block, std::move(Node), IrSliceProgram::NodeKind::Predicate);
     } else if (B.Term == BasicBlock::Terminator::Return && B.HasRetValue) {
       SliceStmt Node;
       Node.Label = "return";
       collectExprUses(F, B.RetExpr, Node.Uses);
-      Push(Block, std::move(Node), IrSliceProgram::NodeKind::Return, 0);
+      Push(Block, std::move(Node), IrSliceProgram::NodeKind::Return);
     }
   }
   Out.Program.Succs.resize(Out.Program.Stmts.size());

@@ -35,8 +35,6 @@ struct IrSliceProgram {
   SliceProgram Program;
   /// Kind of each slice node, parallel to Program.Stmts.
   std::vector<NodeKind> Kinds;
-  /// Callee of each Call node (0 otherwise), parallel to Program.Stmts.
-  std::vector<FunctionId> Callees;
   /// Slice node ids of each block's statements, in order; the last entry
   /// of a block with a conditional terminator is its predicate node.
   std::vector<std::vector<BlockId>> NodesOfBlock; ///< Indexed by block-1.
@@ -45,10 +43,6 @@ struct IrSliceProgram {
   /// slicers consume.
   std::vector<BlockId>
   expandTrace(const std::vector<BlockId> &BlockTrace) const;
-
-  /// The slice node of the \p Ordinal-th statement of \p Block (0-based);
-  /// useful for placing criteria. Returns 0 when out of range.
-  BlockId nodeOf(BlockId Block, size_t Ordinal) const;
 };
 
 /// Builds the statement-level slice program of \p F. Statements get their

@@ -25,6 +25,15 @@
 /// Control dependences are intraprocedural per frame, as in the paper's
 /// single-function algorithms.
 ///
+/// Each query is a timestamp lookup (Sections 4.2–4.3): the last
+/// definition of V before t is the largest element below t of the
+/// ordered set of V's defining instances. build() keeps such sets per
+/// frame — for each defined variable and for each node — flat, as
+/// per-frame slot offsets into one sorted array, so a query costs
+/// O(log k) for the k definitions (or runs) of its key in the frame.
+/// The linear backward scan it replaces is the test oracle
+/// (tests/WholeProgramSliceOracle.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TWPP_SLICING_WHOLEPROGRAMSLICER_H
@@ -34,6 +43,7 @@
 #include "slicing/IrSliceBridge.h"
 #include "trace/Events.h"
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -44,14 +54,11 @@ struct GlobalNode {
   FunctionId Function;
   BlockId Node; ///< Slice node id within that function's bridge.
 
-  bool operator==(const GlobalNode &Other) const = default;
-  bool operator<(const GlobalNode &Other) const {
-    return Function != Other.Function ? Function < Other.Function
-                                      : Node < Other.Node;
-  }
+  auto operator<=>(const GlobalNode &Other) const = default;
 };
 
-/// The whole execution, instance by instance, with call linkage.
+/// The whole execution, instance by instance, with call linkage and
+/// per-frame timestamp indexes.
 class WholeProgramTrace {
 public:
   struct Instance {
@@ -67,20 +74,40 @@ public:
   };
 
   /// Builds the timeline from a raw trace of \p M. Bridges are built per
-  /// function internally.
+  /// function internally. Block and Exit events outside any frame, and
+  /// blocks the function does not have, are skipped.
   static WholeProgramTrace build(const Module &M, const RawTrace &Trace);
 
   const std::vector<Instance> &instances() const { return Instances; }
   const std::vector<FrameInfo> &frames() const { return Frames; }
   const IrSliceProgram &bridgeOf(FunctionId F) const { return Bridges[F]; }
 
-  /// Index of the last instance of \p Target (any function), or -1.
-  int64_t lastInstanceOf(GlobalNode Target) const;
+  /// The last instance before instance \p At in its frame that defines
+  /// \p Var (runs node \p Node), or -1. \p At must index instances().
+  int64_t lastDefBefore(size_t At, VarId Var) const;
+  int64_t lastRunBefore(size_t At, BlockId Node) const {
+    return Runs.lastBefore(Instances[At].Frame, Node - 1, At);
+  }
 
 private:
+  /// Ascending instance indices grouped by (frame, slot), where a
+  /// frame has one slot per node of its function and SlotOf maps an
+  /// instance to one of them (NoVar for none): slot S of frame F holds
+  /// Postings[PostingsOf[B], PostingsOf[B + 1]) for B = SlotsOf[F] + S.
+  struct TimestampIndex {
+    std::vector<uint32_t> SlotsOf, PostingsOf, Postings;
+    TimestampIndex() = default;
+    template <typename SlotFn>
+    TimestampIndex(const WholeProgramTrace &Trace, SlotFn SlotOf);
+    int64_t lastBefore(uint32_t Frame, uint32_t Slot, size_t At) const;
+  };
+
   std::vector<Instance> Instances;
   std::vector<FrameInfo> Frames;
   std::vector<IrSliceProgram> Bridges;
+  std::vector<std::vector<VarId>> DefVars; ///< Per function, sorted.
+  TimestampIndex Defs; ///< Slot: the defined variable's place in DefVars.
+  TimestampIndex Runs; ///< Slot: the node id less 1.
 };
 
 /// An interprocedural dynamic slice.
@@ -92,7 +119,8 @@ struct GlobalSliceResult {
 };
 
 /// Exact-instance backward slice of variable \p Var at instance
-/// \p InstanceIndex of the timeline.
+/// \p InstanceIndex of the timeline; empty when the index is out of
+/// range.
 GlobalSliceResult sliceWholeProgram(const WholeProgramTrace &Trace,
                                     const Module &M, size_t InstanceIndex,
                                     VarId Var);

@@ -26,6 +26,15 @@ Module compile(const std::string &Source) {
   return M;
 }
 
+/// The slice node of the \p Ordinal-th statement of \p Block (0-based),
+/// or 0 when out of range.
+BlockId nodeOf(const IrSliceProgram &Bridge, BlockId Block, size_t Ordinal) {
+  if (Block == 0 || Block > Bridge.NodesOfBlock.size())
+    return 0;
+  const auto &Nodes = Bridge.NodesOfBlock[Block - 1];
+  return Ordinal < Nodes.size() ? Nodes[Ordinal] : 0;
+}
+
 TEST(IrSliceBridgeTest, NodesAndEdges) {
   Module M = compile("fn main() {"
                      "  read a;"
@@ -56,10 +65,10 @@ TEST(IrSliceBridgeTest, NodesAndEdges) {
   EXPECT_EQ(Bridge.Program.stmt(6).ControlDep, 4u);
   EXPECT_EQ(Bridge.Program.stmt(7).ControlDep, 0u);
 
-  EXPECT_EQ(Bridge.nodeOf(1, 0), 1u);
-  EXPECT_EQ(Bridge.nodeOf(1, 3), 4u);
-  EXPECT_EQ(Bridge.nodeOf(1, 9), 0u);
-  EXPECT_EQ(Bridge.nodeOf(9, 0), 0u);
+  EXPECT_EQ(nodeOf(Bridge, 1, 0), 1u);
+  EXPECT_EQ(nodeOf(Bridge, 1, 3), 4u);
+  EXPECT_EQ(nodeOf(Bridge, 1, 9), 0u);
+  EXPECT_EQ(nodeOf(Bridge, 9, 0), 0u);
 }
 
 TEST(IrSliceBridgeTest, EndToEndSliceExcludesUntakenArm) {
