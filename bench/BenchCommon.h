@@ -20,6 +20,7 @@
 #include "obs/Names.h"
 #include "obs/SelfProfile.h"
 #include "obs/Trace.h"
+#include "support/CliCommon.h"
 #include "support/Parallel.h"
 #include "support/Stats.h"
 #include "support/TablePrinter.h"
@@ -154,11 +155,16 @@ private:
 
 /// Parses the `--jobs N` flag shared by the bench binaries (0 = one
 /// worker per hardware thread; absent = serial, matching the paper runs).
+/// A missing or malformed value exits with the usage code.
 inline ParallelConfig parseParallelConfig(int Argc, char **Argv) {
   ParallelConfig Config;
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--jobs") == 0)
-      Config.Jobs = static_cast<unsigned>(std::atoi(Argv[I + 1]));
+  for (int I = 1; I < Argc; ++I)
+    if (std::strcmp(Argv[I], "--jobs") == 0 &&
+        (I + 1 == Argc || !cli::parseJobs(Argv[++I], Config.Jobs))) {
+      std::fprintf(stderr, "--jobs takes a value from 0 to %u\n",
+                   cli::MaxJobs);
+      std::exit(cli::ExitUsage);
+    }
   return Config;
 }
 

@@ -22,7 +22,8 @@
 //
 //   --jobs N               Fan the function-level compaction stages out
 //                          over N worker threads (0 = one per hardware
-//                          thread). Archives are byte-identical for any N.
+//                          thread, at most 1024; anything else is a usage
+//                          error). Archives are byte-identical for any N.
 //   --metrics-out <path>   Collect pipeline telemetry and write it out.
 //   --metrics-format FMT   Format for --metrics-out: json (default) or
 //                          prom (Prometheus text exposition).
@@ -47,6 +48,7 @@
 #include "obs/SelfProfile.h"
 #include "obs/Trace.h"
 #include "runtime/Interpreter.h"
+#include "support/CliCommon.h"
 #include "support/FileIO.h"
 #include "trace/UncompactedFile.h"
 #include "verify/Verify.h"
@@ -75,7 +77,7 @@ int usage() {
       "       twpp_tool reconstruct <archive.twpp> <out.owpp>\n"
       "global options:\n"
       "       --jobs N               parallel compaction worker threads\n"
-      "                              (0 = all hardware threads)\n"
+      "                              (0 = all hardware threads, max 1024)\n"
       "       --metrics-out <path>   write pipeline telemetry\n"
       "       --metrics-format FMT   json (default) or prom (Prometheus\n"
       "                              text exposition) for --metrics-out\n"
@@ -369,9 +371,8 @@ int main(int Argc, char **Argv) {
         return usage();
       TraceOut = Argv[++I];
     } else if (std::strcmp(Argv[I], "--jobs") == 0) {
-      if (I + 1 >= Argc)
+      if (I + 1 >= Argc || !cli::parseJobs(Argv[++I], Jobs.Jobs))
         return usage();
-      Jobs.Jobs = static_cast<unsigned>(std::atoi(Argv[++I]));
     } else if (std::strcmp(Argv[I], "--journal") == 0) {
       if (I + 1 >= Argc)
         return usage();

@@ -14,7 +14,7 @@
 ///
 ///   fd --read--> FrameDecoder --resync--> SequenceTracker --in order-->
 ///     bounded queue --dispatcher--> StreamingCompactor --drain-->
-///       takeCompacted(ThreadPool) --> <out>.p<ID>.twppa
+///       takeCompacted(parallelFor) --> <out>.p<ID>.twppa
 ///
 /// Robustness is the contract, not a feature: every wire-level failure
 /// (corrupt/truncated frames, duplicates, reordering, stalls, idle or
@@ -193,8 +193,8 @@ struct IngestReport {
 ///
 /// run() spawns one reader thread per connection plus a dispatcher,
 /// consumes every stream to EOF (or idle timeout), drains the queue,
-/// compacts each producer in parallel on the ThreadPool and writes the
-/// archives. The server owns the fds.
+/// compacts each producer with its function tables fanned out through
+/// parallelFor and writes the archives. The server owns the fds.
 class IngestServer {
 public:
   explicit IngestServer(const IngestConfig &Config);

@@ -49,8 +49,7 @@ std::string boundsLabel(const std::vector<uint64_t> &Bounds, size_t Bucket) {
 void names::registerCanonicalMetrics(MetricsRegistry &Registry) {
   for (const char *Name :
        {SequiturSymbols, SequiturRulesCreated, SequiturRulesDeleted,
-        SequiturSubstitutions, PoolTasks, PoolSteals, PartitionCalls,
-        PartitionBlockEvents,
+        SequiturSubstitutions, PartitionCalls, PartitionBlockEvents,
         PartitionUniqueTraces, DbbChains, DbbLookups, DbbLookupHits,
         TimestampSets, TimestampValues, TimestampRuns, LzwCompressCalls,
         LzwCompressBytesIn, LzwCompressBytesOut, LzwDictEntries,
@@ -78,18 +77,16 @@ void names::registerCanonicalMetrics(MetricsRegistry &Registry) {
         IngestIdleTimeouts, IngestDisconnects, IngestSynthesizedExits,
         IngestResumes, IngestCheckpoints, IngestCheckpointFailures})
     Registry.counter(Name);
-  for (const char *Name : {PoolWorkers, PoolQueueDepth, PartitionBytesIn,
-                           PartitionBytesOut, DbbBytesIn, DbbBytesOut,
-                           TwppBytesIn, TwppBytesOut, ArchiveBytes,
-                           StreamStateBytes, ArenaDecodeReservedBytes,
-                           MemRssBytes, MemPeakBytes, MemTrackedLiveBytes,
-                           MemTrackedPeakBytes, MemAllocs, SelfprofFunctions,
-                           SelfprofArchiveBytes, SelfprofTraceJsonBytes,
-                           IngestQueueDepthPeak, IngestEventsPerSec})
+  for (const char *Name :
+       {PartitionBytesIn, PartitionBytesOut, DbbBytesIn, DbbBytesOut,
+        TwppBytesIn, TwppBytesOut, ArchiveBytes, StreamStateBytes,
+        ArenaDecodeReservedBytes, MemRssBytes, MemPeakBytes,
+        MemTrackedLiveBytes, MemTrackedPeakBytes, MemAllocs,
+        SelfprofFunctions, SelfprofArchiveBytes, SelfprofTraceJsonBytes,
+        IngestQueueDepthPeak, IngestEventsPerSec})
     Registry.gauge(Name);
   Registry.histogram(PartitionTraceLength, powerOfTwoBounds(1u << 20));
   Registry.histogram(ArchiveBlockBytes, powerOfTwoBounds(1u << 24));
-  Registry.histogram(PoolTaskLatency, powerOfTwoBounds(1u << 20));
 }
 
 std::string obs::renderMetricsTable(const MetricsRegistry &Registry) {

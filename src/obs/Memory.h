@@ -94,7 +94,6 @@ inline constexpr const char *DbbTables = "dbb.tables";
 inline constexpr const char *TwppTables = "twpp.tables";
 inline constexpr const char *StreamState = "stream.state";
 inline constexpr const char *SequiturGrammar = "sequitur.grammar";
-inline constexpr const char *PoolQueue = "pool.queue";
 /// Bytes currently memory-mapped by archive readers (support/Mmap.h).
 inline constexpr const char *ArchiveMmap = "archive.mmap";
 /// Pooled decode-scratch bytes held by read-path arenas (support/Arena.h).
@@ -102,9 +101,9 @@ inline constexpr const char *ArenaDecode = "arena.decode";
 } // namespace memtags
 
 /// One tag's running byte ledger. All members are plain atomics so accounts
-/// can be fed concurrently from pool workers; recording is NOT gated here —
-/// gating happens in the memAlloc/memFree helpers and at call sites that
-/// cache an account.
+/// can be fed concurrently from parallelFor workers; recording is NOT
+/// gated here — gating happens in the memAlloc/memFree helpers and at
+/// call sites that cache an account.
 class MemAccount {
 public:
   void recordAlloc(uint64_t Bytes) {

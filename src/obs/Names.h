@@ -26,14 +26,6 @@ inline constexpr const char *SequiturRulesCreated = "sequitur.rules_created";
 inline constexpr const char *SequiturRulesDeleted = "sequitur.rules_deleted";
 inline constexpr const char *SequiturSubstitutions = "sequitur.substitutions";
 
-// support/ThreadPool — the work-stealing pool behind the parallel
-// pipeline stages (--jobs N).
-inline constexpr const char *PoolWorkers = "pool.workers";
-inline constexpr const char *PoolTasks = "pool.tasks";
-inline constexpr const char *PoolSteals = "pool.steals";
-inline constexpr const char *PoolQueueDepth = "pool.queue_depth";
-inline constexpr const char *PoolTaskLatency = "pool.task_latency_us";
-
 // wpp/Partition + wpp/Streaming — stages 1+2 (partitioning, redundant
 // path trace elimination).
 inline constexpr const char *PartitionCalls = "partition.calls";

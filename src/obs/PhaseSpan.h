@@ -21,10 +21,10 @@
 /// Spans may carry one numeric arg ("function": 12) that surfaces in the
 /// exported trace.
 ///
-/// Tasks running on pool workers lose the enqueuing thread's span stack;
-/// ScopedRoot re-installs the captured path as the worker-side root so a
-/// task's spans aggregate under "compact/dbb/pool" instead of a bare
-/// "pool" (see support/ThreadPool.cpp).
+/// parallelFor workers lose the calling thread's span stack; ScopedRoot
+/// re-installs the captured path as the worker-side root so a worker's
+/// spans aggregate under "compact/dbb/pool" instead of a bare "pool"
+/// (see support/Parallel.cpp).
 ///
 /// When both collection and tracing are disabled a span costs two
 /// relaxed atomic loads and records nothing.
@@ -92,8 +92,8 @@ public:
   const std::string &path() const { return Path; }
 
   /// The path of the innermost live span on this thread (the external
-  /// root when none is open) — what ThreadPool::run captures to parent a
-  /// task's worker-side spans.
+  /// root when none is open) — what parallelFor captures to parent its
+  /// workers' spans.
   static std::string currentPath() {
     if (PhaseSpan *Top = currentSpan())
       return Top->Path;
@@ -102,8 +102,9 @@ public:
 
   /// Installs \p Root as this thread's span-path root for the guard's
   /// lifetime: spans opened with no live parent prefix their path with
-  /// it. Used by pool workers to nest task spans under the enqueuing
-  /// phase ("compact/dbb"). Nesting guards restores the previous root.
+  /// it. Used by parallelFor workers to nest their spans under the
+  /// calling phase ("compact/dbb"). Nesting guards restores the previous
+  /// root.
   class ScopedRoot {
   public:
     explicit ScopedRoot(std::string Root)

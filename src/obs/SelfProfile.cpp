@@ -186,10 +186,10 @@ twpp::obs::adaptSpanRecords(const std::vector<std::vector<TraceRecord>> &PerThre
     }
   }
 
-  // Pass 2: graft worker-side roots under the span that enqueued them
-  // (the flow arrow's origin), reproducing PhaseSpan::ScopedRoot's
-  // "compact/dbb/pool" attribution from the trace alone. A root is a
-  // pool-task slice iff it recorded a flow finish — thread indices are
+  // Pass 2: graft worker-side roots under the span that started their
+  // flow arrow, reproducing PhaseSpan::ScopedRoot's "compact/dbb/pool"
+  // attribution from the trace alone. A root is a parallelFor worker
+  // slice iff it recorded a flow finish — thread indices are
   // ring-creation order, not "main first" (a metrics poller thread can
   // claim tid 0), so the stream itself is the only reliable signal.
   // Slices with no matching origin keep their stream under a

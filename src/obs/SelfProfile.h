@@ -27,9 +27,9 @@
 /// tools/twpp_selfprof needs to report hottest paths per pipeline stage
 /// and inclusive/exclusive time, purely from the archive.
 ///
-/// Cross-thread sequencing reuses the pool's flow arrows: a worker-side
+/// Cross-thread sequencing reuses parallelFor's flow arrows: a worker-side
 /// root span containing traceFlowFinish(id) is grafted under the span
-/// that recorded traceFlowStart(id) on the enqueuing thread, so the
+/// that recorded traceFlowStart(id) on the calling thread, so the
 /// per-worker streams merge into one well-nested order (mirroring
 /// PhaseSpan::ScopedRoot's aggregation paths). Ring wraparound, torn
 /// reads, unmatched flows and registry overflow all degrade into

@@ -18,12 +18,12 @@
 ///   * Begin/End   — duration slices, emitted by obs::PhaseSpan;
 ///   * Instant     — point events ("archive encoded");
 ///   * Counter     — sampled values (queue depth, stage bytes);
-///   * FlowStart / FlowFinish — arrows linking a ThreadPool task's
-///     enqueue site to its execution on a worker thread, which is what
-///     stitches the cross-thread fan-out back into one timeline.
+///   * FlowStart / FlowFinish — arrows linking a parallelFor caller to
+///     each of its worker threads, which is what stitches the
+///     cross-thread fan-out back into one timeline.
 ///
 /// Like the metrics core, the recorder is header-only on purpose:
-/// support/ (LZW, ThreadPool) sits below every other library yet emits
+/// support/ (LZW, parallelFor) sits below every other library yet emits
 /// events, so recording must not force a link dependency. Only the JSON
 /// exporter (exportTraceJson) lives in twpp_obs (obs/Trace.cpp).
 ///
@@ -127,7 +127,7 @@ struct TraceRecord {
 
 /// One thread's fixed-capacity ring. Single writer (the owning thread);
 /// snapshots are taken only while no thread is recording (the exporters
-/// run after pools have joined).
+/// run after parallelFor workers have joined).
 class TraceRing {
 public:
   TraceRing(uint32_t Tid, std::string Name, size_t Capacity)
@@ -294,7 +294,7 @@ public:
   };
 
   /// Drains every ring, oldest events first per thread. Call only while
-  /// no thread is recording (pools joined, spans closed or about to be
+  /// no thread is recording (workers joined, spans closed or about to be
   /// synthesized closed by the exporter).
   std::vector<ThreadSnapshot> snapshot() const {
     std::lock_guard<std::mutex> Lock(M);

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The conventions every twpp_* tool shares, in one place so they cannot
-/// drift: the 0/1/2 exit contract, `--flag=value` matching, and the
-/// common `--format=` flag. Header-only and link-free.
+/// drift: the 0/1/2 exit contract, `--flag=value` matching, the common
+/// `--format=` flag and `--jobs` values. Header-only and link-free.
 ///
 /// Exit contract (shared by every tool, asserted by CI):
 ///
@@ -75,6 +75,28 @@ parseFormatFlag(const std::string &Arg, std::string &Format,
       return FlagParse::Ok;
     }
   return FlagParse::Bad;
+}
+
+/// Largest accepted `--jobs` value: parallelFor starts one thread per job
+/// (up to one per function), so a typo must not become thousands.
+inline constexpr unsigned MaxJobs = 1024;
+
+/// Parses a `--jobs` value: decimal digits only, 0 ("one per hardware
+/// thread") through MaxJobs. \returns false for anything else (a sign,
+/// trailing junk, an empty or too-large value) — a usage error.
+inline bool parseJobs(const std::string &Text, unsigned &Jobs) {
+  if (Text.empty())
+    return false;
+  unsigned Value = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return false;
+    Value = Value * 10 + static_cast<unsigned>(C - '0');
+    if (Value > MaxJobs)
+      return false;
+  }
+  Jobs = Value;
+  return true;
 }
 
 } // namespace cli

@@ -9,8 +9,8 @@
 /// parallelFor, the fan-out helper they share. The paper's partitioned WPP
 /// makes per-function work independent (Section 2), so the function-level
 /// stages — DBB compaction, TWPP conversion, archive block encoding — fan
-/// out one task per function table over a work-stealing pool
-/// (support/ThreadPool.h).
+/// out one index per function table over a few short-lived threads that
+/// claim indices from one shared counter.
 ///
 /// Parallel runs are bit-for-bit deterministic: every task writes only its
 /// own pre-allocated output slot and all cross-function ordering (archive
@@ -38,15 +38,15 @@ struct ParallelConfig {
 
   /// Jobs with 0 resolved against the hardware.
   unsigned effectiveJobs() const;
-
-  /// True when this config fans work out to a pool.
-  bool parallel() const { return effectiveJobs() > 1; }
 };
 
-/// Runs Fn(0), ..., Fn(N-1), fanning out over a work-stealing pool of
-/// min(Config.effectiveJobs(), N) workers; inline on the calling thread
-/// when the config is serial or N < 2. Fn must not throw; iterations must
-/// be independent (each writing only its own output slot).
+/// Runs Fn(0), ..., Fn(N-1) on min(Config.effectiveJobs(), N) new worker
+/// threads that claim indices in order from one atomic counter, and
+/// returns when all have joined; inline on the calling thread when that
+/// count is 1. Each worker runs under one "pool" span rooted at the
+/// caller's span path and finishes one "pool.task" flow arrow the caller
+/// started. Fn must not throw; iterations must be independent (each
+/// writing only its own output slot).
 void parallelFor(const ParallelConfig &Config, size_t N,
                  const std::function<void(size_t)> &Fn);
 

@@ -420,9 +420,8 @@ std::vector<uint8_t> twpp::encodeArchive(const TwppWpp &Wpp,
 }
 
 std::vector<uint8_t>
-twpp::encodeConcurrentArchive(const ConcurrentWpp &Wpp,
-                              const ParallelConfig &Config) {
-  return encodeArchiveImpl(Wpp.Body, Config, &Wpp.Conc);
+twpp::encodeConcurrentArchive(const ConcurrentWpp &Wpp) {
+  return encodeArchiveImpl(Wpp.Body, ParallelConfig{}, &Wpp.Conc);
 }
 
 bool twpp::writeArchiveFile(const std::string &Path, const TwppWpp &Wpp,
@@ -435,10 +434,8 @@ bool twpp::writeArchiveFile(const std::string &Path, const TwppWpp &Wpp,
 
 bool twpp::writeConcurrentArchiveFile(const std::string &Path,
                                       const ConcurrentWpp &Wpp,
-                                      const ParallelConfig &Config,
                                       IoError *Err) {
-  IoError Result =
-      writeFileBytesAtomic(Path, encodeConcurrentArchive(Wpp, Config));
+  IoError Result = writeFileBytesAtomic(Path, encodeConcurrentArchive(Wpp));
   if (Err)
     *Err = Result;
   return Result.ok();

@@ -182,14 +182,11 @@ bool decodeArchiveLayout(ByteSpan File, ArchiveLayout &Out,
 
 /// Serializes a thread-aware concurrent WPP: the merged body in the
 /// version-2 layout plus the THRD/HBEG/ACCS section trailer.
-std::vector<uint8_t>
-encodeConcurrentArchive(const ConcurrentWpp &Wpp,
-                        const ParallelConfig &Config = {});
+std::vector<uint8_t> encodeConcurrentArchive(const ConcurrentWpp &Wpp);
 
 /// writeArchiveFile for concurrent WPPs (version-2 bytes).
 bool writeConcurrentArchiveFile(const std::string &Path,
                                 const ConcurrentWpp &Wpp,
-                                const ParallelConfig &Config = {},
                                 IoError *Err = nullptr);
 
 /// Random-access reader over an archive file. open() maps the file (or,

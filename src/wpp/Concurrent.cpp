@@ -49,22 +49,10 @@ twpp::buildAccessTables(const ConcurrentTrace &Trace) {
   return Tables;
 }
 
-ConcurrentWpp twpp::compactConcurrentWpp(const ConcurrentTrace &Trace,
-                                         const ParallelConfig &Config) {
+ConcurrentWpp twpp::compactConcurrentWpp(const ConcurrentTrace &Trace) {
   obs::PhaseSpan Span("compact_concurrent");
   uint32_t ThreadCount = static_cast<uint32_t>(Trace.Threads.size());
   uint32_t FunctionCount = Trace.FunctionCount;
-
-  // Threads are independent single-threaded WPPs; fan them out whole.
-  // Each inner pipeline runs serially so the outer loop is the only
-  // scheduling dimension — the merge below consumes results in thread
-  // order, so the bytes cannot depend on the job count.
-  std::vector<TwppWpp> PerThread(ThreadCount);
-  parallelFor(Config, ThreadCount, [&Trace, &PerThread](size_t T) {
-    obs::PhaseSpan ThreadSpan("compact_thread", "thread",
-                              static_cast<int64_t>(T));
-    PerThread[T] = compactWpp(Trace.Threads[T].Trace, ParallelConfig{1});
-  });
 
   ConcurrentWpp Out;
   Out.Conc.FunctionCount = FunctionCount;
@@ -73,7 +61,13 @@ ConcurrentWpp twpp::compactConcurrentWpp(const ConcurrentTrace &Trace,
   for (uint32_t T = 0; T != ThreadCount; ++T) {
     Out.Conc.Threads[T] = {Trace.Threads[T].Id,
                            Trace.Threads[T].Trace.blockEventCount()};
-    TwppWpp &Wpp = PerThread[T];
+    // Threads are independent single-threaded WPPs, compacted whole.
+    TwppWpp Wpp;
+    {
+      obs::PhaseSpan ThreadSpan("compact_thread", "thread",
+                                static_cast<int64_t>(T));
+      Wpp = compactWpp(Trace.Threads[T].Trace);
+    }
     assert(Wpp.Functions.size() == FunctionCount &&
            "per-thread compaction must cover the shared function space");
     // Thread-major virtual ids: thread T's function F lands at

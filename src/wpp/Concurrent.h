@@ -78,11 +78,9 @@ struct ConcurrentWpp {
 /// Builds the per-thread access tables from a trace's access stream.
 std::vector<ThreadAccessTable> buildAccessTables(const ConcurrentTrace &Trace);
 
-/// Compacts every thread of \p Trace (threads fan out under \p Config;
-/// the merge order is fixed, so the result is identical for any job
-/// count) and derives the happens-before edges.
-ConcurrentWpp compactConcurrentWpp(const ConcurrentTrace &Trace,
-                                   const ParallelConfig &Config = {});
+/// Compacts every thread of \p Trace in thread order and derives the
+/// happens-before edges.
+ConcurrentWpp compactConcurrentWpp(const ConcurrentTrace &Trace);
 
 /// Extracts thread \p ThreadIndex's single-threaded compacted WPP from
 /// the merged body (virtual ids sliced back to the real function space).

@@ -121,9 +121,9 @@ public:
 
   /// Convenience: runs the remaining pipeline stages (DBB + TWPP) on the
   /// partitioned result. The stream must be balanced. Once the stream has
-  /// drained, each finished function table is handed to the work-stealing
-  /// pool as one task under \p Config; the result is byte-identical to
-  /// the serial path for any job count.
+  /// drained, the finished function tables fan out through parallelFor
+  /// under \p Config; the result is byte-identical to the serial path for
+  /// any job count.
   TwppWpp takeCompacted(const ParallelConfig &Config = {});
 
 private:

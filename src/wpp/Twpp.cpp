@@ -236,10 +236,9 @@ PartitionedWpp twpp::dbbToPartitioned(const DbbWpp &Wpp) {
   return Out;
 }
 
-TwppWpp twpp::compactWpp(const RawTrace &Trace, const ParallelConfig &Config) {
+TwppWpp twpp::compactWpp(const RawTrace &Trace) {
   obs::PhaseSpan Span("compact");
-  TwppWpp Out = convertToTwpp(applyDbbCompaction(partitionWpp(Trace), Config),
-                              Config);
+  TwppWpp Out = convertToTwpp(applyDbbCompaction(partitionWpp(Trace)));
   maybeVerifyWpp(Out, "compact");
   return Out;
 }

@@ -121,10 +121,9 @@ DbbWpp twppToDbb(const TwppWpp &Wpp);
 /// Inverse of applyDbbCompaction (expands every (string, dictionary) pair).
 PartitionedWpp dbbToPartitioned(const DbbWpp &Wpp);
 
-/// Runs the whole pipeline: raw event stream to compacted TWPP. The DBB
-/// and TWPP stages fan out per function under \p Config (partitioning
-/// itself is a serial stack walk).
-TwppWpp compactWpp(const RawTrace &Trace, const ParallelConfig &Config = {});
+/// Runs the whole pipeline serially: raw event stream to compacted TWPP.
+/// Callers that fan out call the three stages with their own config.
+TwppWpp compactWpp(const RawTrace &Trace);
 
 /// Inverse of compactWpp: rebuilds the exact original event stream.
 RawTrace reconstructRawTrace(const TwppWpp &Wpp);

@@ -66,19 +66,6 @@ TEST(ConcurrentArchiveTest, RoundTrip) {
   std::remove(Path.c_str());
 }
 
-TEST(ConcurrentArchiveTest, EncodeDeterministicAcrossJobs) {
-  ConcurrentProfile P = testConcurrentProfiles()[2]; // pipelined
-  ConcurrentTrace Trace = generateConcurrentTrace(P);
-  ConcurrentWpp Wpp1 = compactConcurrentWpp(Trace, ParallelConfig::withJobs(1));
-  ConcurrentWpp Wpp8 = compactConcurrentWpp(Trace, ParallelConfig::withJobs(8));
-  EXPECT_EQ(Wpp1.Conc, Wpp8.Conc);
-  std::vector<uint8_t> Bytes1 =
-      encodeConcurrentArchive(Wpp1, ParallelConfig::withJobs(1));
-  std::vector<uint8_t> Bytes8 =
-      encodeConcurrentArchive(Wpp8, ParallelConfig::withJobs(8));
-  EXPECT_EQ(Bytes1, Bytes8);
-}
-
 TEST(ConcurrentArchiveTest, SingleThreadedArchivesStayVersion1) {
   ConcurrentWpp Wpp = buildSmall();
   // The merged body alone through the v1 encoder: version field 1, no

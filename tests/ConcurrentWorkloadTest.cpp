@@ -42,23 +42,6 @@ TEST(ConcurrentWorkloadTest, RaceVerdictsMatchProfileIntent) {
   }
 }
 
-TEST(ConcurrentWorkloadTest, CompactionIsJobCountInvariant) {
-  for (const ConcurrentProfile &P : testConcurrentProfiles()) {
-    ConcurrentTrace Trace = generateConcurrentTrace(P);
-    ConcurrentWpp Jobs1 =
-        compactConcurrentWpp(Trace, ParallelConfig::withJobs(1));
-    ConcurrentWpp Jobs8 =
-        compactConcurrentWpp(Trace, ParallelConfig::withJobs(8));
-    EXPECT_EQ(Jobs1.Conc, Jobs8.Conc) << P.Name;
-    ASSERT_EQ(Jobs1.Body.Functions.size(), Jobs8.Body.Functions.size())
-        << P.Name;
-    for (uint32_t T = 0; T != P.Threads; ++T)
-      EXPECT_EQ(reconstructThreadTrace(Jobs1, T),
-                reconstructThreadTrace(Jobs8, T))
-          << P.Name << " thread " << T;
-  }
-}
-
 TEST(ConcurrentWorkloadTest, CompactionRoundTripsEveryThread) {
   for (const ConcurrentProfile &P : testConcurrentProfiles()) {
     ConcurrentTrace Trace = generateConcurrentTrace(P);

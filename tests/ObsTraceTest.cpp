@@ -11,7 +11,7 @@
 #include "obs/Names.h"
 #include "obs/PhaseSpan.h"
 #include "obs/Trace.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 
 #include <gtest/gtest.h>
 
@@ -460,17 +460,14 @@ TEST_F(ObsTraceTest, ExportEscapesHostileNames) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cross-thread flows and span attribution through the pool
+// Cross-thread flows and span attribution through parallelFor
 //===----------------------------------------------------------------------===//
 
 TEST_F(ObsTraceTest, PoolFlowIdsMatchAcrossEnqueueAndExecute) {
-  constexpr int TaskCount = 8;
+  constexpr size_t Workers = 2;
   {
-    obs::PhaseSpan Enqueue("compact");
-    ThreadPool Pool(2);
-    for (int I = 0; I < TaskCount; ++I)
-      Pool.run([] {});
-    Pool.wait();
+    obs::PhaseSpan Caller("compact");
+    parallelFor(ParallelConfig::withJobs(Workers), 8, [](size_t) {});
   }
 
   std::multiset<uint64_t> Started, Finished;
@@ -485,11 +482,11 @@ TEST_F(ObsTraceTest, PoolFlowIdsMatchAcrossEnqueueAndExecute) {
         FinishTids.insert(T.Tid);
       }
     }
-  EXPECT_EQ(Started.size(), static_cast<size_t>(TaskCount));
-  EXPECT_EQ(Started, Finished); // every arrow lands exactly once
+  EXPECT_EQ(Started.size(), Workers); // one arrow per worker
+  EXPECT_EQ(Started, Finished);        // every arrow lands exactly once
   for (uint64_t Id : Started)
     EXPECT_NE(Id, 0u);
-  // Execution happens on pool workers, never on the enqueuing thread.
+  // Execution happens on worker threads, never on the calling thread.
   for (long Tid : FinishTids)
     EXPECT_FALSE(StartTids.count(Tid));
 
@@ -515,10 +512,8 @@ TEST_F(ObsTraceTest, PoolTaskSpansNestUnderEnqueuingPhase) {
   {
     obs::PhaseSpan Outer("compact");
     obs::PhaseSpan Stage("dbb");
-    ThreadPool Pool(2);
-    for (int I = 0; I < 4; ++I)
-      Pool.run([] { obs::PhaseSpan Work("task_work"); });
-    Pool.wait();
+    parallelFor(ParallelConfig::withJobs(2), 4,
+                [](size_t) { obs::PhaseSpan Work("task_work"); });
   }
 
   std::set<std::string> Paths;
@@ -526,9 +521,9 @@ TEST_F(ObsTraceTest, PoolTaskSpansNestUnderEnqueuingPhase) {
     Paths.insert(Span.Path);
   EXPECT_TRUE(Paths.count("compact"));
   EXPECT_TRUE(Paths.count("compact/dbb"));
-  // The worker-side wrapper span inherits the enqueuing thread's path...
+  // The worker-side wrapper span inherits the calling thread's path...
   EXPECT_TRUE(Paths.count("compact/dbb/pool")) << "no attributed pool span";
-  // ...and spans the task opens itself nest beneath it.
+  // ...and spans the loop body opens nest beneath it.
   EXPECT_TRUE(Paths.count("compact/dbb/pool/task_work"));
   EXPECT_FALSE(Paths.count("pool")) << "unattributed root pool span";
 
@@ -539,15 +534,14 @@ TEST_F(ObsTraceTest, PoolTaskSpansNestUnderEnqueuingPhase) {
 }
 
 TEST_F(ObsTraceTest, AttributionWorksWithMetricsOnlyToo) {
-  // Tracing off, metrics on: the pool still captures the enqueue path.
+  // Tracing off, metrics on: the workers still inherit the caller's path.
   obs::setTracingEnabled(false);
   obs::setMetricsEnabled(true);
   obs::metrics().reset();
   {
     obs::PhaseSpan Stage("dbb");
-    ThreadPool Pool(1);
-    Pool.run([] { obs::PhaseSpan Work("task_work"); });
-    Pool.wait();
+    parallelFor(ParallelConfig::withJobs(2), 2,
+                [](size_t) { obs::PhaseSpan Work("task_work"); });
   }
   std::set<std::string> Paths;
   for (const auto &Span : obs::metrics().spanSnapshot())

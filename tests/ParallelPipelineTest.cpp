@@ -1,19 +1,18 @@
-//===- tests/ParallelPipelineTest.cpp - pool + parallel determinism --------===//
+//===- tests/ParallelPipelineTest.cpp - parallelFor + determinism ---------===//
 //
 // Part of the TWPP reproduction of Zhang & Gupta, PLDI 2001.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unit tests for the work-stealing ThreadPool / parallelFor, and the
-/// determinism guarantee of the parallel compaction path: for any job
-/// count the pipeline must produce results — down to the archive bytes —
-/// identical to the serial path.
+/// Unit tests for parallelFor, and the determinism guarantee of the
+/// parallel compaction path: for any job count the pipeline must produce
+/// results — down to the archive bytes — identical to the serial path.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/FileIO.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 #include "workloads/Workload.h"
 #include "wpp/Archive.h"
 #include "wpp/Streaming.h"
@@ -34,76 +33,6 @@ namespace {
 
 std::string tempPath(const std::string &Name) {
   return ::testing::TempDir() + "/" + Name;
-}
-
-//===----------------------------------------------------------------------===//
-// ThreadPool
-//===----------------------------------------------------------------------===//
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  ThreadPool Pool(4);
-  EXPECT_EQ(Pool.workerCount(), 4u);
-  constexpr int TaskCount = 500;
-  std::vector<std::atomic<int>> Hits(TaskCount);
-  for (int I = 0; I < TaskCount; ++I)
-    Pool.run([&Hits, I] { Hits[I].fetch_add(1, std::memory_order_relaxed); });
-  Pool.wait();
-  for (int I = 0; I < TaskCount; ++I)
-    EXPECT_EQ(Hits[I].load(), 1) << "task " << I;
-  EXPECT_EQ(Pool.taskCount(), static_cast<uint64_t>(TaskCount));
-}
-
-TEST(ThreadPool, WaitWithNoTasksReturns) {
-  ThreadPool Pool(2);
-  Pool.wait();
-  Pool.wait(); // wait() is idempotent.
-  EXPECT_EQ(Pool.taskCount(), 0u);
-}
-
-TEST(ThreadPool, ReusableAfterWait) {
-  ThreadPool Pool(3);
-  std::atomic<int> Sum{0};
-  for (int Round = 0; Round < 5; ++Round) {
-    for (int I = 0; I < 64; ++I)
-      Pool.run([&Sum] { Sum.fetch_add(1, std::memory_order_relaxed); });
-    Pool.wait();
-    EXPECT_EQ(Sum.load(), (Round + 1) * 64);
-  }
-}
-
-TEST(ThreadPool, TasksMaySpawnSubtasks) {
-  // run() from inside a task must be legal and the subtasks must finish
-  // before wait() returns.
-  ThreadPool Pool(4);
-  std::atomic<int> Leaves{0};
-  for (int I = 0; I < 16; ++I)
-    Pool.run([&Pool, &Leaves] {
-      for (int J = 0; J < 8; ++J)
-        Pool.run([&Leaves] { Leaves.fetch_add(1, std::memory_order_relaxed); });
-    });
-  Pool.wait();
-  EXPECT_EQ(Leaves.load(), 16 * 8);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> Ran{0};
-  {
-    ThreadPool Pool(2);
-    for (int I = 0; I < 100; ++I)
-      Pool.run([&Ran] { Ran.fetch_add(1, std::memory_order_relaxed); });
-    // No wait(): the destructor must drain the queue before joining.
-  }
-  EXPECT_EQ(Ran.load(), 100);
-}
-
-TEST(ThreadPool, SingleWorkerPool) {
-  ThreadPool Pool(1);
-  std::atomic<int> Sum{0};
-  for (int I = 1; I <= 10; ++I)
-    Pool.run([&Sum, I] { Sum.fetch_add(I, std::memory_order_relaxed); });
-  Pool.wait();
-  EXPECT_EQ(Sum.load(), 55);
-  EXPECT_EQ(Pool.stealCount(), 0u); // Nobody to steal from.
 }
 
 //===----------------------------------------------------------------------===//
@@ -147,8 +76,6 @@ TEST(ParallelFor, MatchesSerialResult) {
 TEST(ParallelConfigTest, EffectiveJobs) {
   EXPECT_EQ(ParallelConfig::withJobs(1).effectiveJobs(), 1u);
   EXPECT_EQ(ParallelConfig::withJobs(6).effectiveJobs(), 6u);
-  EXPECT_FALSE(ParallelConfig::withJobs(1).parallel());
-  EXPECT_TRUE(ParallelConfig::withJobs(2).parallel());
   // Jobs = 0 resolves to the hardware concurrency, never to zero.
   EXPECT_GE(ParallelConfig::withJobs(0).effectiveJobs(), 1u);
 }
@@ -157,18 +84,25 @@ TEST(ParallelConfigTest, EffectiveJobs) {
 // Parallel pipeline determinism
 //===----------------------------------------------------------------------===//
 
+/// Runs the three fanned-out stages (DBB, TWPP, archive encode) under
+/// \p Config.
+std::vector<uint8_t> compactAndEncode(const RawTrace &Trace,
+                                      const ParallelConfig &Config,
+                                      TwppWpp &Wpp) {
+  Wpp = convertToTwpp(applyDbbCompaction(partitionWpp(Trace), Config),
+                      Config);
+  return encodeArchive(Wpp, Config);
+}
+
 /// Compacts \p Trace serially and with 8 jobs and asserts every stage
 /// result and the final archive bytes are identical.
 void checkJobCountInvariance(const RawTrace &Trace, const std::string &Tag) {
-  ParallelConfig Serial = ParallelConfig::withJobs(1);
-  ParallelConfig Wide = ParallelConfig::withJobs(8);
-
-  TwppWpp SerialWpp = compactWpp(Trace, Serial);
-  TwppWpp WideWpp = compactWpp(Trace, Wide);
+  TwppWpp SerialWpp, WideWpp;
+  std::vector<uint8_t> SerialBytes =
+      compactAndEncode(Trace, ParallelConfig::withJobs(1), SerialWpp);
+  std::vector<uint8_t> WideBytes =
+      compactAndEncode(Trace, ParallelConfig::withJobs(8), WideWpp);
   ASSERT_EQ(SerialWpp, WideWpp) << Tag;
-
-  std::vector<uint8_t> SerialBytes = encodeArchive(SerialWpp, Serial);
-  std::vector<uint8_t> WideBytes = encodeArchive(WideWpp, Wide);
   ASSERT_EQ(SerialBytes, WideBytes) << Tag << ": archive bytes differ";
 }
 
@@ -184,7 +118,7 @@ TEST(ParallelDeterminism, RandomTraces) {
 
 TEST(ParallelDeterminism, TestProfileWorkloads) {
   // The reduced-scale paper workloads: realistic shape, many functions,
-  // skewed per-function work — the case the work-stealing pool exists for.
+  // skewed per-function work.
   for (const WorkloadProfile &Profile : testProfiles()) {
     RawTrace Trace = generateWorkloadTrace(Profile);
     checkJobCountInvariance(Trace, Profile.Name);

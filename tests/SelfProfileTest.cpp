@@ -4,7 +4,7 @@
 //
 // Covers the span-path registry (obs/SpanRegistry.h), the B/E -> Enter/
 // Exit lowering (obs/SelfProfile.h adaptSpanRecords) including flow-id
-// grafting of pool-worker streams and ring-wraparound truncation, the
+// grafting of parallelFor worker streams and ring-wraparound truncation, the
 // sidecar round trip, and the end-to-end SelfProfiler run whose archive
 // must satisfy the full verifier.
 //
@@ -13,7 +13,7 @@
 #include "obs/PhaseSpan.h"
 #include "obs/SelfProfile.h"
 #include "obs/SpanRegistry.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 #include "verify/Verify.h"
 #include "wpp/Archive.h"
 
@@ -499,7 +499,7 @@ TEST(SelfProfileMeta, DecodeRejectsGarbage) {
 }
 
 //===----------------------------------------------------------------------===//
-// End to end: profile real PhaseSpans (through the pool), write the
+// End to end: profile real PhaseSpans (through parallelFor), write the
 // archive, verify it with the production verifier, read it back.
 //===----------------------------------------------------------------------===//
 
@@ -534,10 +534,8 @@ TEST_F(SelfProfilerEndToEnd, ArchiveVerifiesCleanAndMatchesSidecar) {
     }
     {
       obs::PhaseSpan Stage("dbb");
-      ThreadPool Pool(2);
-      for (int I = 0; I < 6; ++I)
-        Pool.run([] { obs::PhaseSpan Work("dbb_function"); });
-      Pool.wait();
+      parallelFor(ParallelConfig::withJobs(2), 6,
+                  [](size_t) { obs::PhaseSpan Work("dbb_function"); });
     }
   }
   obs::selfProfiler()->drain();
@@ -548,7 +546,8 @@ TEST_F(SelfProfilerEndToEnd, ArchiveVerifiesCleanAndMatchesSidecar) {
   EXPECT_EQ(obs::selfProfiler(), nullptr);
   EXPECT_FALSE(obs::tracingEnabled()) << "finish restores the prior flag";
 
-  EXPECT_GE(Stats.Spans, 9u); // compact, partition, dbb, 6x wrapped task
+  // compact, partition, dbb, 2x pool (one per worker), 6x dbb_function
+  EXPECT_GE(Stats.Spans, 11u);
   EXPECT_GT(Stats.Events, Stats.Spans);
   EXPECT_GT(Stats.Functions, 0u);
   EXPECT_GT(Stats.ArchiveBytes, 0u);
@@ -570,7 +569,7 @@ TEST_F(SelfProfilerEndToEnd, ArchiveVerifiesCleanAndMatchesSidecar) {
   EXPECT_EQ(Meta.FunctionPaths.size(), Wpp.Functions.size());
   EXPECT_EQ(Meta.Stats.Spans, Stats.Spans);
 
-  // The pool-worker spans were grafted under the enqueuing stage.
+  // The worker spans were grafted under the calling stage.
   bool SawGraft = false;
   for (const std::string &Path : Meta.FunctionPaths)
     SawGraft |= Path == "compact/dbb/pool/dbb_function";

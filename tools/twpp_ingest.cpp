@@ -34,7 +34,7 @@
 //   --policy=block|shed    backpressure policy (default block)
 //   --reorder-window=N     out-of-order frames buffered (default 16)
 //   --idle-timeout-ms=N    per-connection idle cutoff (default 10000)
-//   --jobs=N               compaction parallelism on drain
+//   --jobs=N               compaction parallelism on drain (0..1024)
 //   --scale=test|paper     workload scale for replay/produce
 //   --profile=NAME         use one named workload for every producer
 //   --seed=N               workload seed base (producer i adds i)
@@ -427,9 +427,8 @@ int main(int Argc, char **Argv) {
         return usage();
       Options.Config.IdleTimeoutMs = static_cast<unsigned>(Number);
     } else if (cli::flagValue(Arg, "jobs", Value)) {
-      if (!parseU64(Value, Number))
+      if (!cli::parseJobs(Value, Options.Config.Parallel.Jobs))
         return usage();
-      Options.Config.Parallel.Jobs = static_cast<unsigned>(Number);
     } else if (cli::flagValue(Arg, "scale", Value)) {
       if (Value != "test" && Value != "paper")
         return usage();
