@@ -160,7 +160,8 @@ inline ParallelConfig parseParallelConfig(int Argc, char **Argv) {
   ParallelConfig Config;
   for (int I = 1; I < Argc; ++I)
     if (std::strcmp(Argv[I], "--jobs") == 0 &&
-        (I + 1 == Argc || !cli::parseJobs(Argv[++I], Config.Jobs))) {
+        (I + 1 == Argc ||
+         !cli::parseUnsigned(Argv[++I], Config.Jobs, 0, cli::MaxJobs))) {
       std::fprintf(stderr, "--jobs takes a value from 0 to %u\n",
                    cli::MaxJobs);
       std::exit(cli::ExitUsage);

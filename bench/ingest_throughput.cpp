@@ -41,7 +41,7 @@ using namespace twpp::ingest;
 namespace {
 
 /// The replay streams: test-scale workload profiles, reseeded per
-/// producer exactly like `twpp_ingest replay` so numbers line up with
+/// producer exactly like `twpp ingest replay` so numbers line up with
 /// the CLI.
 std::vector<RawTrace> producerTraces(size_t Producers) {
   std::vector<WorkloadProfile> Profiles = testProfiles();

@@ -12,7 +12,7 @@
 //
 // --emit DIR additionally writes each profile's thread-aware archive to
 // DIR/<profile>.twpp (test-sized, seeded) so CI can smoke-test the
-// twpp_races CLI against known racy and race-free inputs.
+// twpp races CLI against known racy and race-free inputs.
 //
 //===----------------------------------------------------------------------===//
 

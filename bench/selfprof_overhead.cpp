@@ -14,7 +14,7 @@
 //
 // With --metrics-out, each mode is one labelled telemetry checkpoint, so
 // the committed BENCH_metrics.json carries the selfprof.* counters the
-// twpp_metrics_diff CI leg gates.
+// twpp metrics-diff CI leg gates.
 //
 //===----------------------------------------------------------------------===//
 

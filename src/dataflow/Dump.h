@@ -7,8 +7,8 @@
 /// \file
 /// Debug/visualization output: Graphviz dot renderings of the dynamic
 /// call graph and of timestamp-annotated dynamic CFGs, and a textual
-/// summary of a compacted WPP. Used by the twpp_tool example and handy
-/// when debugging compaction issues.
+/// summary of a compacted WPP. Used by the twpp CLI's stats and dot verbs
+/// and handy when debugging compaction issues.
 ///
 //===----------------------------------------------------------------------===//
 

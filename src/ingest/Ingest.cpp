@@ -52,10 +52,6 @@
 using namespace twpp;
 using namespace twpp::ingest;
 
-const char *ingest::backpressurePolicyName(BackpressurePolicy Policy) {
-  return Policy == BackpressurePolicy::Block ? "block" : "shed";
-}
-
 bool ingest::parseBackpressurePolicy(const std::string &Text,
                                      BackpressurePolicy &Policy) {
   if (Text == "block") {
@@ -70,6 +66,17 @@ bool ingest::parseBackpressurePolicy(const std::string &Text,
 }
 
 namespace {
+
+/// Transient read-error retries per connection before it is treated as
+/// disconnected; retry k backs off RetryBackoffMs << (k-1).
+constexpr unsigned ReadRetryLimit = 3;
+constexpr unsigned RetryBackoffMs = 1;
+/// read() chunk size. Frames routinely straddle chunk edges; the decoder
+/// is built for it.
+constexpr size_t ReadChunkBytes = 64 * 1024;
+/// Hello functionCount sanity cap: a CRC-valid Hello beyond it is invalid
+/// (a garbage count would pre-size that many tables).
+constexpr uint32_t MaxFunctionCount = 1u << 20;
 
 constexpr uint32_t CheckpointVersion = 1;
 constexpr uint8_t FlagSawHello = 1u << 0;
@@ -289,9 +296,7 @@ struct IngestServer::Impl {
   bool DrainComplete = false; ///< Readers joined, sequencers flushed.
   std::atomic<bool> Stop{false};
 
-  // Crash hook (durability tests / --crash-after-checkpoints).
-  uint64_t CrashAfterCheckpoints = 0;
-  std::function<void()> CrashHook;
+  // Checkpoints appended across producers, for the crash drill.
   uint64_t TotalCheckpoints = 0;
 
   // Global accounting.
@@ -464,7 +469,7 @@ struct IngestServer::Impl {
   void readerLoop(Connection &C) {
 #if !defined(_WIN32)
     FrameDecoder Decoder;
-    std::vector<uint8_t> Chunk(std::max<size_t>(1, Config.ReadChunkBytes));
+    std::vector<uint8_t> Chunk(ReadChunkBytes);
     unsigned Retries = 0;
     while (!Stop.load(std::memory_order_relaxed)) {
       pollfd Pfd{};
@@ -499,13 +504,13 @@ struct IngestServer::Impl {
         break; // EOF: orderly close.
       if (Err == EINTR || Err == EAGAIN || Err == EWOULDBLOCK)
         continue;
-      if (Retries < Config.ReadRetryLimit) {
+      if (Retries < ReadRetryLimit) {
         // Transient read failure (or an injected one): back off and
         // retry before declaring the connection dead.
         ++Retries;
         ReadRetries.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::sleep_for(std::chrono::milliseconds(
-            Config.RetryBackoffMs << (Retries - 1)));
+            RetryBackoffMs << (Retries - 1)));
         continue;
       }
       break; // Persistent failure: treat as disconnect.
@@ -551,7 +556,7 @@ struct IngestServer::Impl {
           // cannot be honoured without discarding data; count it.
           if (Item.Payload.FunctionCount != P.FunctionCount)
             P.FramesInvalid += 1;
-        } else if (Item.Payload.FunctionCount > Config.MaxFunctionCount) {
+        } else if (Item.Payload.FunctionCount > MaxFunctionCount) {
           P.FramesInvalid += 1;
         } else {
           P.Compactor = std::make_unique<StreamingCompactor>(
@@ -650,12 +655,13 @@ struct IngestServer::Impl {
     }
     P.CheckpointsWritten += 1;
     ++TotalCheckpoints;
-    if (CrashAfterCheckpoints != 0 &&
-        TotalCheckpoints == CrashAfterCheckpoints && CrashHook) {
+    if (Config.CrashAfterCheckpoints != 0 &&
+        TotalCheckpoints == Config.CrashAfterCheckpoints &&
+        Config.CrashHook) {
       // The hook usually never returns (raise(SIGKILL)). If it does —
       // in-process durability tests — stop as a crash would: no drain,
       // no finalize, journals as they are.
-      CrashHook();
+      Config.CrashHook();
       Aborted = true;
       Stop.store(true, std::memory_order_relaxed);
       NotFull.notify_all();
@@ -781,12 +787,6 @@ void IngestServer::addConnection(int Fd) {
   Connection C;
   C.Fd = Fd;
   P->Connections.push_back(std::move(C));
-}
-
-void IngestServer::setCrashAfterCheckpoints(uint64_t Checkpoints,
-                                            std::function<void()> Hook) {
-  P->CrashAfterCheckpoints = Checkpoints;
-  P->CrashHook = std::move(Hook);
 }
 
 bool IngestServer::listenUnixSocket(const std::string &Path, size_t Expect,

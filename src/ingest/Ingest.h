@@ -63,7 +63,7 @@ enum class BackpressurePolicy : uint8_t {
   Shed,  ///< Drop the frame, count it, keep reading (lossy, accounted).
 };
 
-const char *backpressurePolicyName(BackpressurePolicy Policy);
+/// Parses "block" or "shed".
 bool parseBackpressurePolicy(const std::string &Text,
                              BackpressurePolicy &Policy);
 
@@ -92,21 +92,18 @@ struct IngestConfig {
   /// A connection with no bytes for this long is closed (counted as an
   /// idle timeout; its producers end unclean unless already Bye'd).
   unsigned IdleTimeoutMs = 10000;
-  /// Transient read-error retries per connection before it is treated
-  /// as disconnected; attempt k backs off RetryBackoffMs << (k-1).
-  unsigned ReadRetryLimit = 3;
-  unsigned RetryBackoffMs = 1;
-  /// read() chunk size. Frames routinely straddle chunk edges; the
-  /// decoder is built for it.
-  size_t ReadChunkBytes = 64 * 1024;
-  /// Hello functionCount sanity cap; a CRC-valid Hello beyond this is
-  /// invalid (a garbage count would pre-size that many tables).
-  uint32_t MaxFunctionCount = 1u << 20;
   /// Job count for the per-function compaction stages on drain.
   ParallelConfig Parallel;
   /// Scan "<JournalPrefix>.p<ID>.twppj" on first contact with producer
   /// ID and resume from its last valid checkpoint.
   bool Resume = false;
+  /// Crash drill for durability tests and `twpp ingest
+  /// --crash-after-checkpoints`: once this many checkpoint records have
+  /// been appended (across producers), CrashHook runs on the dispatcher
+  /// thread (e.g. raise(SIGKILL)); if it returns, ingestion stops without
+  /// finalizing, as a crash would. 0 disables the drill.
+  uint64_t CrashAfterCheckpoints = 0;
+  std::function<void()> CrashHook;
 };
 
 /// Per-producer accounting. Every field is a fact about what happened;
@@ -214,21 +211,13 @@ public:
   /// Ingests everything and finalizes. Call once.
   IngestReport run();
 
-  /// Crash hook for durability tests and the --crash-after-checkpoints
-  /// CLI flag: after \p Checkpoints checkpoint records have been
-  /// appended (across producers), \p Hook runs on the dispatcher thread
-  /// (e.g. raise(SIGKILL)); if it returns, ingestion stops without
-  /// finalizing, as a crash would.
-  void setCrashAfterCheckpoints(uint64_t Checkpoints,
-                                std::function<void()> Hook);
-
 private:
   struct Impl;
   std::unique_ptr<Impl> P;
 };
 
 /// Loopback harness shared by tests, the throughput bench and
-/// `twpp_ingest replay`: one socketpair + producer thread per trace
+/// `twpp ingest replay`: one socketpair + producer thread per trace
 /// (producer id = index), all feeding one IngestServer in this process.
 IngestReport runLoopbackIngest(const IngestConfig &Config,
                                const std::vector<RawTrace> &Traces,

@@ -38,12 +38,6 @@ std::string statsJson(const RunningStats &S) {
          ", \"p95\": " + num(S.p95()) + "}";
 }
 
-std::string boundsLabel(const std::vector<uint64_t> &Bounds, size_t Bucket) {
-  if (Bucket == Bounds.size())
-    return "> " + u64(Bounds.empty() ? 0 : Bounds.back());
-  return "<= " + u64(Bounds[Bucket]);
-}
-
 } // namespace
 
 void names::registerCanonicalMetrics(MetricsRegistry &Registry) {

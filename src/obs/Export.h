@@ -8,13 +8,13 @@
 /// Three views of a MetricsRegistry snapshot:
 ///
 ///  * renderMetricsTable — human-readable tables (support/TablePrinter),
-///    printed by `twpp_tool ... --metrics-table` and test diagnostics.
+///    printed by `twpp ... --metrics-table` and test diagnostics.
 ///  * exportMetricsJson / exportMetricsJsonLines — machine-readable form.
-///    The single-object export backs `twpp_tool --metrics-out`; the
+///    The single-object export backs `twpp --metrics-out`; the
 ///    line-per-record form is what the BENCH_*.json perf trajectory files
 ///    accumulate (one labeled record per metric per bench checkpoint).
 ///  * exportMetricsProm — Prometheus text exposition
-///    (`twpp_tool --metrics-format=prom`), for scrape endpoints.
+///    (`twpp --metrics-format=prom`), for scrape endpoints.
 ///
 //===----------------------------------------------------------------------===//
 

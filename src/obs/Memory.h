@@ -84,7 +84,7 @@ inline void setMemTrackingEnabled(bool Enabled) {
 #endif
 
 /// Canonical tags of the instrumented subsystems. Free-form tags are
-/// allowed, but sticking to this taxonomy keeps twpp_memstat and the trace
+/// allowed, but sticking to this taxonomy keeps twpp memstat and the trace
 /// counter tracks comparable across runs (documented in
 /// docs/OBSERVABILITY.md).
 namespace memtags {

@@ -123,7 +123,7 @@ inline constexpr const char *SelfprofTraceJsonBytes =
     "selfprof.trace_json_bytes";
 
 // verify/ — static invariant verification (TWPP_VERIFY post-stage
-// assertions and the twpp_verify CLI).
+// assertions and `twpp verify`).
 inline constexpr const char *VerifyRuns = "verify.runs";
 inline constexpr const char *VerifyDiagnostics = "verify.diagnostics";
 inline constexpr const char *VerifyErrors = "verify.errors";
@@ -139,7 +139,7 @@ inline constexpr const char *MemTrackedPeakBytes = "mem.tracked_peak_bytes";
 inline constexpr const char *MemAllocs = "mem.allocs";
 
 // races/ — happens-before data-race detection over the compacted
-// concurrent representation (src/races/, twpp_races).
+// concurrent representation (src/races/, twpp races).
 inline constexpr const char *RacesRuns = "races.runs";
 inline constexpr const char *RacesThreadsCompacted =
     "races.threads_compacted";
@@ -152,7 +152,7 @@ inline constexpr const char *RacesRacyPairs = "races.racy_pairs";
 
 // ingest/ — the multi-producer ingestion frontend (twpp-wire-v1 framing,
 // sequencing, backpressure, degrade-never-abort; src/ingest/,
-// twpp_ingest). Wire-damage counters split by where the damage was
+// twpp ingest). Wire-damage counters split by where the damage was
 // caught: frames_corrupt failed the CRC (decoder), frames_invalid passed
 // the CRC but would not decode (producer bug), seq_gaps are sequence
 // numbers that never arrived in order.

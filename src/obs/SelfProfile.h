@@ -24,7 +24,7 @@
 /// standard, verifier-clean .twppa archive, plus a small plain-text
 /// sidecar (<archive>.meta) mapping FunctionIds back to span paths and
 /// gap blocks back to representative nanoseconds — everything
-/// tools/twpp_selfprof needs to report hottest paths per pipeline stage
+/// `twpp selfprof` needs to report hottest paths per pipeline stage
 /// and inclusive/exclusive time, purely from the archive.
 ///
 /// Cross-thread sequencing reuses parallelFor's flow arrows: a worker-side
@@ -52,7 +52,7 @@
 namespace twpp::obs {
 
 /// Lowering constants shared by the adapter, the sidecar and the
-/// twpp_selfprof reporter.
+/// twpp selfprof reporter.
 namespace selfprof {
 
 /// Block id emitted at every span begin. Guarantees every call's path

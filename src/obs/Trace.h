@@ -77,7 +77,8 @@ inline uint64_t nowNs() {
 /// NUL-terminates. Never allocates.
 template <size_t N> void copyName(char (&Dst)[N], std::string_view Text) {
   size_t Len = Text.size() < N - 1 ? Text.size() : N - 1;
-  std::memcpy(Dst, Text.data(), Len);
+  if (Len != 0) // an empty view may hold a null pointer, which memcpy rejects
+    std::memcpy(Dst, Text.data(), Len);
   Dst[Len] = '\0';
 }
 

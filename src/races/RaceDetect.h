@@ -90,7 +90,8 @@ RaceReport detectRacesOracle(const ConcurrencyInfo &Conc);
 bool sameVerdict(const RaceReport &A, const RaceReport &B);
 
 /// Renders the race list in a canonical single-line-per-race form used
-/// by the differential tests for byte-equality and by twpp_races --text.
+/// by the differential tests for byte-equality and by the text report of
+/// `twpp races`.
 std::string renderRaceLines(const RaceReport &Report);
 
 } // namespace twpp::races

@@ -24,7 +24,7 @@
 ///
 /// Observability: when constructed with a memtag (obs/Memory.h), every
 /// block the arena acquires is recorded against that tag (arena.decode for
-/// the read path) and released on destruction, so twpp_memstat and the
+/// the read path) and released on destruction, so twpp memstat and the
 /// twpp-mem-* ledger checks see pooled scratch as live bytes — reserved,
 /// not leaked.
 ///

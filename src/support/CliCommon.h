@@ -5,11 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The conventions every twpp_* tool shares, in one place so they cannot
-/// drift: the 0/1/2 exit contract, `--flag=value` matching, the common
-/// `--format=` flag and `--jobs` values. Header-only and link-free.
+/// The conventions of the `twpp` command line in one place so they cannot
+/// drift: the 0/1/2 exit contract, strict number parsing, and the one flag
+/// parser every verb uses. A verb declares its flags as a FlagTable;
+/// parseArgs() accepts each as `--name=value` or `--name value`, and
+/// renderFlags() prints the same table as help, so the usage text and the
+/// accepted flags cannot disagree.
 ///
-/// Exit contract (shared by every tool, asserted by CI):
+/// Exit contract (shared by every verb, asserted by CI):
 ///
 ///   0  clean — the tool did its job and found nothing wrong
 ///   1  findings — the tool worked, and is telling you something
@@ -21,9 +24,14 @@
 #ifndef TWPP_SUPPORT_CLICOMMON_H
 #define TWPP_SUPPORT_CLICOMMON_H
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace twpp {
 
@@ -34,70 +42,118 @@ inline constexpr int ExitSuccess = 0;  ///< Clean.
 inline constexpr int ExitFindings = 1; ///< Worked; has findings/loss.
 inline constexpr int ExitUsage = 2;    ///< Bad usage or fatal IO.
 
-/// Three-way result of offering an argument to a flag handler, so a
-/// tool's parse loop can chain handlers and fall through to its own
-/// flags:
-///
-///   switch (cli::parseFormatFlag(Arg, Format)) {
-///   case cli::FlagParse::Ok: continue;
-///   case cli::FlagParse::Bad: return usage();
-///   case cli::FlagParse::NoMatch: break;
-///   }
-enum class FlagParse : uint8_t {
-  NoMatch, ///< Not this flag; try the next handler.
-  Ok,      ///< Consumed and valid.
-  Bad,     ///< This flag, but the value is unusable: usage error.
-};
-
-/// Matches `--NAME=VALUE`; on match stores VALUE (possibly empty) in
-/// \p Value.
-inline bool flagValue(const std::string &Arg, const char *Name,
-                      std::string &Value) {
-  std::string Prefix = std::string("--") + Name + "=";
-  if (Arg.rfind(Prefix, 0) != 0)
-    return false;
-  Value = Arg.substr(Prefix.size());
-  return true;
-}
-
-/// Handles `--format=FMT`, accepting only the formats in \p Allowed
-/// (defaults to the text/json pair most tools share).
-inline FlagParse
-parseFormatFlag(const std::string &Arg, std::string &Format,
-                std::initializer_list<const char *> Allowed = {"text",
-                                                               "json"}) {
-  std::string Value;
-  if (!flagValue(Arg, "format", Value))
-    return FlagParse::NoMatch;
-  for (const char *Candidate : Allowed)
-    if (Value == Candidate) {
-      Format = Value;
-      return FlagParse::Ok;
-    }
-  return FlagParse::Bad;
-}
-
 /// Largest accepted `--jobs` value: parallelFor starts one thread per job
 /// (up to one per function), so a typo must not become thousands.
 inline constexpr unsigned MaxJobs = 1024;
 
-/// Parses a `--jobs` value: decimal digits only, 0 ("one per hardware
-/// thread") through MaxJobs. \returns false for anything else (a sign,
-/// trailing junk, an empty or too-large value) — a usage error.
-inline bool parseJobs(const std::string &Text, unsigned &Jobs) {
-  if (Text.empty())
-    return false;
-  unsigned Value = 0;
+/// Parses decimal digits only (no sign, space or suffix) into \p Out's
+/// type, within [\p Min, \p Max]. \returns false for anything else.
+template <typename T>
+bool parseUnsigned(const std::string &Text, T &Out, uint64_t Min = 0,
+                   uint64_t Max = std::numeric_limits<T>::max()) {
+  uint64_t Value = 0;
   for (char C : Text) {
-    if (C < '0' || C > '9')
+    auto Digit = static_cast<uint64_t>(C - '0');
+    if (C < '0' || C > '9' || Digit > Max || Value > (Max - Digit) / 10)
       return false;
-    Value = Value * 10 + static_cast<unsigned>(C - '0');
-    if (Value > MaxJobs)
-      return false;
+    Value = Value * 10 + Digit;
   }
-  Jobs = Value;
+  if (Text.empty() || Value < Min)
+    return false;
+  Out = static_cast<T>(Value);
   return true;
 }
+
+/// parseUnsigned with an optional leading '-', over the int64_t range.
+bool parseSigned(const std::string &Text, int64_t &Out);
+
+/// A non-negative decimal such as `5` or `2.5`: digits with at most one
+/// '.', and no sign, exponent or suffix.
+bool parseDecimal(const std::string &Text, double &Out);
+
+/// One flag of a table: `--Name`, the placeholder help shows for its
+/// value (empty for a switch, which takes no value), one help line, and
+/// the typed target its value lands in. Build entries with the factories
+/// below.
+struct Flag {
+  std::string Name;
+  std::string Meta;
+  std::string Help;
+  /// Stores \p Value into the target; false when it is malformed there.
+  std::function<bool(const std::string &Value)> Set;
+};
+using FlagTable = std::vector<Flag>;
+
+/// A string value; the last occurrence wins.
+inline Flag stringFlag(std::string Name, std::string Meta, std::string Help,
+                       std::string &Out) {
+  return {std::move(Name), std::move(Meta), std::move(Help),
+          [&Out](const std::string &V) { Out = V; return true; }};
+}
+
+/// A repeatable string value; every occurrence is appended.
+inline Flag listFlag(std::string Name, std::string Meta, std::string Help,
+                     std::vector<std::string> &Out) {
+  return {std::move(Name), std::move(Meta), std::move(Help),
+          [&Out](const std::string &V) { Out.push_back(V); return true; }};
+}
+
+/// A switch: present sets \p Out, and `--name=value` is malformed.
+inline Flag switchFlag(std::string Name, std::string Help, bool &Out) {
+  return {std::move(Name), "", std::move(Help),
+          [&Out](const std::string &) { Out = true; return true; }};
+}
+
+/// A non-negative decimal (parseDecimal).
+inline Flag decimalFlag(std::string Name, std::string Meta, std::string Help,
+                        double &Out) {
+  return {std::move(Name), std::move(Meta), std::move(Help),
+          [&Out](const std::string &V) { return parseDecimal(V, Out); }};
+}
+
+/// An unsigned decimal within [\p Min, \p Max] (parseUnsigned).
+template <typename T>
+Flag unsignedFlag(std::string Name, std::string Meta, std::string Help,
+                  T &Out, uint64_t Min = 0,
+                  uint64_t Max = std::numeric_limits<T>::max()) {
+  return {std::move(Name), std::move(Meta), std::move(Help),
+          [&Out, Min, Max](const std::string &Text) {
+            return parseUnsigned(Text, Out, Min, Max);
+          }};
+}
+
+/// One of \p Choices; help shows them as the placeholder.
+inline Flag choiceFlag(std::string Name, std::string Help, std::string &Out,
+                       const std::vector<std::string> &Choices) {
+  std::string Meta;
+  for (const std::string &Choice : Choices)
+    Meta += (Meta.empty() ? "" : "|") + Choice;
+  return {std::move(Name), std::move(Meta), std::move(Help),
+          [&Out, Choices](const std::string &V) {
+            bool Known = std::find(Choices.begin(), Choices.end(), V) !=
+                         Choices.end();
+            if (Known)
+              Out = V;
+            return Known;
+          }};
+}
+
+/// Splits \p Args into flag values and positional words. A word starting
+/// with "--" is a flag, looked up in \p Tables (the first table naming it
+/// wins); a value flag takes `--name=value` or the next word, unless that
+/// word is itself a flag. Every other word is positional, so `-3` is a
+/// positional number. An unknown flag, a missing value or a malformed
+/// value stops the parse: \returns false with a one-line \p Error.
+///
+/// With a null \p Error the parse only sorts the words: it stores nothing
+/// and fails on nothing (an unknown flag reads as a switch). A driver
+/// finds its verb among flags that come before it this way.
+bool parseArgs(const std::vector<std::string> &Args,
+               std::initializer_list<const FlagTable *> Tables,
+               std::vector<std::string> &Positionals, std::string *Error);
+
+/// One aligned help line per flag: "  --name=META  help".
+std::string renderFlags(const FlagTable &Table);
 
 } // namespace cli
 } // namespace twpp

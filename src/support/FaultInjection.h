@@ -7,7 +7,7 @@
 /// \file
 /// A process-global fault-injection seam so every recovery path in the
 /// durability layer (atomic archive writes, journal checkpoints, the
-/// twpp_recover salvage tool) can be exercised deterministically in tests
+/// twpp recover salvage tool) can be exercised deterministically in tests
 /// and CI. Faults are described by the TWPP_FAULT environment variable (or
 /// installed programmatically), e.g.:
 ///

@@ -7,7 +7,7 @@
 /// \file
 /// The stable catalog of every invariant check the verifier implements:
 /// id, family, default severity and a one-line summary. The catalog is
-/// the single source of truth behind `twpp_verify --list-checks` and
+/// the single source of truth behind `twpp verify --list-checks` and
 /// docs/VERIFY.md; check implementations reference these ids via the
 /// `checks::` constants so the catalog, the code and the docs cannot
 /// drift apart silently (VerifyTest pins them together).
@@ -57,7 +57,7 @@ inline constexpr const char *ThreadAccessBounds = "twpp-thread-access-bounds";
 // Race family: the happens-before engine's structural preconditions.
 inline constexpr const char *RaceClockMonotone = "twpp-race-clock-monotone";
 
-// Recover family: diagnostics of the twpp_recover salvage tool
+// Recover family: diagnostics of the twpp recover salvage tool
 // (verify/Recover.h). Warnings mark data the salvage dropped; errors
 // mark damage salvage cannot work around.
 inline constexpr const char *RecoverInput = "twpp-recover-input";

@@ -300,7 +300,7 @@ bool salvageImpl(const std::vector<uint8_t> &Bytes, std::vector<uint8_t> &Out,
   Salvaged.Functions = std::move(Tables);
   Out = encodeArchive(Salvaged);
 
-  // The contract gate: what twpp_recover writes must pass the full
+  // The contract gate: what twpp recover writes must pass the full
   // byte-level verifier, or salvage reports failure — never a
   // plausible-looking but broken archive.
   DiagnosticEngine Final;

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Salvage of damaged TWPP archives — the library behind twpp_recover.
+/// Salvage of damaged TWPP archives — the library behind twpp recover.
 /// The archive's index layout makes partial recovery natural: every
 /// function block is an independent extent, so salvage walks the index,
 /// keeps each block that decodes and passes the per-table verifier

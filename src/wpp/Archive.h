@@ -214,7 +214,7 @@ public:
   }
 
   /// On-disk byte length of \p Function's block; 0 when the archive holds
-  /// no such function. (twpp_memstat's compressed-size column.)
+  /// no such function. (twpp memstat's compressed-size column.)
   uint64_t blockLength(FunctionId Function) const {
     return Function < Layout.Rows.size() ? Layout.Rows[Function].Length : 0;
   }

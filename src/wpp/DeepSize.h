@@ -12,7 +12,7 @@
 /// counterpart of the obs/Memory.h tracker: the tracker accumulates byte
 /// deltas as decoders build structures, deepSize independently re-derives
 /// the same figure from the finished objects, and the twpp-mem-* verifier
-/// checks (plus twpp_memstat) compare the two. Drift between them means an
+/// checks (plus twpp memstat) compare the two. Drift between them means an
 /// instrumented site and this walk disagree about what a structure holds —
 /// exactly the regression the audit exists to catch.
 ///

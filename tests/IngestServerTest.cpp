@@ -332,8 +332,10 @@ TEST(IngestServerTest, CrashBetweenCheckpointsResumesByteIdentical) {
   // returns, which stops ingestion without finalizing — the same state
   // a SIGKILL leaves on disk (journals flushed, no archives).
   {
-    IngestServer Server(Config);
-    Server.setCrashAfterCheckpoints(3, [] {});
+    IngestConfig CrashConfig = Config;
+    CrashConfig.CrashAfterCheckpoints = 3;
+    CrashConfig.CrashHook = [] {};
+    IngestServer Server(CrashConfig);
     std::vector<std::thread> Producers;
     std::vector<int> Fds;
     for (size_t I = 0; I < Traces.size(); ++I) {

@@ -1,0 +1,270 @@
+//===- tools/twpp.cpp - The twpp command line -----------------------------===//
+//
+// Part of the TWPP reproduction of Zhang & Gupta, PLDI 2001.
+//
+// One binary for every operation on the representation:
+//
+//   twpp [global flags] <verb> [flags] [args...]
+//
+// The verb table below names each verb, its positional arguments, its
+// flag table and its body (one source file per verb family, Verbs.h).
+// The driver owns what every verb shares: the global flags (parallelism
+// and the telemetry sinks, accepted before or after the verb), the
+// TWPP_VERIFY pipeline assertions, and the 0/1/2 exit contract of
+// support/CliCommon.h.
+//
+//===----------------------------------------------------------------------===//
+
+#include "Verbs.h"
+
+#include "obs/Export.h"
+#include "obs/Memory.h"
+#include "obs/Metrics.h"
+#include "obs/Names.h"
+#include "obs/SelfProfile.h"
+#include "obs/Trace.h"
+#include "support/FileIO.h"
+#include "verify/Verify.h"
+
+#include <cstdarg>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
+using namespace twpp;
+using namespace twpp::tool;
+
+namespace {
+
+constexpr size_t Many = SIZE_MAX;
+
+cli::FlagTable noFlags() { return {}; }
+
+const VerbSpec Verbs[] = {
+    {"trace", "<program.mini> <archive.twpp> [input...]",
+     "run a program, compacting its WPP online into an archive", 2, Many,
+     traceFlags, runTrace},
+    {"stats", "<archive.twpp>", "per-function summary of an archive", 1, 1,
+     noFlags, runStats},
+    {"query", "<archive.twpp> <function-id>",
+     "extract one function's path traces", 2, 2, noFlags, runQuery},
+    {"dot-dcg", "<archive.twpp>", "Graphviz rendering of the call graph", 1, 1,
+     noFlags, runDotDcg},
+    {"dot-trace", "<archive.twpp> <function-id> <trace-index>",
+     "Graphviz rendering of one annotated dynamic CFG", 3, 3, noFlags,
+     runDotTrace},
+    {"reconstruct", "<archive.twpp> <out.owpp>",
+     "expand an archive back to the linear WPP", 2, 2, noFlags,
+     runReconstruct},
+    {"verify", "[archive.twpp...]",
+     "static invariant checks; 1 = error diagnostics", 0, Many, verifyFlags,
+     runVerify},
+    {"recover", "<damaged.twpp> <recovered.twpp>",
+     "salvage a damaged archive; 1 = cannot salvage", 2, 2, recoverFlags,
+     runRecover},
+    {"memstat", "<archive.twpp...>",
+     "where an archive's bytes live; 1 = the memory audit disagrees", 1, Many,
+     memstatFlags, runMemstat},
+    {"selfprof", "<archive.twppa>",
+     "hottest paths of a self-profile; 1 = sidecar mismatch", 1, 1,
+     selfprofFlags, runSelfprof},
+    {"races", "<archive.twpp...>",
+     "detect data races; 1 = races found, 2 = engines disagree", 1, Many,
+     racesFlags, runRaces},
+    {"ingest", "replay|serve|produce",
+     "compact wire streams from N producers; 1 = accounted loss", 1, 1,
+     ingestFlags, runIngest},
+    {"metrics-diff", "<baseline> <current>",
+     "compare metrics exports; 1 = a metric regressed", 2, 2,
+     metricsDiffFlags, runMetricsDiff},
+};
+
+/// The flags every verb accepts.
+struct GlobalOptions {
+  ParallelConfig Jobs;
+  std::string MetricsOut;
+  std::string MetricsFormat = "json";
+  std::string TraceOut;
+  std::string SelfProfilePath;
+  bool MetricsTable = false;
+} Global;
+
+cli::FlagTable globalFlags() {
+  return {
+      cli::unsignedFlag("jobs", "N",
+                        "compaction worker threads (0 = one per hardware "
+                        "thread)",
+                        Global.Jobs.Jobs, 0, cli::MaxJobs),
+      cli::stringFlag("metrics-out", "PATH", "write pipeline telemetry",
+                      Global.MetricsOut),
+      cli::choiceFlag("metrics-format", "format of --metrics-out",
+                      Global.MetricsFormat, {"json", "prom"}),
+      cli::switchFlag("metrics-table", "print telemetry tables to stderr",
+                      Global.MetricsTable),
+      cli::stringFlag("trace-out", "PATH",
+                      "write a Chrome trace-event JSON timeline",
+                      Global.TraceOut),
+      cli::stringFlag("self-profile", "PATH",
+                      "compact this run into a TWPP archive (+ PATH.meta); "
+                      "or set TWPP_SELF_PROFILE",
+                      Global.SelfProfilePath),
+  };
+}
+
+
+/// The verb is the first positional word under that verb's own flag
+/// table, which tells `--resume JOURNAL trace` from `--resume ingest`.
+const VerbSpec *findVerb(const std::vector<std::string> &Args,
+                         const cli::FlagTable &GlobalFlags) {
+  for (const VerbSpec &V : Verbs) {
+    cli::FlagTable Flags = V.Flags();
+    std::vector<std::string> Words;
+    cli::parseArgs(Args, {&Flags, &GlobalFlags}, Words, nullptr);
+    if (!Words.empty() && Words[0] == V.Name)
+      return &V;
+  }
+  return nullptr;
+}
+
+} // namespace
+
+int tool::Invocation::usage(const std::string &Why) const {
+  std::string Text = "twpp: " + Why + "\n";
+  if (Verb) {
+    std::string Flags = cli::renderFlags(Verb->Flags());
+    Text += "usage: twpp " + std::string(Verb->Name) + " [flags] " +
+            Verb->Synopsis + "\n  " + Verb->Summary + "\n" +
+            (Flags.empty() ? "" : "flags:\n" + Flags);
+  } else {
+    Text += "usage: twpp [flags] <verb> [flags] [args...]\nverbs:\n";
+    for (const VerbSpec &V : Verbs)
+      Text += "  " + std::string(V.Name) + " " + V.Synopsis + "\n      " +
+              V.Summary + "\n";
+  }
+  Text += "global flags, before or after the verb:\n" +
+          cli::renderFlags(globalFlags()) +
+          "exit codes: 0 clean, 1 findings or failure, 2 usage or fatal IO\n";
+  std::fputs(Text.c_str(), stderr);
+  return cli::ExitUsage;
+}
+
+void tool::appendf(std::string &Out, const char *Format, ...) {
+  char Line[1024];
+  va_list Args;
+  va_start(Args, Format);
+  std::vsnprintf(Line, sizeof(Line), Format, Args);
+  va_end(Args);
+  Out += Line;
+}
+
+bool tool::writeReport(const std::string &Report, const std::string &Path) {
+  if (Path.empty()) {
+    std::fputs(Report.c_str(), stdout);
+    return true;
+  }
+  IoError Write =
+      writeFileBytes(Path, std::vector<uint8_t>(Report.begin(), Report.end()));
+  if (!Write)
+    std::fprintf(stderr, "twpp: %s\n", Write.message().c_str());
+  return Write.ok();
+}
+
+int main(int Argc, char **Argv) {
+  // Arm the TWPP_VERIFY post-stage assertions; they fire only when the
+  // environment variable is set.
+  verify::installPipelineVerifier();
+  std::vector<std::string> Args(Argv + 1, Argv + Argc);
+  cli::FlagTable GlobalFlags = globalFlags();
+  Invocation Inv;
+  Inv.Verb = findVerb(Args, GlobalFlags);
+  if (!Inv.Verb) {
+    cli::parseArgs(Args, {&GlobalFlags}, Inv.Args, nullptr);
+    return Inv.usage(Inv.Args.empty() ? "no verb given"
+                                      : "unknown verb '" + Inv.Args[0] + "'");
+  }
+  const VerbSpec *Verb = Inv.Verb;
+  cli::FlagTable VerbFlags = Verb->Flags();
+  std::string Error;
+  if (!cli::parseArgs(Args, {&VerbFlags, &GlobalFlags}, Inv.Args, &Error))
+    return Inv.usage(Error);
+  Inv.Args.erase(Inv.Args.begin()); // the verb's own name
+  if (Inv.Args.size() < Verb->MinArgs || Inv.Args.size() > Verb->MaxArgs)
+    return Inv.usage("wrong number of arguments");
+  Inv.Jobs = Global.Jobs;
+
+  bool Metrics = !Global.MetricsOut.empty() || Global.MetricsTable;
+  if (Metrics) {
+    obs::setMetricsEnabled(true);
+    // Pre-register every canonical metric so the export enumerates all
+    // pipeline stages, zero-valued when this verb does not reach them.
+    obs::names::registerCanonicalMetrics(obs::metrics());
+  }
+  if (!Global.TraceOut.empty())
+    obs::setTracingEnabled(true);
+  // Self-profiling: compact this very run into a TWPP archive. The flag
+  // wins over the TWPP_SELF_PROFILE environment variable; either turns
+  // the flight recorder on for the SelfProfiler to consume.
+  obs::SelfProfileConfig SelfCfg;
+  SelfCfg.ArchivePath = Global.SelfProfilePath;
+  bool SelfProfiling = Global.SelfProfilePath.empty()
+                           ? obs::maybeEnableSelfProfileFromEnv()
+                           : obs::enableSelfProfile(std::move(SelfCfg));
+  if (SelfProfiling || !Global.TraceOut.empty())
+    obs::setCurrentThreadName("main");
+  bool Telemetry = Metrics || !Global.TraceOut.empty();
+  if (Telemetry) {
+    // Memory telemetry rides along with either sink: the tracker feeds
+    // the mem.tracked_* gauges and the poller samples RSS (emitting
+    // counter tracks when tracing).
+    obs::setMemTrackingEnabled(true);
+    obs::startMemPoller();
+  }
+
+  int Exit = Verb->Run(Inv);
+
+  // Finish the self-profile before exporting metrics so the selfprof.*
+  // counters it publishes land in the export.
+  if (SelfProfiling) {
+    obs::SelfProfileStats Stats;
+    std::string SelfError;
+    if (obs::finishSelfProfile(&Stats, &SelfError)) {
+      std::fprintf(stderr,
+                   "self-profile: wrote %llu spans (%llu events, %llu "
+                   "functions, %llu records dropped)\n",
+                   (unsigned long long)Stats.Spans,
+                   (unsigned long long)Stats.Events,
+                   (unsigned long long)Stats.Functions,
+                   (unsigned long long)Stats.RecordsDropped);
+    } else {
+      std::fprintf(stderr, "cannot write self-profile: %s\n",
+                   SelfError.c_str());
+      if (Exit == 0)
+        Exit = 1;
+    }
+  }
+  if (Telemetry) {
+    obs::stopMemPoller();
+    obs::publishMemMetrics(obs::metrics());
+  }
+  // A telemetry file that cannot be written is fatal IO.
+  bool MetricsOk =
+      Global.MetricsOut.empty() ||
+      (Global.MetricsFormat == "prom"
+           ? obs::writeMetricsPromFile(Global.MetricsOut, obs::metrics())
+           : obs::writeMetricsJsonFile(Global.MetricsOut, obs::metrics()));
+  if (!MetricsOk) {
+    std::fprintf(stderr, "cannot write metrics to %s\n",
+                 Global.MetricsOut.c_str());
+    Exit = cli::ExitUsage;
+  }
+  if (Global.MetricsTable)
+    std::fputs(obs::renderMetricsTable(obs::metrics()).c_str(), stderr);
+  if (!Global.TraceOut.empty() &&
+      !obs::writeTraceJsonFile(Global.TraceOut, obs::traceRecorder())) {
+    std::fprintf(stderr, "cannot write trace to %s\n", Global.TraceOut.c_str());
+    Exit = cli::ExitUsage;
+  }
+  return Exit;
+}
