@@ -123,6 +123,36 @@ void BM_TimestampIntersectMisaligned(benchmark::State &State) {
 }
 BENCHMARK(BM_TimestampIntersectMisaligned)->Arg(10000);
 
+void BM_TimestampUniteDisjoint(benchmark::State &State) {
+  // Runs whose ranges do not overlap pass through whole: the cost follows
+  // the run count, not the range(0) instances per run.
+  std::vector<Timestamp> Low, High;
+  for (int64_t Run = 0; Run < 8; ++Run)
+    for (int64_t I = 0; I < State.range(0); ++I) {
+      Timestamp Base = static_cast<Timestamp>(1 + Run * 8 * State.range(0));
+      Low.push_back(Base + static_cast<Timestamp>(2 * I));
+      High.push_back(Base + static_cast<Timestamp>(4 * State.range(0) +
+                                                   3 * I));
+    }
+  TimestampSet A = TimestampSet::fromSorted(Low);
+  TimestampSet B = TimestampSet::fromSorted(High);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(A.unite(B));
+  State.SetItemsProcessed(State.iterations() * 16 * State.range(0));
+}
+BENCHMARK(BM_TimestampUniteDisjoint)->Arg(100)->Arg(10000);
+
+void BM_TimestampUniteInterleaved(benchmark::State &State) {
+  // Strides 2 and 3 over one range: neither divides the other, so the
+  // overlap is merged element by element.
+  TimestampSet A = TimestampSet::fromRun(1, 1 + 2 * State.range(0), 2);
+  TimestampSet B = TimestampSet::fromRun(1, 1 + 3 * State.range(0), 3);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(A.unite(B));
+  State.SetItemsProcessed(State.iterations() * 2 * State.range(0));
+}
+BENCHMARK(BM_TimestampUniteInterleaved)->Arg(10000);
+
 void BM_LzwRoundTrip(benchmark::State &State) {
   Rng R(7);
   std::vector<uint8_t> Input;

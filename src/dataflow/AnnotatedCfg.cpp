@@ -7,7 +7,6 @@
 #include "dataflow/AnnotatedCfg.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace twpp;
 
@@ -50,16 +49,19 @@ AnnotatedDynamicCfg twpp::buildAnnotatedCfg(const TwppTrace &Trace,
     Cfg.Nodes.push_back(std::move(Node));
   }
 
-  // Adjacency comes from the materialized time sequence.
+  // Adjacency comes from the materialized time sequence. Sets that do not
+  // tile 1..Length (a crafted archive) have no sequence to follow: the
+  // nodes stay, without edges, for the verifier to name the overlap.
   std::vector<BlockId> Sequence;
-  bool Ok = blockSequenceFromTwpp(Trace, Sequence);
-  assert(Ok && "inconsistent TWPP trace");
-  (void)Ok;
+  if (!blockSequenceFromTwpp(Trace, Sequence))
+    return Cfg;
   for (size_t I = 0; I + 1 < Sequence.size(); ++I) {
+    // A node can only be missing when the blocks are not sorted by id,
+    // which the archive's delta coding allows through wraparound.
     size_t From = Cfg.nodeIndexOf(Sequence[I]);
     size_t To = Cfg.nodeIndexOf(Sequence[I + 1]);
-    assert(From != AnnotatedDynamicCfg::npos &&
-           To != AnnotatedDynamicCfg::npos && "trace block missing a node");
+    if (From == AnnotatedDynamicCfg::npos || To == AnnotatedDynamicCfg::npos)
+      continue;
     Cfg.Nodes[From].Succs.push_back(static_cast<uint32_t>(To));
     Cfg.Nodes[To].Preds.push_back(static_cast<uint32_t>(From));
   }

@@ -59,7 +59,9 @@ struct AnnotatedDynamicCfg {
 
 /// Builds the annotated dynamic CFG from a TWPP trace and its dictionary.
 /// Pass an empty dictionary for statement-level graphs (no DBB
-/// collapsing), as the slicing algorithms use.
+/// collapsing), as the slicing algorithms use. When the trace's timestamp
+/// sets do not tile 1..Length (blockSequenceFromTwpp fails), the graph has
+/// the trace's nodes but no edges.
 AnnotatedDynamicCfg buildAnnotatedCfg(const TwppTrace &Trace,
                                       const DbbDictionary &Dictionary);
 

@@ -6,11 +6,11 @@
 
 #include "dataflow/Interprocedural.h"
 
+#include "dataflow/Frontier.h"
 #include "obs/Metrics.h"
 #include "obs/Names.h"
 
 #include <cassert>
-#include <map>
 #include <unordered_map>
 
 using namespace twpp;
@@ -102,10 +102,7 @@ QueryResult twpp::propagateBackwardInterprocedural(
     const CallInstanceView &View, const CallEffectOracle &Oracle,
     FunctionId Function, size_t NodeIndex, const TimestampSet &Times) {
   QueryResult Result;
-  if (Times.empty())
-    return Result;
   const AnnotatedDynamicCfg &Cfg = View.Cfg;
-  assert(NodeIndex < Cfg.Nodes.size() && "query node out of range");
 
   /// Effect of block event \p T (block's own statements, then the calls
   /// anchored there; the last non-transparent action wins backwards).
@@ -118,88 +115,53 @@ QueryResult twpp::propagateBackwardInterprocedural(
     }
     return Last;
   };
-
-  struct PendingKey {
-    size_t Node;
-    uint32_t Depth;
-    bool operator<(const PendingKey &Other) const {
-      return Depth != Other.Depth ? Depth < Other.Depth : Node < Other.Node;
-    }
+  auto Accumulate = [&](BlockEffect Effect, const TimestampSet &Origin) {
+    TimestampSet &Into = Effect == BlockEffect::Gen    ? Result.True
+                         : Effect == BlockEffect::Kill ? Result.False
+                                                       : Result.AtEntry;
+    Into = Into.unite(Origin);
   };
-  std::map<PendingKey, TimestampSet> Pending;
-  Pending[{NodeIndex, 0}] = Times;
-  Result.QueriesGenerated = 1;
-  const TimestampSet One = TimestampSet::fromRun(1, 1, 1);
 
-  while (!Pending.empty()) {
-    auto It = Pending.begin();
-    auto [Node, Depth] = It->first;
-    TimestampSet Current = std::move(It->second);
-    Pending.erase(It);
-
-    TimestampSet Dropped = Current.intersect(One);
-    if (!Dropped.empty()) {
-      // Calls anchored before the first block act at the entry boundary.
-      TimestampSet EntryGen, EntryKill, EntryOpen;
-      BlockEffect Last = BlockEffect::Transparent;
-      for (uint32_t Call : View.CallsAt[0]) {
-        BlockEffect E = Oracle.callEffect(Call);
-        if (E != BlockEffect::Transparent)
-          Last = E;
-      }
-      TimestampSet Origin = Dropped.shifted(Depth);
-      switch (Last) {
-      case BlockEffect::Gen:
-        Result.True = Result.True.unite(Origin);
-        break;
-      case BlockEffect::Kill:
-        Result.False = Result.False.unite(Origin);
-        break;
-      case BlockEffect::Transparent:
-        Result.AtEntry = Result.AtEntry.unite(Origin);
-        break;
-      }
-    }
-
-    TimestampSet Previous = Current.shifted(-1);
-    if (Previous.empty())
-      continue;
-
-    for (uint32_t PredIndex : Cfg.Nodes[Node].Preds) {
-      const AnnotatedNode &Pred = Cfg.Nodes[PredIndex];
-      TimestampSet AtPred = Previous.intersect(Pred.Times);
-      if (AtPred.empty())
-        continue;
-      // Per-instance resolution: instances of the same block can have
-      // different effects depending on the calls they made.
-      std::vector<Timestamp> GenT, KillT, OpenT;
-      for (Timestamp T : AtPred.toVector()) {
-        switch (InstanceEffect(Pred.Head, T)) {
-        case BlockEffect::Gen:
-          GenT.push_back(T);
-          break;
-        case BlockEffect::Kill:
-          KillT.push_back(T);
-          break;
-        case BlockEffect::Transparent:
-          OpenT.push_back(T);
-          break;
+  detail::propagateFrontier(
+      Cfg, NodeIndex, Times, Result,
+      [&](uint32_t Depth) {
+        // Calls anchored before the first block act at the entry boundary.
+        BlockEffect Last = BlockEffect::Transparent;
+        for (uint32_t Call : View.CallsAt[0]) {
+          BlockEffect E = Oracle.callEffect(Call);
+          if (E != BlockEffect::Transparent)
+            Last = E;
         }
-      }
-      if (!GenT.empty())
-        Result.True = Result.True.unite(
-            TimestampSet::fromSorted(GenT).shifted(
-                static_cast<int64_t>(Depth) + 1));
-      if (!KillT.empty())
-        Result.False = Result.False.unite(
-            TimestampSet::fromSorted(KillT).shifted(
-                static_cast<int64_t>(Depth) + 1));
-      if (!OpenT.empty()) {
-        TimestampSet &Slot = Pending[{PredIndex, Depth + 1}];
-        Slot = Slot.unite(TimestampSet::fromSorted(OpenT));
-        ++Result.QueriesGenerated;
-      }
-    }
-  }
+        Accumulate(Last, TimestampSet::fromRun(Depth + 1, Depth + 1, 1));
+      },
+      [&](uint32_t Pred, uint32_t Depth, TimestampSet &Meet) {
+        // Per-instance resolution: instances of the same block can have
+        // different effects depending on the calls they made.
+        std::vector<Timestamp> GenT, KillT, OpenT;
+        for (Timestamp T : Meet.toVector()) {
+          switch (InstanceEffect(Cfg.Nodes[Pred].Head, T)) {
+          case BlockEffect::Gen:
+            GenT.push_back(T);
+            break;
+          case BlockEffect::Kill:
+            KillT.push_back(T);
+            break;
+          case BlockEffect::Transparent:
+            OpenT.push_back(T);
+            break;
+          }
+        }
+        int64_t ToOrigin = static_cast<int64_t>(Depth) + 1;
+        if (!GenT.empty())
+          Accumulate(BlockEffect::Gen,
+                     TimestampSet::fromSorted(GenT).shifted(ToOrigin));
+        if (!KillT.empty())
+          Accumulate(BlockEffect::Kill,
+                     TimestampSet::fromSorted(KillT).shifted(ToOrigin));
+        if (OpenT.empty())
+          return false;
+        Meet = TimestampSet::fromSorted(OpenT);
+        return true;
+      });
   return Result;
 }

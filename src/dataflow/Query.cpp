@@ -6,13 +6,10 @@
 
 #include "dataflow/Query.h"
 
+#include "dataflow/Frontier.h"
 #include "obs/Metrics.h"
 #include "obs/Names.h"
 #include "obs/PhaseSpan.h"
-
-#include <cassert>
-#include <deque>
-#include <map>
 
 using namespace twpp;
 
@@ -33,68 +30,42 @@ QueryResult twpp::propagateBackward(const AnnotatedDynamicCfg &Cfg,
                                     const TimestampSet &Times,
                                     const EffectFn &Effect) {
   QueryResult Result;
-  if (Times.empty())
+  if (Times.empty() || NodeIndex >= Cfg.Nodes.size())
     return Result;
-  assert(NodeIndex < Cfg.Nodes.size() && "query node out of range");
   obs::PhaseSpan Span("dataflow_query", "node",
                       static_cast<int64_t>(NodeIndex));
-  uint64_t NodesVisited = 0;
 
-  // Pending queries keyed by (node, backward depth). All timestamps in one
-  // entry moved the same distance, so original = current + depth.
-  struct PendingKey {
-    size_t Node;
-    uint32_t Depth;
-    bool operator<(const PendingKey &Other) const {
-      return Depth != Other.Depth ? Depth < Other.Depth : Node < Other.Node;
-    }
+  // Chain effects, computed on first use: Unknown until then.
+  constexpr uint8_t Unknown = 0xFF;
+  std::vector<uint8_t> Effects(Cfg.Nodes.size(), Unknown);
+  TimestampSet Origin, Merged;
+  auto Accumulate = [&](TimestampSet &Into, const TimestampSet &Add) {
+    Into.uniteInto(Add, Merged);
+    std::swap(Into, Merged);
   };
-  std::map<PendingKey, TimestampSet> Pending;
-  Pending[{NodeIndex, 0}] = Times;
-  Result.QueriesGenerated = 1;
 
-  const TimestampSet One = TimestampSet::fromRun(1, 1, 1);
-
-  while (!Pending.empty()) {
-    auto It = Pending.begin();
-    auto [Node, Depth] = It->first;
-    TimestampSet Current = std::move(It->second);
-    Pending.erase(It);
-    ++NodesVisited;
-
-    // Instances whose previous point falls before the trace start reached
-    // the function entry unresolved.
-    TimestampSet Dropped = Current.intersect(One);
-    if (!Dropped.empty())
-      Result.AtEntry = Result.AtEntry.unite(Dropped.shifted(Depth));
-
-    TimestampSet Previous = Current.shifted(-1);
-    if (Previous.empty())
-      continue;
-
-    for (uint32_t PredIndex : Cfg.Nodes[Node].Preds) {
-      const AnnotatedNode &Pred = Cfg.Nodes[PredIndex];
-      TimestampSet AtPred = Previous.intersect(Pred.Times);
-      if (AtPred.empty())
-        continue;
-      // Report resolutions in the original query's timestamp coordinates.
-      TimestampSet Origin = AtPred.shifted(static_cast<int64_t>(Depth) + 1);
-      switch (chainEffect(Pred.StaticBlocks, Effect)) {
-      case BlockEffect::Gen:
-        Result.True = Result.True.unite(Origin);
-        break;
-      case BlockEffect::Kill:
-        Result.False = Result.False.unite(Origin);
-        break;
-      case BlockEffect::Transparent: {
-        TimestampSet &Slot = Pending[{PredIndex, Depth + 1}];
-        Slot = Slot.unite(AtPred);
-        ++Result.QueriesGenerated;
-        break;
-      }
-      }
-    }
-  }
+  uint64_t NodesVisited = detail::propagateFrontier(
+      Cfg, NodeIndex, Times, Result,
+      [&](uint32_t Depth) {
+        // The instance reached the function entry unresolved.
+        Accumulate(Result.AtEntry,
+                   TimestampSet::fromRun(Depth + 1, Depth + 1, 1));
+      },
+      [&](uint32_t Pred, uint32_t Depth, const TimestampSet &Meet) {
+        uint8_t &E = Effects[Pred];
+        if (E == Unknown)
+          E = static_cast<uint8_t>(
+              chainEffect(Cfg.Nodes[Pred].StaticBlocks, Effect));
+        if (static_cast<BlockEffect>(E) == BlockEffect::Transparent)
+          return true;
+        // Report resolutions in the original query's timestamp coordinates.
+        Meet.shiftedInto(static_cast<int64_t>(Depth) + 1, Origin);
+        Accumulate(static_cast<BlockEffect>(E) == BlockEffect::Gen
+                       ? Result.True
+                       : Result.False,
+                   Origin);
+        return false;
+      });
   if (obs::enabled()) {
     obs::MetricsRegistry &M = obs::metrics();
     static obs::Counter &Queries = M.counter(obs::names::DataflowQueries);

@@ -56,6 +56,10 @@ BlockEffect chainEffect(const std::vector<BlockId> &StaticBlocks,
 
 /// Propagates the query <\p Times, node \p NodeIndex>_d backwards through
 /// \p Cfg. \p Times must be a subset of the node's timestamp annotation.
+/// An empty \p Times or a \p NodeIndex past the last node yields an empty
+/// result with no queries generated.
+/// An empty \p Times or a \p NodeIndex past the last node yields an empty
+/// result with no queries generated.
 QueryResult propagateBackward(const AnnotatedDynamicCfg &Cfg,
                               size_t NodeIndex, const TimestampSet &Times,
                               const EffectFn &Effect);

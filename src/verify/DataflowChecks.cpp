@@ -131,8 +131,9 @@ void verify::runAnnotatedCfgChecks(const AnnotatedDynamicCfg &Cfg,
   if (!Sound)
     return;
   // Counts match; verify the node annotations tile 1..Length exactly by
-  // checking disjointness pairwise via intersection of run-compressed
-  // sets (cheap: dynamic CFGs have few distinct DBBs).
+  // checking disjointness pairwise. Each intersection sweeps the two run
+  // lists without expanding them, and dynamic CFGs have few distinct
+  // DBBs, so the quadratic pair count stays cheap.
   for (size_t A = 0; A < N; ++A)
     for (size_t B = A + 1; B < N; ++B) {
       TimestampSet Overlap = Cfg.Nodes[A].Times.intersect(Cfg.Nodes[B].Times);

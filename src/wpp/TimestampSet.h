@@ -15,7 +15,8 @@
 /// The same class doubles as the timestamp vector propagated by the
 /// demand-driven analyses (Section 4): shifting a whole series by -1 is one
 /// run update, which is what makes query propagation over compacted traces
-/// cheap (the paper's (2:20:2) -> (1:19:2) example).
+/// cheap (the paper's (2:20:2) -> (1:19:2) example). Intersection and
+/// union work on the runs too, never on the expanded elements.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,14 +86,22 @@ public:
   /// operation backward query propagation performs at every step.
   TimestampSet shifted(int64_t Delta) const;
 
-  /// Set intersection (elements in both).
+  /// Set intersection (elements in both). A two-pointer sweep over the run
+  /// lists: each overlapping pair of runs meets in at most one series, so
+  /// the cost is O(runs).
   TimestampSet intersect(const TimestampSet &Other) const;
 
-  /// Set difference (elements of this not in Other).
-  TimestampSet subtract(const TimestampSet &Other) const;
-
-  /// Set union.
+  /// Set union. Runs whose ranges do not overlap pass through whole, as do
+  /// overlaps where one stride divides the other; only interleaved
+  /// overlapping runs (say, odd and even timestamps) cost per element.
   TimestampSet unite(const TimestampSet &Other) const;
+
+  /// The three operations above writing into \p Out, whose storage is
+  /// reused; propagation loops keep scratch sets this way. \p Out must not
+  /// be an operand.
+  void shiftedInto(int64_t Delta, TimestampSet &Out) const;
+  void intersectInto(const TimestampSet &Other, TimestampSet &Out) const;
+  void uniteInto(const TimestampSet &Other, TimestampSet &Out) const;
 
   /// The paper's sign-delimited integer stream: each run becomes `-l`,
   /// `l, -h` (step 1), or `l, h, -s`; decode keys off the signs.
@@ -117,7 +126,10 @@ public:
 
 private:
   /// Runs, sorted by Lo; a canonical form is maintained so that equal sets
-  /// compare equal (fromSorted's greedy packing of the element sequence).
+  /// compare equal (fromSorted's greedy packing of the element sequence;
+  /// intersect and unite pack their results the same way). shifted() is
+  /// the exception: dropping the front of the set can leave runs that
+  /// fromSorted would pack differently (say, a two-element stepped run).
   std::vector<SeriesRun> Runs;
 };
 

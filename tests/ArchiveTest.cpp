@@ -34,6 +34,13 @@ std::string tempPath(const char *Name) {
   return ::testing::TempDir() + "/" + Name;
 }
 
+/// Per-read-path file name: ctest runs both instances of a mode test at
+/// once, and one must not remove the file the other is reading.
+std::string tempPath(const char *Name, ReadPath Mode) {
+  return ::testing::TempDir() + "/" + fixtures::readPathName(Mode) + "_" +
+         Name;
+}
+
 TEST(FunctionTableCodecTest, RoundTrip) {
   RawTrace Trace = fixtures::figure1Trace();
   TwppWpp Compacted = compactWpp(Trace);
@@ -65,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(IoModes, ArchiveModeTest,
                          });
 
 TEST_P(ArchiveModeTest, WriteOpenReadAll) {
-  std::string Path = tempPath("twpp_archive_test.twpp");
+  std::string Path = tempPath("twpp_archive_test.twpp", GetParam());
   RawTrace Trace = fixtures::figure1Trace();
   TwppWpp Compacted = compactWpp(Trace);
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
@@ -87,7 +94,7 @@ TEST_P(ArchiveModeTest, WriteOpenReadAll) {
 }
 
 TEST_P(ArchiveModeTest, OutOfRangeFunctionIdsAreRejected) {
-  std::string Path = tempPath("twpp_archive_bounds.twpp");
+  std::string Path = tempPath("twpp_archive_bounds.twpp", GetParam());
   RawTrace Trace = fixtures::figure1Trace();
   TwppWpp Compacted = compactWpp(Trace);
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
@@ -107,7 +114,7 @@ TEST_P(ArchiveModeTest, OutOfRangeFunctionIdsAreRejected) {
 }
 
 TEST_P(ArchiveModeTest, ExtractSingleFunction) {
-  std::string Path = tempPath("twpp_archive_extract.twpp");
+  std::string Path = tempPath("twpp_archive_extract.twpp", GetParam());
   RawTrace Trace = fixtures::figure1Trace();
   TwppWpp Compacted = compactWpp(Trace);
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
@@ -130,7 +137,7 @@ TEST_P(ArchiveModeTest, ExtractSingleFunction) {
 }
 
 TEST_P(ArchiveModeTest, DcgRoundTripsThroughLzw) {
-  std::string Path = tempPath("twpp_archive_dcg.twpp");
+  std::string Path = tempPath("twpp_archive_dcg.twpp", GetParam());
   RawTrace Trace = fixtures::randomTrace(99);
   TwppWpp Compacted = compactWpp(Trace);
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
@@ -144,7 +151,7 @@ TEST_P(ArchiveModeTest, DcgRoundTripsThroughLzw) {
 }
 
 TEST_P(ArchiveModeTest, OpenRejectsGarbage) {
-  std::string Path = tempPath("twpp_archive_garbage.twpp");
+  std::string Path = tempPath("twpp_archive_garbage.twpp", GetParam());
   ASSERT_TRUE(writeFileBytes(Path, {1, 2, 3, 4, 5, 6, 7, 8}));
   ArchiveReader Reader;
   EXPECT_FALSE(openOn(Reader, Path, GetParam()));
@@ -158,7 +165,7 @@ TEST_P(ArchiveModeTest, OpenRejectsEmptyFile) {
   // Zero bytes maps to a valid null span (mmap(2) can't express it, the
   // wrapper special-cases it); the header check must still reject it the
   // same way in both modes.
-  std::string Path = tempPath("twpp_archive_empty.twpp");
+  std::string Path = tempPath("twpp_archive_empty.twpp", GetParam());
   ASSERT_TRUE(writeFileBytes(Path, {}));
   ArchiveReader Reader;
   EXPECT_FALSE(openOn(Reader, Path, GetParam()));

@@ -1,0 +1,101 @@
+//===- tests/CliArchiveTest.cpp - The twpp CLI on crafted archives --------===//
+//
+// Part of the TWPP reproduction of Zhang & Gupta, PLDI 2001.
+//
+// The archive decoder checks that a trace's timestamp sets sum to its
+// length, not that they tile 1..Length. An archive whose sets overlap
+// passes extraction; the commands that derive a block sequence from it
+// must then fail with a message (exit 1), never with a signal.
+//
+//===----------------------------------------------------------------------===//
+
+#include "wpp/Archive.h"
+#include "wpp/Twpp.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+#include <sys/wait.h>
+
+using namespace twpp;
+
+namespace {
+
+/// The trace 1 2 1 3 x3 with block 3 given block 2's timestamps {2,6,10}:
+/// the counts still sum to 12, but 2, 6 and 10 are claimed twice and 4, 8
+/// and 12 by no block. Each test writes its own file: ctest runs them at
+/// once.
+std::string writeOverlappingArchive(const std::string &Name) {
+  std::vector<BlockId> Sequence;
+  for (int I = 0; I < 3; ++I)
+    Sequence.insert(Sequence.end(), {1, 2, 1, 3});
+  TwppTrace Trace = twppFromBlockSequence(Sequence);
+  Trace.Blocks[2].second = Trace.Blocks[1].second;
+
+  TwppFunctionTable Table;
+  Table.TraceStrings.push_back(std::move(Trace));
+  Table.Dictionaries.emplace_back();
+  Table.Traces.push_back({0, 0});
+  Table.UseCounts.push_back(1);
+  Table.CallCount = 1;
+  TwppWpp Wpp;
+  Wpp.Functions.push_back(std::move(Table));
+  Wpp.Dcg.Nodes.emplace_back();
+  Wpp.Dcg.Roots.push_back(0);
+
+  std::string Path = ::testing::TempDir() + "/" + Name + ".twpp";
+  EXPECT_TRUE(writeArchiveFile(Path, Wpp));
+  return Path;
+}
+
+struct CommandRun {
+  int Status = -1; ///< Raw wait status.
+  std::string Output;
+};
+
+/// Runs `twpp <Args>` with stderr folded into the captured output.
+CommandRun runTwpp(const std::string &Args) {
+  CommandRun Result;
+  std::string Command = std::string(TWPP_BINARY) + " " + Args + " 2>&1";
+  FILE *Pipe = popen(Command.c_str(), "r");
+  if (!Pipe)
+    return Result;
+  char Buffer[4096];
+  size_t Got;
+  while ((Got = fread(Buffer, 1, sizeof(Buffer), Pipe)) > 0)
+    Result.Output.append(Buffer, Got);
+  Result.Status = pclose(Pipe);
+  return Result;
+}
+
+TEST(CliOverlappingSets, VerifyNamesTheOverlap) {
+  std::string Path = writeOverlappingArchive("twpp_overlap_verify");
+  for (const char *Checks : {"*", "twpp-dataflow-*"}) {
+    CommandRun R =
+        runTwpp("verify --checks='" + std::string(Checks) + "' " + Path);
+    ASSERT_TRUE(WIFEXITED(R.Status)) << R.Output;
+    EXPECT_EQ(WEXITSTATUS(R.Status), 1) << R.Output;
+    EXPECT_NE(R.Output.find("[twpp-dataflow-annotation-partition]"),
+              std::string::npos)
+        << R.Output;
+  }
+  CommandRun All = runTwpp("verify " + Path);
+  EXPECT_NE(All.Output.find("[twpp-archive-trace-partition]"),
+            std::string::npos)
+      << All.Output;
+  std::remove(Path.c_str());
+}
+
+TEST(CliOverlappingSets, DotTracePrintsOneMessage) {
+  std::string Path = writeOverlappingArchive("twpp_overlap_dot_trace");
+  CommandRun R = runTwpp("dot-trace " + Path + " 0 0");
+  ASSERT_TRUE(WIFEXITED(R.Status)) << R.Output;
+  EXPECT_EQ(WEXITSTATUS(R.Status), 1) << R.Output;
+  ASSERT_FALSE(R.Output.empty());
+  EXPECT_EQ(R.Output.find('\n'), R.Output.size() - 1) << R.Output;
+  EXPECT_NE(R.Output.find("do not tile"), std::string::npos) << R.Output;
+  std::remove(Path.c_str());
+}
+
+} // namespace

@@ -7,6 +7,7 @@
 #include "dataflow/AnnotatedCfg.h"
 #include "dataflow/Query.h"
 
+#include "DataflowOracle.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -189,5 +190,109 @@ TEST_P(QueryOracle, MatchesDirectTraceWalk) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryOracle,
                          ::testing::Values(3, 6, 9, 12, 15, 18, 21, 24));
+
+/// Appends a random structured trace: straight-line blocks and loops
+/// (nested up to \p Depth deep) whose bodies repeat with an occasional
+/// alternative block, the shape loops give real path traces.
+void appendStructured(Rng &R, unsigned Depth, std::vector<BlockId> &Out) {
+  for (uint64_t Items = 1 + R.nextBelow(4); Items-- > 0;) {
+    if (Depth == 0 || R.nextBelow(3) != 0) {
+      Out.push_back(1 + static_cast<BlockId>(R.nextBelow(12)));
+      continue;
+    }
+    std::vector<BlockId> Body;
+    appendStructured(R, Depth - 1, Body);
+    BlockId Alternative = 1 + static_cast<BlockId>(R.nextBelow(12));
+    for (uint64_t Trips = 1 + R.nextBelow(12); Trips-- > 0;) {
+      for (BlockId B : Body)
+        Out.push_back(R.nextBelow(8) == 0 ? Alternative : B);
+    }
+  }
+}
+
+/// The flat per-depth frontier answers every query exactly as the
+/// std::map propagation over element-wise set algebra does, run for run,
+/// with the same sub-query count.
+class FrontierOracle : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FrontierOracle, MatchesMapPropagation) {
+  for (uint64_t Seed = GetParam(); Seed < GetParam() + 25; ++Seed) {
+    Rng R(Seed);
+    std::vector<BlockId> Seq;
+    while (Seq.size() < 40)
+      appendStructured(R, 3, Seq);
+    Seq.resize(std::min<size_t>(Seq.size(), 400));
+    BlockEffect Effects[13];
+    for (BlockEffect &E : Effects) {
+      uint64_t Roll = R.nextBelow(10);
+      E = Roll == 0   ? BlockEffect::Gen
+          : Roll == 1 ? BlockEffect::Kill
+                      : BlockEffect::Transparent;
+    }
+    EffectFn Effect = [&](BlockId Block) { return Effects[Block]; };
+    AnnotatedDynamicCfg Cfg = buildAnnotatedCfgFromSequence(Seq);
+    for (size_t Node = 0; Node != Cfg.Nodes.size(); ++Node) {
+      TimestampSet Times = Cfg.Nodes[Node].Times;
+      if (R.nextBelow(3) == 0 && Cfg.Length > 2) {
+        // A subset: the instances at odd or at even timestamps.
+        Timestamp Lo = 1 + static_cast<Timestamp>(R.nextBelow(2));
+        Times = Times.intersect(TimestampSet::fromRun(
+            Lo, Lo + (Cfg.Length - Lo) / 2 * 2, 2));
+      }
+      QueryResult Got = propagateBackward(Cfg, Node, Times, Effect);
+      QueryResult Want = oracle::propagateBackward(Cfg, Node, Times, Effect);
+      ASSERT_TRUE(Got.True == Want.True) << "seed " << Seed << " node "
+                                         << Node;
+      ASSERT_TRUE(Got.False == Want.False) << "seed " << Seed << " node "
+                                           << Node;
+      ASSERT_TRUE(Got.AtEntry == Want.AtEntry) << "seed " << Seed
+                                               << " node " << Node;
+      ASSERT_EQ(Got.QueriesGenerated, Want.QueriesGenerated)
+          << "seed " << Seed << " node " << Node;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FrontierOracle,
+                         ::testing::Values(0, 25, 50, 75, 100, 125, 150,
+                                           175));
+
+TEST(QueryTest, OutOfRangeNodeGivesEmptyResult) {
+  AnnotatedDynamicCfg Cfg = buildAnnotatedCfgFromSequence(figure9Sequence());
+  QueryResult Result = propagateBackward(
+      Cfg, Cfg.Nodes.size(), TimestampSet::fromRun(1, 5, 1), figure9Effect);
+  EXPECT_EQ(Result.QueriesGenerated, 0u);
+  EXPECT_TRUE(Result.True.empty() && Result.False.empty() &&
+              Result.AtEntry.empty());
+}
+
+TEST(AnnotatedCfgTest, OverlappingTimestampSetsGetNoEdges) {
+  // 1 2 1 3 x3, then block 3 is given block 2's timestamps: the sets no
+  // longer tile 1..12 and no block sequence exists to derive edges from.
+  std::vector<BlockId> Seq;
+  for (int I = 0; I < 3; ++I)
+    Seq.insert(Seq.end(), {1, 2, 1, 3});
+  TwppTrace Trace = twppFromBlockSequence(Seq);
+  ASSERT_EQ(Trace.Blocks.size(), 3u);
+  Trace.Blocks[2].second = Trace.Blocks[1].second;
+  AnnotatedDynamicCfg Cfg = buildAnnotatedCfg(Trace, DbbDictionary());
+  ASSERT_EQ(Cfg.Nodes.size(), 3u);
+  EXPECT_EQ(Cfg.Length, 12u);
+  EXPECT_EQ(Cfg.edgeCount(), 0u);
+  EXPECT_EQ(Cfg.Nodes[2].Times, Cfg.Nodes[1].Times);
+  FactFrequency Freq = factFrequency(Cfg, 3, figure9Effect);
+  EXPECT_EQ(Freq.Holds, 0u);
+  EXPECT_EQ(Freq.Total, 3u);
+}
+
+TEST(AnnotatedCfgTest, UnsortedBlockIdsNeverIndexMissingNodes) {
+  // Delta-coded block ids can wrap, leaving the blocks unsorted; a lookup
+  // that misses must drop the edge, not index with npos.
+  TwppTrace Trace = twppFromBlockSequence({5, 7, 5, 9});
+  std::swap(Trace.Blocks[0], Trace.Blocks[2]);
+  AnnotatedDynamicCfg Cfg = buildAnnotatedCfg(Trace, DbbDictionary());
+  EXPECT_EQ(Cfg.Nodes.size(), 3u);
+  EXPECT_LE(Cfg.edgeCount(), 3u);
+}
 
 } // namespace

@@ -257,8 +257,17 @@ int tool::runDotTrace(const Invocation &Inv) {
     return 1;
   }
   auto [StringIdx, DictIdx] = Table.Traces[TraceIndex];
-  AnnotatedDynamicCfg Cfg = buildAnnotatedCfg(
-      Table.TraceStrings[StringIdx], Table.Dictionaries[DictIdx]);
+  const TwppTrace &Trace = Table.TraceStrings[StringIdx];
+  std::vector<BlockId> Sequence;
+  if (!blockSequenceFromTwpp(Trace, Sequence)) {
+    std::fprintf(stderr,
+                 "function %u trace %zu: timestamp sets do not tile "
+                 "1..%u (run twpp verify)\n",
+                 F, TraceIndex, Trace.Length);
+    return 1;
+  }
+  AnnotatedDynamicCfg Cfg =
+      buildAnnotatedCfg(Trace, Table.Dictionaries[DictIdx]);
   std::fputs(dumpAnnotatedCfgDot(Cfg, "f" + std::to_string(F) + "_t" +
                                           std::to_string(TraceIndex))
                  .c_str(),
