@@ -84,7 +84,7 @@ int main() {
               "still only %zu unique paths\n",
               (unsigned long long)Table.CallCount, Runs.size(),
               Table.Traces.size());
-  for (const HotPath &Path : hotPathsOf(Table)) {
+  for (const HotPath &Path : hotPathsOf(expandFunctionTraces(Table))) {
     std::printf("  x%llu:", (unsigned long long)Path.UseCount);
     for (BlockId B : Path.Blocks)
       std::printf(" %u", B);

@@ -59,8 +59,8 @@ void names::registerCanonicalMetrics(MetricsRegistry &Registry) {
         JournalResumes, JournalRecordsDropped, StreamDegraded,
         TraceDroppedEvents, SelfprofSpans, SelfprofEvents,
         SelfprofRecordsDropped, SelfprofTruncatedSpans,
-        SelfprofUnclosedSpans, SelfprofOrphanFlows,
-        SelfprofRegistryOverflows, RacesRuns, RacesThreadsCompacted,
+        SelfprofUnclosedSpans, SelfprofOrphanFlows, RacesRuns,
+        RacesThreadsCompacted,
         RacesEdgesDerived, RacesSegments, RacesSegmentPairs,
         RacesPairsCovered, RacesFound, RacesRacyPairs, IngestProducers,
         IngestFrames, IngestFrameBytes, IngestEvents, IngestFramesCorrupt,

@@ -16,12 +16,11 @@
 ///    Memory.cpp (twpp_obs) because they need threads and the exporters.
 ///
 /// Tracking is off by default. It is enabled per process with
-/// setMemTrackingEnabled(true) or the TWPP_MEM environment variable; when
-/// disabled every hook costs one relaxed atomic load. Building with
-/// -DTWPP_MEM_NO_TRACKING (CMake option TWPP_NO_MEM_TRACKING) compiles the
-/// hooks out entirely. MemAccount itself stays functional in both modes:
-/// StreamingCompactor uses a private instance to drive its memory budget,
-/// which must behave identically whether or not observability is on.
+/// setMemTrackingEnabled(true) (what --metrics-out and the benches do);
+/// when disabled every hook costs one relaxed atomic load. MemAccount
+/// itself works either way: StreamingCompactor uses a private instance to
+/// drive its memory budget, which must behave identically whether or not
+/// observability is on.
 ///
 /// Attribution model: instrumented sites either record against a fixed tag
 /// (memAlloc/memFree with a memtags:: constant) when the stage owns the
@@ -40,7 +39,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,36 +50,19 @@ namespace obs {
 
 namespace detail {
 
-inline bool readMemTrackingFromEnv() {
-  const char *Value = std::getenv("TWPP_MEM");
-  return Value && *Value && std::string(Value) != "0";
-}
-
-inline std::atomic<bool> &memTrackingFlag() {
-  static std::atomic<bool> Flag{readMemTrackingFromEnv()};
-  return Flag;
-}
+inline std::atomic<bool> MemTrackingFlag{false};
 
 } // namespace detail
-
-#ifdef TWPP_MEM_NO_TRACKING
-/// True when the tracker hooks are compiled in at all.
-constexpr bool memTrackingCompiled() { return false; }
-inline bool memTrackingEnabled() { return false; }
-inline void setMemTrackingEnabled(bool) {}
-#else
-constexpr bool memTrackingCompiled() { return true; }
 
 /// True when allocation tracking is on. One relaxed load: cheap enough for
 /// per-allocation call sites.
 inline bool memTrackingEnabled() {
-  return detail::memTrackingFlag().load(std::memory_order_relaxed);
+  return detail::MemTrackingFlag.load(std::memory_order_relaxed);
 }
 
 inline void setMemTrackingEnabled(bool Enabled) {
-  detail::memTrackingFlag().store(Enabled, std::memory_order_relaxed);
+  detail::MemTrackingFlag.store(Enabled, std::memory_order_relaxed);
 }
-#endif
 
 /// Canonical tags of the instrumented subsystems. Free-form tags are
 /// allowed, but sticking to this taxonomy keeps twpp memstat and the trace
@@ -289,12 +270,6 @@ private:
   bool Active = false;
 };
 
-#ifdef TWPP_MEM_NO_TRACKING
-inline void memAlloc(const char *, uint64_t) {}
-inline void memFree(const char *, uint64_t) {}
-inline void memAllocCurrent(uint64_t) {}
-inline void memFreeCurrent(uint64_t) {}
-#else
 /// Records \p Bytes against the fixed tag \p Tag. Hot call sites should
 /// cache the account instead:
 ///   static obs::MemAccount &A = obs::memTracker().account(Tag);
@@ -327,7 +302,6 @@ inline void memFreeCurrent(uint64_t Bytes) {
   if (MemAccount *Account = MemScope::currentAccount())
     Account->recordFree(Bytes);
 }
-#endif
 
 //===----------------------------------------------------------------------===//
 // Process-level sampling + publication — implemented in Memory.cpp

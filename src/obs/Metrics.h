@@ -9,7 +9,7 @@
 /// pipeline: Counter, Gauge and fixed-bucket Histogram primitives in a
 /// process-global MetricsRegistry. Collection is off by default (library
 /// consumers pay one relaxed atomic load per instrumentation site) and is
-/// toggled by the TWPP_METRICS environment variable or setMetricsEnabled().
+/// toggled by setMetricsEnabled() (which every metrics sink calls).
 ///
 /// The core is header-only on purpose: support/ (LZW) sits below every
 /// other library yet is instrumented, so the primitives must not force a
@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -42,28 +41,20 @@ namespace twpp::obs {
 
 namespace detail {
 
-inline bool readEnabledFromEnv() {
-  const char *Env = std::getenv("TWPP_METRICS");
-  return Env && Env[0] != '\0' && !(Env[0] == '0' && Env[1] == '\0');
-}
-
 /// The global collection switch. Relaxed loads keep disabled
 /// instrumentation within noise in hot loops.
-inline std::atomic<bool> &enabledFlag() {
-  static std::atomic<bool> Flag{readEnabledFromEnv()};
-  return Flag;
-}
+inline std::atomic<bool> EnabledFlag{false};
 
 } // namespace detail
 
 /// True when telemetry collection is on.
 inline bool enabled() {
-  return detail::enabledFlag().load(std::memory_order_relaxed);
+  return detail::EnabledFlag.load(std::memory_order_relaxed);
 }
 
-/// Turns collection on or off at runtime (overrides TWPP_METRICS).
+/// Turns collection on or off at runtime.
 inline void setMetricsEnabled(bool On) {
-  detail::enabledFlag().store(On, std::memory_order_relaxed);
+  detail::EnabledFlag.store(On, std::memory_order_relaxed);
 }
 
 /// Monotonically increasing event count. Thread-safe; no-op when disabled.

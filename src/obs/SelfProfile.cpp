@@ -79,9 +79,8 @@ void sortChildrenByBegin(SpanNode *N) {
 
 class Lowerer {
 public:
-  Lowerer(RawTrace &Trace, SpanRegistry &Registry, uint64_t MinGapNs,
-          SelfProfileStats &Stats)
-      : Trace(Trace), Registry(Registry), MinGapNs(MinGapNs), Stats(Stats) {}
+  Lowerer(RawTrace &Trace, SelfProfileStats &Stats)
+      : Trace(Trace), Stats(Stats) {}
 
   void emitSpan(const SpanNode *N, const std::string &ParentPath) {
     std::string Path;
@@ -91,7 +90,11 @@ public:
       Path = std::string(N->Name);
     else
       Path = ParentPath + "/" + std::string(N->Name);
-    FunctionId F = Registry.intern(Path);
+    auto [It, Inserted] =
+        Ids.try_emplace(Path, static_cast<FunctionId>(Paths.size()));
+    if (Inserted)
+      Paths.push_back(Path);
+    FunctionId F = It->second;
     ++Stats.Spans;
     Trace.Events.push_back(TraceEvent::enter(F));
     Trace.Events.push_back(TraceEvent::block(selfprof::CallMarkerBlock));
@@ -109,9 +112,12 @@ public:
     return UsedGaps;
   }
 
+  /// Span path per FunctionId: ids are dense, in first-seen order.
+  std::vector<std::string> takePaths() { return std::move(Paths); }
+
 private:
   void emitGap(uint64_t Ns) {
-    if (Ns == 0 || Ns < MinGapNs)
+    if (Ns == 0 || Ns < selfprof::MinGapNs)
       return;
     uint32_t Bucket = selfprof::gapBucketOf(Ns);
     BlockId B = selfprof::FirstGapBlock + Bucket;
@@ -120,19 +126,18 @@ private:
   }
 
   RawTrace &Trace;
-  SpanRegistry &Registry;
-  uint64_t MinGapNs;
   SelfProfileStats &Stats;
   std::map<BlockId, uint64_t> UsedGaps;
+  std::unordered_map<std::string, FunctionId> Ids;
+  std::vector<std::string> Paths;
 };
 
 } // namespace
 
 SpanEventStream
-twpp::obs::adaptSpanRecords(const std::vector<std::vector<TraceRecord>> &PerThread,
-                            SpanRegistry &Registry, uint64_t MinGapNs) {
+twpp::obs::adaptSpanRecords(
+    const std::vector<std::vector<TraceRecord>> &PerThread) {
   SpanEventStream Out;
-  uint64_t OverflowsBefore = Registry.overflowCount();
 
   // Pass 1: rebuild each thread's span forest from its B/E stream,
   // collecting flow-arrow endpoints as we go. Ring truncation shows up
@@ -229,7 +234,7 @@ twpp::obs::adaptSpanRecords(const std::vector<std::vector<TraceRecord>> &PerThre
   // Pass 3: DFS-linearize. The result is well-nested by construction —
   // timestamps only drive the gap blocks, so clock skew between threads
   // can never unbalance the stream.
-  Lowerer L(Out.Trace, Registry, MinGapNs, Out.Stats);
+  Lowerer L(Out.Trace, Out.Stats);
   for (const SpanNode *R : FinalRoots)
     L.emitSpan(R, std::string());
 
@@ -239,12 +244,11 @@ twpp::obs::adaptSpanRecords(const std::vector<std::vector<TraceRecord>> &PerThre
   if (Out.Stats.Spans < Pool.size())
     Out.Stats.TruncatedSpans += Pool.size() - Out.Stats.Spans;
 
-  Out.Trace.FunctionCount = Registry.size();
-  Out.FunctionPaths = Registry.paths();
+  Out.FunctionPaths = L.takePaths();
+  Out.Trace.FunctionCount = static_cast<uint32_t>(Out.FunctionPaths.size());
   Out.GapBlocks.assign(L.usedGapBlocks().begin(), L.usedGapBlocks().end());
   Out.Stats.Events = Out.Trace.Events.size();
-  Out.Stats.Functions = Registry.size();
-  Out.Stats.RegistryOverflows = Registry.overflowCount() - OverflowsBefore;
+  Out.Stats.Functions = Out.FunctionPaths.size();
   return Out;
 }
 
@@ -253,8 +257,6 @@ twpp::obs::adaptSpanRecords(const std::vector<std::vector<TraceRecord>> &PerThre
 //===----------------------------------------------------------------------===//
 
 SelfProfiler::SelfProfiler(SelfProfileConfig C) : Config(std::move(C)) {
-  if (Config.MetaPath.empty())
-    Config.MetaPath = Config.ArchivePath + ".meta";
   TracingWasOn = tracingEnabled();
   setTracingEnabled(true);
 }
@@ -276,7 +278,7 @@ void SelfProfiler::drain() {
     std::vector<TraceRecord> Records = R.Ring->drainFrom(C.Cursor, Lost);
     LostRecords += Lost;
     for (TraceRecord &Rec : Records) {
-      if (BufferedCount >= Config.MaxBufferedRecords) {
+      if (BufferedCount >= selfprof::MaxBufferedRecords) {
         ++LostRecords;
         continue;
       }
@@ -285,8 +287,6 @@ void SelfProfiler::drain() {
     }
   }
 }
-
-size_t SelfProfiler::bufferedRecords() const { return BufferedCount; }
 
 bool SelfProfiler::finish(SelfProfileStats &Stats, std::string *Error) {
   if (Finished) {
@@ -304,20 +304,14 @@ bool SelfProfiler::finish(SelfProfileStats &Stats, std::string *Error) {
     JsonBytes = exportTraceJson(traceRecorder()).size();
   drain();
 
-  SpanRegistry Registry(Config.RegistryCapacity);
-  SpanEventStream Stream =
-      adaptSpanRecords(Buffered, Registry, Config.MinGapNs);
+  SpanEventStream Stream = adaptSpanRecords(Buffered);
   Stream.Stats.RecordsDropped = LostRecords;
   Stream.Stats.TraceJsonBytes = JsonBytes;
 
   // Feed the lowered stream through a dedicated streaming compactor —
-  // the same ingest path (journal, memory budget included) any traced
-  // program uses, which is the point of the dogfood.
-  StreamingConfig SC;
-  SC.CheckpointInterval = Config.CheckpointInterval;
-  SC.JournalPath = Config.JournalPath;
-  SC.MemoryBudgetBytes = Config.MemoryBudgetBytes;
-  StreamingCompactor Compactor(Stream.Trace.FunctionCount, SC);
+  // the same ingest path any traced program uses, which is the point of
+  // the dogfood.
+  StreamingCompactor Compactor(Stream.Trace.FunctionCount);
   for (const TraceEvent &E : Stream.Trace.Events) {
     switch (E.EventKind) {
     case TraceEvent::Kind::Enter:
@@ -344,13 +338,14 @@ bool SelfProfiler::finish(SelfProfileStats &Stats, std::string *Error) {
 
   if (Ok) {
     SelfProfileMeta Meta;
-    Meta.MinGapNs = Config.MinGapNs;
+    Meta.MinGapNs = selfprof::MinGapNs;
     Meta.FunctionPaths = Stream.FunctionPaths;
     Meta.GapBlocks = Stream.GapBlocks;
     Meta.Stats = Stream.Stats;
     std::string Text = encodeSelfProfileMeta(Meta);
     std::vector<uint8_t> Bytes(Text.begin(), Text.end());
-    IoError MetaErr = writeFileBytesAtomic(Config.MetaPath, Bytes);
+    IoError MetaErr =
+        writeFileBytesAtomic(Config.ArchivePath + ".meta", Bytes);
     if (!MetaErr.ok()) {
       Ok = false;
       if (Error)
@@ -367,8 +362,6 @@ bool SelfProfiler::finish(SelfProfileStats &Stats, std::string *Error) {
   M.counter(names::SelfprofTruncatedSpans).add(Stream.Stats.TruncatedSpans);
   M.counter(names::SelfprofUnclosedSpans).add(Stream.Stats.UnclosedSpans);
   M.counter(names::SelfprofOrphanFlows).add(Stream.Stats.OrphanFlows);
-  M.counter(names::SelfprofRegistryOverflows)
-      .add(Stream.Stats.RegistryOverflows);
   M.gauge(names::SelfprofFunctions)
       .set(static_cast<int64_t>(Stream.Stats.Functions));
   M.gauge(names::SelfprofArchiveBytes)
@@ -457,7 +450,6 @@ std::string twpp::obs::encodeSelfProfileMeta(const SelfProfileMeta &Meta) {
   Out << "stat truncated_spans " << S.TruncatedSpans << "\n";
   Out << "stat unclosed_spans " << S.UnclosedSpans << "\n";
   Out << "stat orphan_flows " << S.OrphanFlows << "\n";
-  Out << "stat registry_overflows " << S.RegistryOverflows << "\n";
   Out << "stat functions " << S.Functions << "\n";
   Out << "stat archive_bytes " << S.ArchiveBytes << "\n";
   Out << "stat trace_json_bytes " << S.TraceJsonBytes << "\n";
@@ -515,8 +507,6 @@ bool twpp::obs::decodeSelfProfileMeta(const std::string &Text,
         S.UnclosedSpans = Value;
       else if (Name == "orphan_flows")
         S.OrphanFlows = Value;
-      else if (Name == "registry_overflows")
-        S.RegistryOverflows = Value;
       else if (Name == "functions")
         S.Functions = Value;
       else if (Name == "archive_bytes")

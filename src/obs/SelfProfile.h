@@ -12,16 +12,15 @@
 /// lowers the span stream into the ordinary trace::Events model:
 ///
 ///   * each distinct span path ("compact/dbb/pool") becomes one
-///     FunctionId, interned in a lock-free SpanRegistry;
+///     FunctionId, numbered densely in first-seen order;
 ///   * each span instance becomes an Enter..Exit pair;
 ///   * wall time becomes Block events: block 1 is a call marker emitted
 ///     at every span begin, and the idle gaps between a span's children
 ///     (its exclusive time) become one block per gap whose id names a
 ///     log2 duration bucket (2 mantissa bits, <=~19% quantization).
 ///
-/// The lowered stream feeds a dedicated StreamingCompactor (journal +
-/// memory budget apply, like any other ingest) and is written as a
-/// standard, verifier-clean .twppa archive, plus a small plain-text
+/// The lowered stream feeds a dedicated StreamingCompactor and is written
+/// as a standard, verifier-clean .twppa archive, plus a small plain-text
 /// sidecar (<archive>.meta) mapping FunctionIds back to span paths and
 /// gap blocks back to representative nanoseconds — everything
 /// `twpp selfprof` needs to report hottest paths per pipeline stage
@@ -32,15 +31,14 @@
 /// that recorded traceFlowStart(id) on the calling thread, so the
 /// per-worker streams merge into one well-nested order (mirroring
 /// PhaseSpan::ScopedRoot's aggregation paths). Ring wraparound, torn
-/// reads, unmatched flows and registry overflow all degrade into
-/// counters (selfprof.*), never into a malformed event stream.
+/// reads and unmatched flows all degrade into counters (selfprof.*),
+/// never into a malformed event stream.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TWPP_OBS_SELFPROFILE_H
 #define TWPP_OBS_SELFPROFILE_H
 
-#include "obs/SpanRegistry.h"
 #include "obs/Trace.h"
 #include "trace/Events.h"
 
@@ -62,6 +60,14 @@ inline constexpr BlockId CallMarkerBlock = 1;
 /// First block id available for gap-duration buckets.
 inline constexpr BlockId FirstGapBlock = 2;
 
+/// Inter-child gaps shorter than this are attributed to quantization loss
+/// instead of emitting a block.
+inline constexpr uint64_t MinGapNs = 1024;
+
+/// Cap on raw records buffered between drains, across all threads;
+/// records past it are dropped and counted in RecordsDropped.
+inline constexpr size_t MaxBufferedRecords = size_t(1) << 22;
+
 /// Log2 bucket with 2 mantissa bits for \p Ns (>= 4). Monotonic in Ns;
 /// at most ~19% relative quantization error at bucket edges.
 uint32_t gapBucketOf(uint64_t Ns);
@@ -81,7 +87,6 @@ struct SelfProfileStats {
   uint64_t TruncatedSpans = 0; ///< Orphan E records (B overwritten) dropped.
   uint64_t UnclosedSpans = 0;  ///< B records synthesized closed at drain.
   uint64_t OrphanFlows = 0;    ///< Worker roots with no matching FlowStart.
-  uint64_t RegistryOverflows = 0; ///< Paths collapsed onto "(overflow)".
   uint64_t Functions = 0;      ///< Distinct span paths (FunctionCount).
   uint64_t ArchiveBytes = 0;   ///< Bytes of the written .twppa.
   uint64_t TraceJsonBytes = 0; ///< Equivalent Chrome-JSON bytes (optional).
@@ -93,7 +98,7 @@ struct SelfProfileStats {
 /// lowering.
 struct SpanEventStream {
   RawTrace Trace;
-  /// Span path per FunctionId (index 0 is "(overflow)").
+  /// Span path per FunctionId, in first-seen order.
   std::vector<std::string> FunctionPaths;
   /// (gap block id, representative ns) for every gap bucket the stream
   /// used, sorted by block id.
@@ -104,31 +109,16 @@ struct SpanEventStream {
 /// Lowers per-thread flight-recorder records (index = tid; tid 0 is the
 /// main thread) into one well-nested Enter/Block/Exit stream. Only
 /// Begin/End/FlowStart/FlowFinish records participate; Instant/Counter
-/// records are skipped. Gaps shorter than \p MinGapNs are not encoded.
-/// The result's Trace always satisfies RawTrace::isWellFormed().
+/// records are skipped. Gaps shorter than selfprof::MinGapNs are not
+/// encoded. The result's Trace always satisfies RawTrace::isWellFormed().
 SpanEventStream
-adaptSpanRecords(const std::vector<std::vector<TraceRecord>> &PerThread,
-                 SpanRegistry &Registry, uint64_t MinGapNs);
+adaptSpanRecords(const std::vector<std::vector<TraceRecord>> &PerThread);
 
 /// Configuration of a profiling run.
 struct SelfProfileConfig {
-  /// Output archive path (.twppa). Required.
+  /// Output archive path (.twppa). Required; the sidecar goes to
+  /// ArchivePath + ".meta".
   std::string ArchivePath;
-  /// Sidecar path; empty means ArchivePath + ".meta".
-  std::string MetaPath;
-  /// Streaming-compactor durability knobs (wpp/Streaming.h). Empty /
-  /// zero disables journaling and the memory budget.
-  std::string JournalPath;
-  uint64_t CheckpointInterval = 0;
-  uint64_t MemoryBudgetBytes = 0;
-  /// Inter-child gaps shorter than this are attributed to quantization
-  /// loss instead of emitting a block.
-  uint64_t MinGapNs = 1024;
-  /// Cap on raw records buffered between drains, across all threads;
-  /// overflow is dropped and counted in RecordsDropped.
-  size_t MaxBufferedRecords = size_t(1) << 22;
-  /// Span-path registry capacity (distinct paths).
-  size_t RegistryCapacity = 1 << 12;
   /// Also measure the equivalent Chrome-trace JSON export's size into
   /// Stats.TraceJsonBytes (the compaction-ratio comparison).
   bool CompareTraceJson = false;
@@ -146,8 +136,6 @@ public:
   SelfProfiler(const SelfProfiler &) = delete;
   SelfProfiler &operator=(const SelfProfiler &) = delete;
 
-  const SelfProfileConfig &config() const { return Config; }
-
   /// Pulls new records out of every ring since the previous drain. Cheap
   /// (memcpy of the new window); call between pipeline stages or from
   /// bench checkpoints so long runs outlive the rings' capacity.
@@ -158,9 +146,6 @@ public:
   /// quiescent. \returns false (with \p Error filled) when the archive
   /// or sidecar cannot be written; the stats are valid either way.
   bool finish(SelfProfileStats &Stats, std::string *Error = nullptr);
-
-  /// Records buffered so far (across threads), for tests.
-  size_t bufferedRecords() const;
 
 private:
   struct RingCursor {

@@ -53,18 +53,10 @@ namespace twpp::obs {
 
 namespace trace_detail {
 
-inline bool readTracingFromEnv() {
-  const char *Env = std::getenv("TWPP_TRACE");
-  return Env && Env[0] != '\0' && !(Env[0] == '0' && Env[1] == '\0');
-}
-
 /// The global recording switch, independent of the metrics switch so a
 /// trace can be captured without paying span-table aggregation and vice
 /// versa.
-inline std::atomic<bool> &tracingFlag() {
-  static std::atomic<bool> Flag{readTracingFromEnv()};
-  return Flag;
-}
+inline std::atomic<bool> TracingFlag{false};
 
 inline uint64_t nowNs() {
   return static_cast<uint64_t>(
@@ -94,12 +86,12 @@ constexpr const char *droppedEventsMetricName() {
 
 /// True when event recording is on.
 inline bool tracingEnabled() {
-  return trace_detail::tracingFlag().load(std::memory_order_relaxed);
+  return trace_detail::TracingFlag.load(std::memory_order_relaxed);
 }
 
-/// Turns recording on or off at runtime (overrides TWPP_TRACE).
+/// Turns recording on or off at runtime.
 inline void setTracingEnabled(bool On) {
-  trace_detail::tracingFlag().store(On, std::memory_order_relaxed);
+  trace_detail::TracingFlag.store(On, std::memory_order_relaxed);
 }
 
 /// One recorded event. Names are stored inline (truncated, never

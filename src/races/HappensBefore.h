@@ -9,10 +9,11 @@
 /// clock *timeline*: an ordered list of checkpoints (Time, Clock) where
 /// the clock governing an event at per-thread time t is the clock of the
 /// last checkpoint with Time < t. Clocks change only at incoming-edge
-/// targets, so a thread's 1..N block clock splits into a handful of
-/// *segments* of constant vector clock — typically a few dozen segments
-/// against millions of block events. The compacted race engine does all
-/// of its work per segment pair; it never looks inside a segment.
+/// targets, so a thread's 1..N block clock splits into *segments* of
+/// constant vector clock — about 5,200 per thread on average in the
+/// pipeline bench's analyze workload, far fewer than its block events.
+/// The compacted race engine does all of its work per segment pair; it
+/// never looks inside a segment.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -92,17 +92,6 @@ void verify::runMemoryChecks(const std::string &Path,
   if (!WantReconcile && !WantModel)
     return;
 
-  if (!obs::memTrackingCompiled()) {
-    // Built with TWPP_NO_MEM_TRACKING: nothing records, so there is
-    // nothing to reconcile. A note keeps the skip visible without
-    // failing the build's verification runs.
-    Engine.report(checks::MemReconcile, Severity::Note,
-                  "allocation tracking compiled out "
-                  "(TWPP_NO_MEM_TRACKING); reconcile audit skipped",
-                  Path);
-    return;
-  }
-
   MemoryAudit Audit;
   if (!auditArchiveMemory(Path, Audit))
     return; // the archive byte checks already diagnosed it

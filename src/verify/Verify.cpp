@@ -30,13 +30,6 @@ bool verify::verifyArchiveFile(const std::string &Path,
 
 namespace {
 
-/// Glob for the pipeline assertions: TWPP_VERIFY_CHECKS when set, else
-/// every check (the archive family is all the pipeline hooks can reach).
-const char *hookGlob() {
-  const char *Env = std::getenv("TWPP_VERIFY_CHECKS");
-  return Env && Env[0] != '\0' ? Env : "*";
-}
-
 void recordAndEnforce(const DiagnosticEngine &Engine, const char *Stage) {
   if (obs::enabled()) {
     obs::MetricsRegistry &M = obs::metrics();
@@ -61,7 +54,7 @@ void recordAndEnforce(const DiagnosticEngine &Engine, const char *Stage) {
 
 void verifyWppHook(const TwppWpp &Wpp, const char *Stage) {
   obs::PhaseSpan Span("verify");
-  DiagnosticEngine Engine(hookGlob());
+  DiagnosticEngine Engine;
   runWppChecks(Wpp, Engine);
   recordAndEnforce(Engine, Stage);
 }
@@ -69,7 +62,7 @@ void verifyWppHook(const TwppWpp &Wpp, const char *Stage) {
 void verifyArchiveBytesHook(const std::vector<uint8_t> &Bytes,
                             const char *Stage) {
   obs::PhaseSpan Span("verify");
-  DiagnosticEngine Engine(hookGlob());
+  DiagnosticEngine Engine;
   runArchiveBytesChecks(Bytes, Engine);
   recordAndEnforce(Engine, Stage);
 }

@@ -671,7 +671,11 @@ bool ArchiveReader::extractFunctionPathTraces(FunctionId Function,
   TwppFunctionTable Table;
   if (!extractFunction(Function, Table))
     return false;
-  Out = expandFunctionTraces(Table);
+  if (!expandFunctionTraces(Table, Out))
+    return fail(verify::checks::ArchiveTracePartition,
+                "timestamp sets do not tile 1..Length of a trace",
+                "function " + std::to_string(Function) + " block",
+                Layout.Rows[Function].Offset);
   return true;
 }
 

@@ -226,6 +226,8 @@ public:
   bool extractFunction(FunctionId Function, TwppFunctionTable &Table) const;
 
   /// Expands \p Function's unique path traces to raw block sequences.
+  /// Fails (twpp-archive-trace-partition) when a trace's timestamp sets
+  /// do not tile it.
   bool extractFunctionPathTraces(FunctionId Function,
                                  FunctionPathTraces &Out) const;
 

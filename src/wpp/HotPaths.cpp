@@ -11,9 +11,8 @@
 
 using namespace twpp;
 
-std::vector<HotPath> twpp::hotPathsOf(const TwppFunctionTable &Table,
+std::vector<HotPath> twpp::hotPathsOf(FunctionPathTraces Expanded,
                                       size_t Limit) {
-  FunctionPathTraces Expanded = expandFunctionTraces(Table);
   std::vector<uint32_t> Order(Expanded.Traces.size());
   std::iota(Order.begin(), Order.end(), 0);
   std::stable_sort(Order.begin(), Order.end(),

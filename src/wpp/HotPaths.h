@@ -31,9 +31,10 @@ struct HotPath {
   PathTrace Blocks;        ///< The expanded block sequence.
 };
 
-/// The function's unique paths sorted by use count descending (ties by
-/// first occurrence), up to \p Limit entries (0 = all).
-std::vector<HotPath> hotPathsOf(const TwppFunctionTable &Table,
+/// A function's expanded unique paths (expandFunctionTraces) sorted by use
+/// count descending (ties by first occurrence), up to \p Limit entries
+/// (0 = all).
+std::vector<HotPath> hotPathsOf(FunctionPathTraces Expanded,
                                 size_t Limit = 0);
 
 /// Occurrences of the contiguous block subsequence \p Needle across the

@@ -75,8 +75,12 @@ PartitionedWpp twpp::mergePartitionedWpps(
 TwppWpp twpp::mergeCompactedWpps(const std::vector<const TwppWpp *> &Runs) {
   std::vector<PartitionedWpp> Expanded;
   Expanded.reserve(Runs.size());
-  for (const TwppWpp *Run : Runs)
-    Expanded.push_back(dbbToPartitioned(twppToDbb(*Run)));
+  for (const TwppWpp *Run : Runs) {
+    DbbWpp Dbb;
+    if (!twppToDbb(*Run, Dbb))
+      return TwppWpp();
+    Expanded.push_back(dbbToPartitioned(Dbb));
+  }
   std::vector<const PartitionedWpp *> Pointers;
   Pointers.reserve(Expanded.size());
   for (const PartitionedWpp &Wpp : Expanded)

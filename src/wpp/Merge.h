@@ -34,7 +34,8 @@ PartitionedWpp mergePartitionedWpps(
     const std::vector<const PartitionedWpp *> &Runs);
 
 /// Convenience: merges fully compacted WPPs by expanding to partitioned
-/// form, merging, and re-running the DBB/TWPP stages.
+/// form, merging, and re-running the DBB/TWPP stages. A run whose
+/// timestamp sets do not tile its traces yields an empty result.
 TwppWpp mergeCompactedWpps(const std::vector<const TwppWpp *> &Runs);
 
 } // namespace twpp

@@ -16,7 +16,6 @@
 #include "wpp/VerifyHooks.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <unordered_map>
 
@@ -189,8 +188,8 @@ TwppWpp twpp::convertToTwpp(const DbbWpp &Wpp, const ParallelConfig &Config) {
   return Out;
 }
 
-DbbWpp twpp::twppToDbb(const TwppWpp &Wpp) {
-  DbbWpp Out;
+bool twpp::twppToDbb(const TwppWpp &Wpp, DbbWpp &Out, FunctionId *Untiled) {
+  Out = DbbWpp();
   Out.Dcg = Wpp.Dcg;
   Out.Functions.resize(Wpp.Functions.size());
   for (size_t F = 0; F < Wpp.Functions.size(); ++F) {
@@ -203,13 +202,15 @@ DbbWpp twpp::twppToDbb(const TwppWpp &Wpp) {
     Table.TraceStrings.reserve(In.TraceStrings.size());
     for (const TwppTrace &Trace : In.TraceStrings) {
       std::vector<BlockId> Sequence;
-      bool Ok = blockSequenceFromTwpp(Trace, Sequence);
-      assert(Ok && "inconsistent TWPP trace");
-      (void)Ok;
+      if (!blockSequenceFromTwpp(Trace, Sequence)) {
+        if (Untiled)
+          *Untiled = static_cast<FunctionId>(F);
+        return false;
+      }
       Table.TraceStrings.push_back(std::move(Sequence));
     }
   }
-  return Out;
+  return true;
 }
 
 PartitionedWpp twpp::dbbToPartitioned(const DbbWpp &Wpp) {
@@ -243,26 +244,47 @@ TwppWpp twpp::compactWpp(const RawTrace &Trace) {
   return Out;
 }
 
-RawTrace twpp::reconstructRawTrace(const TwppWpp &Wpp) {
-  return reconstructRawTrace(dbbToPartitioned(twppToDbb(Wpp)));
+bool twpp::reconstructRawTrace(const TwppWpp &Wpp, RawTrace &Out,
+                               FunctionId *Untiled) {
+  DbbWpp Dbb;
+  if (!twppToDbb(Wpp, Dbb, Untiled)) {
+    Out = RawTrace();
+    return false;
+  }
+  Out = reconstructRawTrace(dbbToPartitioned(Dbb));
+  return true;
 }
 
-FunctionPathTraces
-twpp::expandFunctionTraces(const TwppFunctionTable &Table) {
-  FunctionPathTraces Out;
+RawTrace twpp::reconstructRawTrace(const TwppWpp &Wpp) {
+  RawTrace Out;
+  reconstructRawTrace(Wpp, Out);
+  return Out;
+}
+
+bool twpp::expandFunctionTraces(const TwppFunctionTable &Table,
+                                FunctionPathTraces &Out) {
+  Out = FunctionPathTraces();
   Out.CallCount = Table.CallCount;
   Out.UseCounts = Table.UseCounts;
   Out.Traces.reserve(Table.Traces.size());
   for (auto [StringIdx, DictIdx] : Table.Traces) {
     std::vector<BlockId> Sequence;
-    bool Ok = blockSequenceFromTwpp(Table.TraceStrings[StringIdx], Sequence);
-    assert(Ok && "inconsistent TWPP trace");
-    (void)Ok;
+    if (!blockSequenceFromTwpp(Table.TraceStrings[StringIdx], Sequence)) {
+      Out = FunctionPathTraces();
+      return false;
+    }
     PathTrace Expanded;
     Expanded.reserve(Sequence.size());
     for (BlockId Head : Sequence)
       appendExpansion(Table.Dictionaries[DictIdx], Head, Expanded);
     Out.Traces.push_back(std::move(Expanded));
   }
+  return true;
+}
+
+FunctionPathTraces
+twpp::expandFunctionTraces(const TwppFunctionTable &Table) {
+  FunctionPathTraces Out;
+  expandFunctionTraces(Table, Out);
   return Out;
 }

@@ -115,8 +115,10 @@ DbbWpp applyDbbCompaction(const PartitionedWpp &Wpp,
 /// under \p Config.
 TwppWpp convertToTwpp(const DbbWpp &Wpp, const ParallelConfig &Config = {});
 
-/// Inverse of convertToTwpp.
-DbbWpp twppToDbb(const TwppWpp &Wpp);
+/// Inverse of convertToTwpp. \returns false when a trace's timestamp sets
+/// do not tile 1..Length (only a crafted or corrupt archive holds one);
+/// \p Untiled, when given, then receives that trace's function.
+bool twppToDbb(const TwppWpp &Wpp, DbbWpp &Out, FunctionId *Untiled = nullptr);
 
 /// Inverse of applyDbbCompaction (expands every (string, dictionary) pair).
 PartitionedWpp dbbToPartitioned(const DbbWpp &Wpp);
@@ -126,6 +128,12 @@ PartitionedWpp dbbToPartitioned(const DbbWpp &Wpp);
 TwppWpp compactWpp(const RawTrace &Trace);
 
 /// Inverse of compactWpp: rebuilds the exact original event stream.
+/// \returns false, as twppToDbb does, when a trace does not tile.
+bool reconstructRawTrace(const TwppWpp &Wpp, RawTrace &Out,
+                         FunctionId *Untiled = nullptr);
+
+/// The same for a TWPP known to tile (one this process compacted or
+/// verified); an untiled one yields an empty trace.
 RawTrace reconstructRawTrace(const TwppWpp &Wpp);
 
 /// Expands the unique path traces of one function back to raw block
@@ -136,6 +144,12 @@ struct FunctionPathTraces {
   std::vector<uint64_t> UseCounts;
   uint64_t CallCount = 0;
 };
+/// \returns false, leaving \p Out empty, when a trace's timestamp sets do
+/// not tile 1..Length.
+bool expandFunctionTraces(const TwppFunctionTable &Table,
+                          FunctionPathTraces &Out);
+
+/// The same for a table known to tile; an untiled one yields no traces.
 FunctionPathTraces expandFunctionTraces(const TwppFunctionTable &Table);
 
 } // namespace twpp

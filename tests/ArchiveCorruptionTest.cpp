@@ -12,9 +12,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/ByteStream.h"
 #include "support/FileIO.h"
 #include "support/Random.h"
 #include "verify/ArchiveChecks.h"
+#include "verify/Checks.h"
 #include "workloads/Concurrent.h"
 #include "workloads/Workload.h"
 #include "wpp/Archive.h"
@@ -24,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -377,6 +380,53 @@ TEST_P(ArchiveCorruption, ExtractBeyondFunctionCountFails) {
   EXPECT_FALSE(Reader.extractFunction(
       static_cast<FunctionId>(Original->Functions.size()), Table));
   EXPECT_FALSE(Reader.extractFunction(~FunctionId(0), Table));
+}
+
+TEST_P(ArchiveCorruption, OutOfRangeSeriesFailsExtract) {
+  // One function, one trace: block 1 at the four timestamps of the series
+  // 1 : 4294967293 : 1431655764. Its encoded values 1, 4294967293,
+  // -1431655764 take the same varint widths as 1, 4294967297,
+  // -4294967296, a series whose values truncate to a zero-step run.
+  // Patched in, that series must fail extraction with a named error.
+  TwppTrace Trace;
+  Trace.Length = 4;
+  Trace.Blocks.emplace_back(
+      1, TimestampSet::fromSorted({1, 1431655765, 2863311529, 4294967293}));
+  ASSERT_EQ(Trace.Blocks[0].second.encodeSigned(),
+            (std::vector<int64_t>{1, 4294967293, -1431655764}));
+  TwppFunctionTable Table;
+  Table.TraceStrings.push_back(std::move(Trace));
+  Table.Dictionaries.emplace_back();
+  Table.Traces.push_back({0, 0});
+  Table.UseCounts.push_back(1);
+  Table.CallCount = 1;
+  TwppWpp Wpp;
+  Wpp.Functions.push_back(std::move(Table));
+  Wpp.Dcg.Nodes.emplace_back();
+  Wpp.Dcg.Roots.push_back(0);
+  std::vector<uint8_t> File = encodeArchive(Wpp);
+
+  auto Encode = [](std::initializer_list<int64_t> Values) {
+    ByteWriter Writer;
+    for (int64_t Value : Values)
+      Writer.writeVarInt(Value);
+    return Writer.take();
+  };
+  std::vector<uint8_t> Good = Encode({1, 4294967293, -1431655764});
+  std::vector<uint8_t> Bad = Encode({1, 4294967297, -4294967296});
+  ASSERT_EQ(Good.size(), Bad.size());
+  auto At = std::search(File.begin(), File.end(), Good.begin(), Good.end());
+  ASSERT_NE(At, File.end());
+  std::copy(Bad.begin(), Bad.end(), At);
+
+  std::string Path = writeVariant(File, "series_range");
+  ArchiveReader Reader;
+  ASSERT_TRUE(openOn(Reader, Path, GetParam()));
+  TwppFunctionTable Back;
+  EXPECT_FALSE(Reader.extractFunction(0, Back));
+  EXPECT_EQ(Reader.lastError().CheckId, verify::checks::ArchiveBlockDecode);
+  EXPECT_NE(Reader.lastError().Location.find("function 0"), std::string::npos)
+      << Reader.lastError().Location;
 }
 
 TEST_F(ArchiveCorruptionDifferential, DiagnosticsIdenticalAcrossIoModes) {

@@ -5,7 +5,8 @@
 // The archive decoder checks that a trace's timestamp sets sum to its
 // length, not that they tile 1..Length. An archive whose sets overlap
 // passes extraction; the commands that derive a block sequence from it
-// must then fail with a message (exit 1), never with a signal.
+// must then fail with a message naming the function (exit 1), never with
+// a signal or with wrong output.
 //
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +86,21 @@ TEST(CliOverlappingSets, VerifyNamesTheOverlap) {
             std::string::npos)
       << All.Output;
   std::remove(Path.c_str());
+}
+
+TEST(CliOverlappingSets, QueryAndReconstructNameTheFunction) {
+  std::string Path = writeOverlappingArchive("twpp_overlap_query");
+  std::string Out = ::testing::TempDir() + "/twpp_overlap_query.owpp";
+  for (const std::string &Args :
+       {"query " + Path + " 0", "reconstruct " + Path + " " + Out}) {
+    CommandRun R = runTwpp(Args);
+    ASSERT_TRUE(WIFEXITED(R.Status)) << Args << "\n" << R.Output;
+    EXPECT_EQ(WEXITSTATUS(R.Status), 1) << Args << "\n" << R.Output;
+    EXPECT_NE(R.Output.find("function 0"), std::string::npos) << R.Output;
+    EXPECT_NE(R.Output.find("do not tile"), std::string::npos) << R.Output;
+  }
+  std::remove(Path.c_str());
+  std::remove(Out.c_str());
 }
 
 TEST(CliOverlappingSets, DotTracePrintsOneMessage) {

@@ -17,7 +17,8 @@ namespace {
 TEST(HotPathsTest, RanksByUseCount) {
   RawTrace Trace = fixtures::figure1Trace();
   TwppWpp Compacted = compactWpp(Trace);
-  std::vector<HotPath> Paths = hotPathsOf(Compacted.Functions[1]);
+  std::vector<HotPath> Paths =
+      hotPathsOf(expandFunctionTraces(Compacted.Functions[1]));
   ASSERT_EQ(Paths.size(), 2u);
   // Path2 (through blocks 7.8.9) was used 3 times, path1 twice.
   EXPECT_EQ(Paths[0].UseCount, 3u);
@@ -29,8 +30,9 @@ TEST(HotPathsTest, RanksByUseCount) {
 TEST(HotPathsTest, LimitTruncates) {
   RawTrace Trace = fixtures::figure1Trace();
   TwppWpp Compacted = compactWpp(Trace);
-  EXPECT_EQ(hotPathsOf(Compacted.Functions[1], 1).size(), 1u);
-  EXPECT_EQ(hotPathsOf(Compacted.Functions[1], 10).size(), 2u);
+  FunctionPathTraces Expanded = expandFunctionTraces(Compacted.Functions[1]);
+  EXPECT_EQ(hotPathsOf(Expanded, 1).size(), 1u);
+  EXPECT_EQ(hotPathsOf(Expanded, 10).size(), 2u);
 }
 
 TEST(SubpathTest, CountsDynamicOccurrences) {

@@ -24,9 +24,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <regex>
+#include <set>
 #include <sstream>
 
 using namespace twpp;
@@ -636,7 +638,8 @@ TEST_F(ObsTest, ArchiveReaderRejectsUnknownFunctionIds) {
 }
 
 //===----------------------------------------------------------------------===//
-// Metric inventory: obs/Names.h against docs/OBSERVABILITY.md
+// Inventories: obs/Names.h against docs/OBSERVABILITY.md, and documented
+// environment variables against the code that reads them
 //===----------------------------------------------------------------------===//
 
 std::string readSourceFile(const std::string &Relative) {
@@ -653,18 +656,78 @@ TEST(MetricInventory, EveryNameIsDocumented) {
   ASSERT_FALSE(Doc.empty());
   std::regex NameDecl(
       R"re(inline constexpr const char \*\w+ =\s*"([^"]+)")re");
-  size_t Checked = 0;
+  std::set<std::string> Declared;
   for (std::sregex_iterator It(Names.begin(), Names.end(), NameDecl), End;
        It != End; ++It) {
     std::string Name = (*It)[1];
     EXPECT_NE(Doc.find("`" + Name + "`"), std::string::npos)
         << Name << " is declared in src/obs/Names.h but not documented in "
         << "docs/OBSERVABILITY.md";
-    ++Checked;
+    Declared.insert(Name);
   }
   // Guards the regex itself: a pattern that stopped matching would pass
   // vacuously.
-  EXPECT_GT(Checked, 100u);
+  EXPECT_GT(Declared.size(), 100u);
+
+  // The reverse: every name in a counter, gauge or histogram row of the
+  // doc's tables ("| `a` / `b` | counter | ...") is declared.
+  std::regex Row(R"re(^\| (.*?) \| (counter|gauge|histogram) \|)re");
+  std::regex Quoted("`([^`]+)`");
+  std::istringstream Lines(Doc);
+  std::string Line;
+  size_t Rows = 0;
+  while (std::getline(Lines, Line)) {
+    std::smatch M;
+    if (!std::regex_search(Line, M, Row))
+      continue;
+    ++Rows;
+    std::string Cell = M[1];
+    for (std::sregex_iterator It(Cell.begin(), Cell.end(), Quoted), End;
+         It != End; ++It)
+      EXPECT_TRUE(Declared.count((*It)[1]))
+          << (*It)[1] << " is documented in docs/OBSERVABILITY.md but not "
+          << "declared in src/obs/Names.h";
+  }
+  EXPECT_GT(Rows, 50u);
+}
+
+TEST(EnvInventory, EveryDocumentedVariableIsRead) {
+  namespace fs = std::filesystem;
+  fs::path Root(TWPP_SOURCE_DIR);
+  std::string Docs = readSourceFile("README.md");
+  for (const fs::directory_entry &E : fs::directory_iterator(Root / "docs"))
+    if (E.path().extension() == ".md")
+      Docs += readSourceFile(fs::relative(E.path(), Root).string());
+  ASSERT_FALSE(Docs.empty());
+
+  std::set<std::string> Known;
+  std::regex Getenv(R"re(getenv\("(TWPP_\w+)"\))re");
+  for (const char *Dir : {"src", "tools", "bench", "examples"})
+    for (const fs::directory_entry &E :
+         fs::recursive_directory_iterator(Root / Dir)) {
+      std::string Ext = E.path().extension().string();
+      if (Ext != ".cpp" && Ext != ".h")
+        continue;
+      std::string Code = readSourceFile(fs::relative(E.path(), Root).string());
+      for (std::sregex_iterator It(Code.begin(), Code.end(), Getenv), End;
+           It != End; ++It)
+        Known.insert((*It)[1]);
+    }
+  // Guards the regex: the profiler, fault and verify switches are read.
+  EXPECT_GE(Known.size(), 3u);
+  std::string Cmake = readSourceFile("CMakeLists.txt");
+  std::regex CacheVar(R"re((?:option\(|set\()(TWPP_\w+)[^)]*(?:CACHE|OFF|ON))re");
+  for (std::sregex_iterator It(Cmake.begin(), Cmake.end(), CacheVar), End;
+       It != End; ++It)
+    Known.insert((*It)[1]);
+
+  std::regex Var(R"re(\bTWPP_[A-Z0-9_]+)re");
+  for (std::sregex_iterator It(Docs.begin(), Docs.end(), Var), End;
+       It != End; ++It)
+    EXPECT_TRUE(Known.count(It->str()))
+        << It->str() << " is documented in README.md or docs/ but no "
+        << "getenv reads it and CMakeLists.txt declares no such cache "
+        << "variable";
 }
 
 } // namespace

@@ -136,7 +136,9 @@ void checkRoundTrip(const RawTrace &Trace, const std::string &PathTag) {
   PartitionedWpp Partitioned = partitionWpp(Trace);
   DbbWpp Dbb = applyDbbCompaction(Partitioned);
   TwppWpp Twpp = convertToTwpp(Dbb);
-  EXPECT_EQ(twppToDbb(Twpp), Dbb);
+  DbbWpp DbbBack;
+  EXPECT_TRUE(twppToDbb(Twpp, DbbBack));
+  EXPECT_EQ(DbbBack, Dbb);
   EXPECT_EQ(dbbToPartitioned(Dbb), Partitioned);
   EXPECT_EQ(reconstructRawTrace(Twpp), Trace);
 

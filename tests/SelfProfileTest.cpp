@@ -2,8 +2,8 @@
 //
 // Part of the TWPP reproduction of Zhang & Gupta, PLDI 2001.
 //
-// Covers the span-path registry (obs/SpanRegistry.h), the B/E -> Enter/
-// Exit lowering (obs/SelfProfile.h adaptSpanRecords) including flow-id
+// Covers the B/E -> Enter/Exit lowering (obs/SelfProfile.h
+// adaptSpanRecords) including span-path interning, flow-id
 // grafting of parallelFor worker streams and ring-wraparound truncation, the
 // sidecar round trip, and the end-to-end SelfProfiler run whose archive
 // must satisfy the full verifier.
@@ -12,7 +12,6 @@
 
 #include "obs/PhaseSpan.h"
 #include "obs/SelfProfile.h"
-#include "obs/SpanRegistry.h"
 #include "support/Parallel.h"
 #include "verify/Verify.h"
 #include "wpp/Archive.h"
@@ -33,90 +32,6 @@
 using namespace twpp;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// SpanRegistry
-//===----------------------------------------------------------------------===//
-
-TEST(SpanRegistry, InternIsDenseAndStable) {
-  obs::SpanRegistry Registry(64);
-  EXPECT_EQ(Registry.size(), 1u); // "(overflow)" pre-interned as id 0
-  FunctionId A = Registry.intern("compact");
-  FunctionId B = Registry.intern("compact/dbb");
-  EXPECT_NE(A, obs::SpanRegistry::OverflowId);
-  EXPECT_NE(B, A);
-  EXPECT_EQ(Registry.intern("compact"), A); // dedup
-  EXPECT_EQ(Registry.intern("compact/dbb"), B);
-  EXPECT_EQ(Registry.size(), 3u);
-  EXPECT_EQ(Registry.overflowCount(), 0u);
-
-  std::vector<std::string> Paths = Registry.paths();
-  ASSERT_EQ(Paths.size(), 3u);
-  EXPECT_EQ(Paths[0], "(overflow)");
-  EXPECT_EQ(Paths[A], "compact");
-  EXPECT_EQ(Paths[B], "compact/dbb");
-}
-
-TEST(SpanRegistry, OverflowCollapsesOntoReservedId) {
-  obs::SpanRegistry Registry(4); // rounded to 4: 3 usable + overflow
-  std::set<FunctionId> Ids;
-  uint64_t Overflowed = 0;
-  for (int I = 0; I < 10; ++I) {
-    FunctionId Id = Registry.intern("path" + std::to_string(I));
-    if (Id == obs::SpanRegistry::OverflowId)
-      ++Overflowed;
-    Ids.insert(Id);
-  }
-  EXPECT_GT(Overflowed, 0u);
-  EXPECT_EQ(Registry.overflowCount(), Overflowed);
-  EXPECT_LE(Registry.size(), Registry.capacity());
-  // Interning an already-present path still works after the table fills.
-  std::vector<std::string> Paths = Registry.paths();
-  for (FunctionId Id : Ids) {
-    if (Id != obs::SpanRegistry::OverflowId) {
-      EXPECT_EQ(Registry.intern(Paths[Id]), Id);
-    }
-  }
-}
-
-TEST(SpanRegistry, OversizeKeyOverflows) {
-  obs::SpanRegistry Registry(64);
-  std::string Long(obs::SpanRegistry::KeyCapacity + 10, 'x');
-  EXPECT_EQ(Registry.intern(Long), obs::SpanRegistry::OverflowId);
-  EXPECT_EQ(Registry.overflowCount(), 1u);
-}
-
-TEST(SpanRegistry, ConcurrentInternAgreesAcrossThreads) {
-  obs::SpanRegistry Registry(256);
-  constexpr int ThreadCount = 8;
-  constexpr int PathCount = 100;
-  std::vector<std::vector<FunctionId>> Seen(ThreadCount,
-                                            std::vector<FunctionId>(PathCount));
-  std::atomic<int> Go{0};
-  std::vector<std::thread> Threads;
-  for (int T = 0; T < ThreadCount; ++T)
-    Threads.emplace_back([T, &Registry, &Seen, &Go] {
-      Go.fetch_add(1);
-      while (Go.load() < ThreadCount) {
-      } // start together to maximize collisions
-      for (int P = 0; P < PathCount; ++P)
-        Seen[T][P] = Registry.intern("stage/" + std::to_string(P));
-    });
-  for (std::thread &T : Threads)
-    T.join();
-
-  // Every thread got the same id for the same path, all ids distinct.
-  std::set<FunctionId> Distinct;
-  for (int P = 0; P < PathCount; ++P) {
-    for (int T = 1; T < ThreadCount; ++T)
-      EXPECT_EQ(Seen[T][P], Seen[0][P]) << "path " << P;
-    EXPECT_NE(Seen[0][P], obs::SpanRegistry::OverflowId);
-    Distinct.insert(Seen[0][P]);
-  }
-  EXPECT_EQ(Distinct.size(), static_cast<size_t>(PathCount));
-  EXPECT_EQ(Registry.size(), 1u + PathCount);
-  EXPECT_EQ(Registry.overflowCount(), 0u);
-}
 
 //===----------------------------------------------------------------------===//
 // Gap buckets
@@ -177,9 +92,7 @@ TEST(AdaptSpanRecords, SimpleNestLowersToWellFormedTrace) {
       record(Kind::End, "", 1'500'000),
       record(Kind::End, "", 1'600'000),
   };
-  obs::SpanRegistry Registry(64);
-  obs::SpanEventStream Stream =
-      obs::adaptSpanRecords(PerThread, Registry, 1024);
+  obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
 
   EXPECT_TRUE(Stream.Trace.isWellFormed());
   EXPECT_EQ(Stream.Stats.Spans, 3u);
@@ -228,9 +141,7 @@ TEST(AdaptSpanRecords, ShortGapsAreNotEncoded) {
       record(Kind::Begin, "a", 1000),
       record(Kind::End, "", 1400), // 400ns span, below MinGapNs=1024
   };
-  obs::SpanRegistry Registry(64);
-  obs::SpanEventStream Stream =
-      obs::adaptSpanRecords(PerThread, Registry, 1024);
+  obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
   EXPECT_TRUE(Stream.Trace.isWellFormed());
   EXPECT_TRUE(Stream.GapBlocks.empty());
   // The call marker still makes the span's path trace non-empty.
@@ -246,9 +157,7 @@ TEST(AdaptSpanRecords, TruncatedAndUnclosedSpansDegradeGracefully) {
       record(Kind::End, "", 3000),
       // outer never closes: synthesized shut at the last timestamp.
   };
-  obs::SpanRegistry Registry(64);
-  obs::SpanEventStream Stream =
-      obs::adaptSpanRecords(PerThread, Registry, 1024);
+  obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
   EXPECT_TRUE(Stream.Trace.isWellFormed());
   EXPECT_EQ(Stream.Stats.TruncatedSpans, 1u);
   EXPECT_EQ(Stream.Stats.UnclosedSpans, 1u);
@@ -281,9 +190,7 @@ TEST(AdaptSpanRecords, FlowGraftsWorkerRootsUnderOrigin) {
       record(Kind::FlowFinish, "pool.task", 3501, 8),
       record(Kind::End, "", 4600),
   };
-  obs::SpanRegistry Registry(64);
-  obs::SpanEventStream Stream =
-      obs::adaptSpanRecords(PerThread, Registry, 1024);
+  obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
 
   EXPECT_TRUE(Stream.Trace.isWellFormed());
   EXPECT_EQ(Stream.Stats.OrphanFlows, 0u);
@@ -318,9 +225,7 @@ TEST(AdaptSpanRecords, MainStreamSurvivesLosingTidZeroToPollerThread) {
       record(Kind::FlowFinish, "pool.task", 2001, 3),
       record(Kind::End, "", 3000),
   };
-  obs::SpanRegistry Registry(64);
-  obs::SpanEventStream Stream =
-      obs::adaptSpanRecords(PerThread, Registry, 1024);
+  obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
 
   EXPECT_TRUE(Stream.Trace.isWellFormed());
   EXPECT_EQ(Stream.Stats.OrphanFlows, 0u);
@@ -344,9 +249,7 @@ TEST(AdaptSpanRecords, SameThreadFlowDoesNotGraftRootIntoOwnSubtree) {
       record(Kind::FlowFinish, "pool.task", 2101, 5),
       record(Kind::End, "", 3000),
   };
-  obs::SpanRegistry Registry(64);
-  obs::SpanEventStream Stream =
-      obs::adaptSpanRecords(PerThread, Registry, 1024);
+  obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
 
   EXPECT_TRUE(Stream.Trace.isWellFormed());
   // No cross-thread origin: the slice surfaces as detached rather than
@@ -369,9 +272,7 @@ TEST(AdaptSpanRecords, UnmatchedFlowBecomesDetachedRoot) {
       record(Kind::FlowFinish, "pool.task", 3001, 9),
       record(Kind::End, "", 4000),
   };
-  obs::SpanRegistry Registry(64);
-  obs::SpanEventStream Stream =
-      obs::adaptSpanRecords(PerThread, Registry, 1024);
+  obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
   EXPECT_TRUE(Stream.Trace.isWellFormed());
   EXPECT_EQ(Stream.Stats.OrphanFlows, 1u);
   EXPECT_GE(functionOf(Stream, "(detached)/pool"), 0);
@@ -387,13 +288,16 @@ TEST(AdaptSpanRecords, RegistryOverflowCountsButStaysWellFormed) {
     PerThread[0].push_back(record(Kind::Begin, Name.c_str(), Ts++));
     PerThread[0].push_back(record(Kind::End, "", Ts++));
   }
-  obs::SpanRegistry Registry(4);
-  obs::SpanEventStream Stream =
-      obs::adaptSpanRecords(PerThread, Registry, 1024);
+  obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
   EXPECT_TRUE(Stream.Trace.isWellFormed());
-  EXPECT_GT(Stream.Stats.RegistryOverflows, 0u);
-  EXPECT_EQ(Stream.Stats.Spans, 12u); // collapsed, not lost
+  EXPECT_EQ(Stream.Stats.Spans, 12u);
   EXPECT_EQ(Stream.Trace.callCount(), 12u);
+  // Every path gets its own id: dense from 0, in first-seen order.
+  ASSERT_EQ(Stream.FunctionPaths.size(), 12u);
+  EXPECT_EQ(Stream.Stats.Functions, 12u);
+  EXPECT_EQ(Stream.Trace.FunctionCount, 12u);
+  for (int I = 0; I < 12; ++I)
+    EXPECT_EQ(Stream.FunctionPaths[I], "s" + std::to_string(I));
 }
 
 //===----------------------------------------------------------------------===//
@@ -429,9 +333,7 @@ TEST(AdaptSpanRecords, AnySuffixOfStreamStaysWellFormedProperty) {
       std::vector<std::vector<obs::TraceRecord>> PerThread(2);
       PerThread[0].assign(Main.begin() + DropMain, Main.end());
       PerThread[1].assign(Worker.begin() + DropWorker, Worker.end());
-      obs::SpanRegistry Registry(256);
-      obs::SpanEventStream Stream =
-          obs::adaptSpanRecords(PerThread, Registry, 1024);
+          obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
       ASSERT_TRUE(Stream.Trace.isWellFormed())
           << "drop main " << DropMain << " worker " << DropWorker;
       // Whatever survived still compacts and verifies: the full paranoid
@@ -454,9 +356,7 @@ TEST(AdaptSpanRecords, TruncatedStreamSurvivesFullPipeline) {
       record(Kind::End, "", 160'000),
       record(Kind::End, "", 170'000),
   };
-  obs::SpanRegistry Registry(64);
-  obs::SpanEventStream Stream =
-      obs::adaptSpanRecords(PerThread, Registry, 1024);
+  obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
   ASSERT_TRUE(Stream.Trace.isWellFormed());
   EXPECT_EQ(Stream.Stats.TruncatedSpans, 2u);
 
@@ -471,7 +371,7 @@ TEST(AdaptSpanRecords, TruncatedStreamSurvivesFullPipeline) {
 TEST(SelfProfileMeta, EncodeDecodeRoundTrips) {
   obs::SelfProfileMeta Meta;
   Meta.MinGapNs = 2048;
-  Meta.FunctionPaths = {"(overflow)", "compact", "compact/dbb"};
+  Meta.FunctionPaths = {"compact", "compact/dbb"};
   Meta.GapBlocks = {{2, 1536}, {7, 40'000}};
   Meta.Stats.Spans = 42;
   Meta.Stats.Events = 99;
@@ -488,6 +388,22 @@ TEST(SelfProfileMeta, EncodeDecodeRoundTrips) {
   EXPECT_EQ(Back.Stats.Events, 99u);
   EXPECT_EQ(Back.Stats.RecordsDropped, 3u);
   EXPECT_EQ(Back.Stats.TraceJsonBytes, 123'456u);
+}
+
+TEST(SelfProfileMeta, DecodeSkipsUnknownStats) {
+  // A reader skips any stat it does not know, such as one an older
+  // profiler wrote and the current one no longer does.
+  obs::SelfProfileMeta Meta;
+  ASSERT_TRUE(obs::decodeSelfProfileMeta("twpp-selfprof-meta-v1\n"
+                                         "mingap 1024\n"
+                                         "fn 0 compact\n"
+                                         "stat spans 5\n"
+                                         "stat retired_stat 0\n"
+                                         "stat functions 1\n",
+                                         Meta));
+  EXPECT_EQ(Meta.FunctionPaths, std::vector<std::string>{"compact"});
+  EXPECT_EQ(Meta.Stats.Spans, 5u);
+  EXPECT_EQ(Meta.Stats.Functions, 1u);
 }
 
 TEST(SelfProfileMeta, DecodeRejectsGarbage) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -97,6 +98,30 @@ TEST(TimestampSetTest, DecodeRejectsMalformedStreams) {
   EXPECT_FALSE(TimestampSet::decodeSigned({0}, Out));
   // Three positives in a row.
   EXPECT_FALSE(TimestampSet::decodeSigned({2, 8, 2}, Out));
+}
+
+TEST(TimestampSetTest, DecodeRejectsValuesOutsideUint32) {
+  TimestampSet Out;
+  // Truncated to 32 bits, 4294967297 and step 4294967296 would make the
+  // run 1:1 with step 0, on which count() divides by zero.
+  EXPECT_FALSE(
+      TimestampSet::decodeSigned({1, 4294967297, -4294967296}, Out));
+  // INT64_MIN has no negation; it must be rejected in every position.
+  EXPECT_FALSE(TimestampSet::decodeSigned({INT64_MIN}, Out));
+  EXPECT_FALSE(TimestampSet::decodeSigned({1, INT64_MIN}, Out));
+  EXPECT_FALSE(TimestampSet::decodeSigned({1, 5, INT64_MIN}, Out));
+  // Timestamps past UINT32_MAX, as singletons, range ends or series ends.
+  EXPECT_FALSE(TimestampSet::decodeSigned({-4294967296}, Out));
+  EXPECT_FALSE(TimestampSet::decodeSigned({1, -4294967296}, Out));
+  EXPECT_FALSE(TimestampSet::decodeSigned({4294967296, -4294967297}, Out));
+  EXPECT_FALSE(TimestampSet::decodeSigned({1, 4294967297, -2}, Out));
+  // A step past UINT32_MAX, even one that divides the span.
+  EXPECT_FALSE(TimestampSet::decodeSigned({1, 3, -4294967298}, Out));
+  // UINT32_MAX itself is a valid timestamp and step bound.
+  ASSERT_TRUE(TimestampSet::decodeSigned({-4294967295}, Out));
+  EXPECT_TRUE(Out.contains(4294967295u));
+  ASSERT_TRUE(TimestampSet::decodeSigned({1, 4294967295, -2147483647}, Out));
+  EXPECT_EQ(Out.count(), 3u);
 }
 
 TEST(TimestampSetTest, EmptySetEncodesEmpty) {

@@ -99,7 +99,8 @@ TEST(PipelineTest, StageInversesCompose) {
   DbbWpp Dbb = applyDbbCompaction(Partitioned);
   TwppWpp Twpp = convertToTwpp(Dbb);
 
-  DbbWpp DbbBack = twppToDbb(Twpp);
+  DbbWpp DbbBack;
+  EXPECT_TRUE(twppToDbb(Twpp, DbbBack));
   EXPECT_EQ(DbbBack, Dbb);
   PartitionedWpp PartitionedBack = dbbToPartitioned(Dbb);
   EXPECT_EQ(PartitionedBack.Dcg, Partitioned.Dcg);

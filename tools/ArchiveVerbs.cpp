@@ -72,18 +72,23 @@ bool writeCompacted(StreamingCompactor &Sink, const char *Path,
   return false;
 }
 
+/// Says on stderr why \p Reader's last operation failed, after \p What.
+void reportReaderError(const std::string &What, const ArchiveReader &Reader) {
+  const verify::Diagnostic &D = Reader.lastError();
+  std::string At = D.ByteOffset == verify::NoByteOffset
+                       ? ""
+                       : " (byte " + std::to_string(D.ByteOffset) + ")";
+  std::fprintf(stderr, "%s: [%s] %s: %s%s\n", What.c_str(),
+               D.CheckId.c_str(), D.Location.c_str(), D.Message.c_str(),
+               At.c_str());
+}
+
 } // namespace
 
 bool tool::openArchive(const std::string &Path, ArchiveReader &Reader) {
   if (Reader.open(Path))
     return true;
-  const verify::Diagnostic &D = Reader.lastError();
-  std::string At = D.ByteOffset == verify::NoByteOffset
-                       ? ""
-                       : " (byte " + std::to_string(D.ByteOffset) + ")";
-  std::fprintf(stderr, "cannot open archive %s: [%s] %s: %s%s\n",
-               Path.c_str(), D.CheckId.c_str(), D.Location.c_str(),
-               D.Message.c_str(), At.c_str());
+  reportReaderError("cannot open archive " + Path, Reader);
   return false;
 }
 
@@ -214,12 +219,12 @@ int tool::runQuery(const Invocation &Inv) {
   ArchiveReader Reader;
   if (!openArchive(Inv.Args[0], Reader))
     return 1;
-  TwppFunctionTable Table;
-  if (!Reader.extractFunction(F, Table)) {
-    std::fprintf(stderr, "no function %u\n", F);
+  FunctionPathTraces Expanded;
+  if (!Reader.extractFunctionPathTraces(F, Expanded)) {
+    reportReaderError("cannot query function " + std::to_string(F), Reader);
     return 1;
   }
-  for (const HotPath &Path : hotPathsOf(Table)) {
+  for (const HotPath &Path : hotPathsOf(std::move(Expanded))) {
     std::printf("x%llu:", (unsigned long long)Path.UseCount);
     for (BlockId B : Path.Blocks)
       std::printf(" %u", B);
@@ -280,7 +285,15 @@ int tool::runReconstruct(const Invocation &Inv) {
   TwppWpp Wpp;
   if (!readArchive(Inv.Args[0], Wpp))
     return 1;
-  RawTrace Trace = reconstructRawTrace(Wpp);
+  RawTrace Trace;
+  FunctionId Untiled = 0;
+  if (!reconstructRawTrace(Wpp, Trace, &Untiled)) {
+    std::fprintf(stderr,
+                 "function %u: timestamp sets do not tile a trace "
+                 "(run twpp verify)\n",
+                 Untiled);
+    return 1;
+  }
   if (!writeUncompactedTraceFile(OutPath, Trace)) {
     std::fprintf(stderr, "cannot write %s\n", OutPath);
     return 1;

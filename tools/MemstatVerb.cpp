@@ -107,13 +107,11 @@ bool collect(const std::string &Path, ArchiveStat &Stat) {
                      return A.DecodedBytes > B.DecodedBytes;
                    });
 
-  if (obs::memTrackingCompiled()) {
-    uint64_t Delta = Stat.Audit.TrackedBytes > Stat.Audit.DeepBytes
-                         ? Stat.Audit.TrackedBytes - Stat.Audit.DeepBytes
-                         : Stat.Audit.DeepBytes - Stat.Audit.TrackedBytes;
-    Stat.Reconciled =
-        Delta <= verify::memReconcileToleranceBytes(Stat.Audit.DeepBytes);
-  }
+  uint64_t Delta = Stat.Audit.TrackedBytes > Stat.Audit.DeepBytes
+                       ? Stat.Audit.TrackedBytes - Stat.Audit.DeepBytes
+                       : Stat.Audit.DeepBytes - Stat.Audit.TrackedBytes;
+  Stat.Reconciled =
+      Delta <= verify::memReconcileToleranceBytes(Stat.Audit.DeepBytes);
   return true;
 }
 
@@ -142,9 +140,7 @@ void renderText(const std::vector<ArchiveStat> &Stats, size_t Top,
     appendf(Out, "  audit: tracked %llu vs deep-size %llu bytes (%s)\n",
             (unsigned long long)Stat.Audit.TrackedBytes,
             (unsigned long long)Stat.Audit.DeepBytes,
-            !obs::memTrackingCompiled() ? "tracking compiled out, skipped"
-            : Stat.Reconciled           ? "reconciled"
-                                        : "RECONCILE FAILED");
+            Stat.Reconciled ? "reconciled" : "RECONCILE FAILED");
     Out += "  top functions by decoded bytes:\n";
     appendf(Out, "    %-10s %-12s %-12s %-12s %s\n", "function", "compressed",
             "decoded", "model", "calls");
@@ -176,8 +172,6 @@ void renderJson(const std::vector<ArchiveStat> &Stats, size_t Top,
            U64(Stat.Audit.TrackedBytes) +
            ", \"deep_bytes\": " + U64(Stat.Audit.DeepBytes) +
            ", \"model_bytes\": " + U64(Stat.Audit.ModelBytes) +
-           ", \"tracking_compiled\": " +
-           (obs::memTrackingCompiled() ? "true" : "false") +
            ", \"reconciled\": " + (Stat.Reconciled ? "true" : "false") + "}";
     Out += ", \"functions\": [";
     for (size_t I = 0; I < Stat.Functions.size() && I < Top; ++I) {

@@ -132,13 +132,10 @@ void renderText(const std::string &ArchivePath, const obs::SelfProfileMeta &M,
           (unsigned long long)M.Stats.Functions,
           (unsigned long long)M.Stats.Spans, (unsigned long long)M.Stats.Events,
           (unsigned long long)M.Stats.RecordsDropped);
-  appendf(Out,
-          "  truncated %llu, unclosed %llu, orphan flows %llu, "
-          "registry overflows %llu\n",
+  appendf(Out, "  truncated %llu, unclosed %llu, orphan flows %llu\n",
           (unsigned long long)M.Stats.TruncatedSpans,
           (unsigned long long)M.Stats.UnclosedSpans,
-          (unsigned long long)M.Stats.OrphanFlows,
-          (unsigned long long)M.Stats.RegistryOverflows);
+          (unsigned long long)M.Stats.OrphanFlows);
   if (M.Stats.TraceJsonBytes != 0 && M.Stats.ArchiveBytes != 0) {
     appendf(Out,
             "  archive %llu bytes vs chrome-trace json %llu bytes "
@@ -190,7 +187,7 @@ void renderCollapsed(const std::vector<FunctionReport> &Functions,
   // stack, value = exclusive microseconds. Function ids are full span
   // paths, so '/' -> ';' is the entire conversion.
   for (const FunctionReport &Fn : Functions) {
-    if (Fn.Calls == 0 || Fn.Path == "(overflow)")
+    if (Fn.Calls == 0)
       continue;
     std::string Frames = Fn.Path;
     std::replace(Frames.begin(), Frames.end(), '/', ';');
@@ -304,29 +301,24 @@ int tool::runSelfprof(const Invocation &Inv) {
     Fn.Path = Meta.FunctionPaths[F];
     if (Reader.callCount(F) == 0)
       continue;
-    TwppFunctionTable Table;
-    if (!Reader.extractFunction(F, Table)) {
+    FunctionPathTraces Expanded;
+    if (!Reader.extractFunctionPathTraces(F, Expanded)) {
       std::fprintf(stderr, "twpp selfprof: cannot extract function %u: %s\n",
                    F, Reader.lastError().Message.c_str());
       return cli::ExitUsage;
     }
-    FunctionPathTraces Expanded = expandFunctionTraces(Table);
     Fn.Calls = Expanded.CallCount;
     for (size_t T = 0; T < Expanded.Traces.size(); ++T) {
       uint64_t Uses =
           T < Expanded.UseCounts.size() ? Expanded.UseCounts[T] : 0;
       Fn.ExclusiveNs += pathNs(Expanded.Traces[T], GapNs) * Uses;
     }
-    Fn.Hot = hotPathsOf(Table, Opts.Top);
+    Fn.Hot = hotPathsOf(std::move(Expanded), Opts.Top);
   }
 
   // Inclusive time falls out of the path-as-function encoding: a span's
   // subtree is exactly the functions whose path it prefixes.
   for (FunctionReport &Fn : Functions) {
-    if (Fn.Path == "(overflow)") {
-      Fn.InclusiveNs = Fn.ExclusiveNs;
-      continue;
-    }
     std::string Prefix = Fn.Path + "/";
     for (const FunctionReport &Other : Functions)
       if (Other.Path == Fn.Path ||
