@@ -52,19 +52,6 @@
 using namespace twpp;
 using namespace twpp::ingest;
 
-bool ingest::parseBackpressurePolicy(const std::string &Text,
-                                     BackpressurePolicy &Policy) {
-  if (Text == "block") {
-    Policy = BackpressurePolicy::Block;
-    return true;
-  }
-  if (Text == "shed") {
-    Policy = BackpressurePolicy::Shed;
-    return true;
-  }
-  return false;
-}
-
 namespace {
 
 /// Transient read-error retries per connection before it is treated as

@@ -63,10 +63,6 @@ enum class BackpressurePolicy : uint8_t {
   Shed,  ///< Drop the frame, count it, keep reading (lossy, accounted).
 };
 
-/// Parses "block" or "shed".
-bool parseBackpressurePolicy(const std::string &Text,
-                             BackpressurePolicy &Policy);
-
 /// Everything the ingestion frontend can be told.
 struct IngestConfig {
   /// Archives are written to "<OutPrefix>.p<ID>.twppa". Empty skips the

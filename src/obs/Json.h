@@ -8,7 +8,9 @@
 /// The string-escape and number-formatting helpers shared by the metrics
 /// exporters (obs/Export.cpp) and the trace exporter (obs/Trace.cpp), so
 /// a metric label or span arg containing quotes, backslashes or control
-/// characters can never desynchronize one exporter from the other.
+/// characters can never desynchronize one exporter from the other; and
+/// JsonWriter, which builds the `twpp --format=json` reports on top of
+/// them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +20,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace twpp::obs {
 
@@ -52,6 +55,84 @@ inline std::string jsonNumber(double Value) {
   std::snprintf(Buffer, sizeof(Buffer), "%.6g", Value);
   return Buffer;
 }
+
+/// Builds one JSON document on a single line. The writer owns the
+/// punctuation: it puts the commas between members and elements and
+/// escapes every string, so a caller only says what goes where:
+///
+///   W.beginObject().field("path", P).beginArray("ids");
+///   for (uint32_t Id : Ids) W.value(Id);
+///   W.end().end();
+///
+/// Values are strings, booleans, integers (signed or unsigned) and
+/// doubles (jsonNumber: NaN and infinities are written as 0).
+class JsonWriter {
+public:
+  /// Opens an object or an array: the member \p Name when one is given,
+  /// else the next value.
+  JsonWriter &beginObject(std::string_view Name = "") {
+    return open(Name, "{", '}');
+  }
+  JsonWriter &beginArray(std::string_view Name = "") {
+    return open(Name, "[", ']');
+  }
+
+  /// Closes the innermost open object or array.
+  JsonWriter &end() {
+    Out += Closers.back();
+    Closers.pop_back();
+    return *this;
+  }
+
+  /// The member name the next value is written under.
+  JsonWriter &key(std::string_view Name) {
+    return raw(jsonStringLiteral(Name) + ": ");
+  }
+
+  template <typename T> JsonWriter &value(const T &V) {
+    if constexpr (std::is_same_v<T, bool>)
+      return raw(V ? "true" : "false");
+    else if constexpr (std::is_floating_point_v<T>)
+      return raw(jsonNumber(V));
+    else if constexpr (std::is_integral_v<T>)
+      return raw(std::to_string(V));
+    else
+      return raw(jsonStringLiteral(V));
+  }
+
+  template <typename T> JsonWriter &field(std::string_view Name, const T &V) {
+    return key(Name).value(V);
+  }
+
+  /// Writes \p Json, already rendered, as the next member or element: a
+  /// comma first unless it opens its scope or follows its key (written
+  /// text ends in '{', '[' or the space of ": " exactly then).
+  JsonWriter &raw(std::string_view Json) {
+    char Last = Out.empty() ? '{' : Out.back();
+    if (Last != '{' && Last != '[' && Last != ' ')
+      Out += ", ";
+    Out += Json;
+    return *this;
+  }
+
+  /// Closes whatever is still open and \returns the document.
+  std::string finish() {
+    while (!Closers.empty())
+      end();
+    return Out;
+  }
+
+private:
+  JsonWriter &open(std::string_view Name, std::string_view Open, char Close) {
+    if (!Name.empty())
+      key(Name);
+    Closers += Close;
+    return raw(Open);
+  }
+
+  std::string Out;
+  std::string Closers; ///< The closing bracket of each open scope.
+};
 
 } // namespace twpp::obs
 

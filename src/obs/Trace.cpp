@@ -27,13 +27,14 @@ std::string tsUs(uint64_t TsNs, uint64_t BaseNs) {
   return Buffer;
 }
 
-/// The fields every event shares. \p Ph is the trace-event phase letter.
-std::string eventHead(char Ph, uint32_t Tid, uint64_t TsNs, uint64_t BaseNs) {
-  std::string Out = "{\"ph\": \"";
-  Out += Ph;
-  Out += "\", \"pid\": 1, \"tid\": " + std::to_string(Tid) +
-         ", \"ts\": " + tsUs(TsNs, BaseNs);
-  return Out;
+/// An event object holding the fields every event shares; the caller
+/// adds the rest. \p Ph is the trace-event phase letter.
+JsonWriter eventHead(const char *Ph, uint32_t Tid, uint64_t TsNs,
+                     uint64_t BaseNs) {
+  JsonWriter Event;
+  Event.beginObject().field("ph", Ph).field("pid", 1).field("tid", Tid);
+  Event.key("ts").raw(tsUs(TsNs, BaseNs));
+  return Event;
 }
 
 void appendEvent(std::string &Out, bool &First, std::string Event) {
@@ -85,61 +86,50 @@ std::string obs::exportTraceJson(const TraceRecorder &Recorder) {
       switch (R.K) {
       case TraceRecord::Kind::Begin: {
         ++Depth;
-        std::string Event = eventHead('B', T.Tid, R.TsNs, BaseNs);
-        Event += ", \"name\": " + jsonStringLiteral(R.Name);
+        JsonWriter Event = eventHead("B", T.Tid, R.TsNs, BaseNs);
+        Event.field("name", R.Name);
         if (R.HasArg)
-          Event += ", \"args\": {" + jsonStringLiteral(R.ArgName) + ": " +
-                   std::to_string(R.Value) + "}";
-        Event += "}";
-        appendEvent(Out, First, std::move(Event));
+          Event.beginObject("args").field(R.ArgName, R.Value);
+        appendEvent(Out, First, Event.finish());
         break;
       }
       case TraceRecord::Kind::End: {
         if (Depth == 0)
           break; // Opening B lost to wraparound.
         --Depth;
-        appendEvent(Out, First, eventHead('E', T.Tid, R.TsNs, BaseNs) + "}");
+        appendEvent(Out, First, eventHead("E", T.Tid, R.TsNs, BaseNs).finish());
         break;
       }
       case TraceRecord::Kind::Instant: {
-        std::string Event = eventHead('i', T.Tid, R.TsNs, BaseNs);
-        Event += ", \"name\": " + jsonStringLiteral(R.Name) + ", \"s\": \"t\"";
+        JsonWriter Event = eventHead("i", T.Tid, R.TsNs, BaseNs);
+        Event.field("name", R.Name).field("s", "t");
         if (R.HasArg)
-          Event += ", \"args\": {" + jsonStringLiteral(R.ArgName) + ": " +
-                   std::to_string(R.Value) + "}";
-        Event += "}";
-        appendEvent(Out, First, std::move(Event));
+          Event.beginObject("args").field(R.ArgName, R.Value);
+        appendEvent(Out, First, Event.finish());
         break;
       }
       case TraceRecord::Kind::Counter: {
-        std::string Event = eventHead('C', T.Tid, R.TsNs, BaseNs);
-        Event += ", \"name\": " + jsonStringLiteral(R.Name) +
-                 ", \"args\": {\"value\": " + std::to_string(R.Value) + "}";
-        Event += "}";
-        appendEvent(Out, First, std::move(Event));
+        JsonWriter Event = eventHead("C", T.Tid, R.TsNs, BaseNs);
+        Event.field("name", R.Name).beginObject("args").field("value", R.Value);
+        appendEvent(Out, First, Event.finish());
         break;
       }
       case TraceRecord::Kind::FlowStart: {
-        std::string Event = eventHead('s', T.Tid, R.TsNs, BaseNs);
-        Event += ", \"name\": " + jsonStringLiteral(R.Name) +
-                 ", \"cat\": \"flow\", \"id\": " + std::to_string(R.FlowId);
-        Event += "}";
-        appendEvent(Out, First, std::move(Event));
+        JsonWriter Event = eventHead("s", T.Tid, R.TsNs, BaseNs);
+        Event.field("name", R.Name).field("cat", "flow").field("id", R.FlowId);
+        appendEvent(Out, First, Event.finish());
         break;
       }
       case TraceRecord::Kind::FlowFinish: {
-        std::string Event = eventHead('f', T.Tid, R.TsNs, BaseNs);
-        Event += ", \"name\": " + jsonStringLiteral(R.Name) +
-                 ", \"cat\": \"flow\", \"id\": " + std::to_string(R.FlowId) +
-                 ", \"bp\": \"e\"";
-        Event += "}";
-        appendEvent(Out, First, std::move(Event));
+        JsonWriter Event = eventHead("f", T.Tid, R.TsNs, BaseNs);
+        Event.field("name", R.Name).field("cat", "flow").field("id", R.FlowId);
+        appendEvent(Out, First, Event.field("bp", "e").finish());
         break;
       }
       }
     }
     for (; Depth > 0; --Depth)
-      appendEvent(Out, First, eventHead('E', T.Tid, LastTs, BaseNs) + "}");
+      appendEvent(Out, First, eventHead("E", T.Tid, LastTs, BaseNs).finish());
   }
 
   Out += "\n  ],\n  \"displayTimeUnit\": \"ms\",\n"

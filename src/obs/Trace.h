@@ -41,7 +41,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -227,17 +226,8 @@ private:
 class TraceRecorder {
 public:
   /// Default per-thread ring capacity (events); ~80 bytes per slot.
-  /// Overridable with TWPP_TRACE_RING or setRingCapacity().
+  /// Overridable with setRingCapacity().
   static constexpr size_t DefaultRingCapacity = 1 << 16;
-
-  TraceRecorder() {
-    if (const char *Env = std::getenv("TWPP_TRACE_RING")) {
-      char *End = nullptr;
-      unsigned long long Cap = std::strtoull(Env, &End, 10);
-      if (End != Env && Cap >= 2)
-        Capacity = static_cast<size_t>(Cap);
-    }
-  }
 
   /// The calling thread's ring, created (and named) on first use.
   TraceRing &ringForCurrentThread() {

@@ -60,25 +60,18 @@ std::string verify::renderDiagnosticsText(const DiagnosticEngine &Engine) {
   return Out;
 }
 
-std::string verify::renderDiagnosticsJson(const DiagnosticEngine &Engine) {
-  std::string Out = "{\n  \"schema\": \"twpp-verify-v1\",\n  \"summary\": {";
-  Out += "\"errors\": " + std::to_string(Engine.count(Severity::Error));
-  Out += ", \"warnings\": " + std::to_string(Engine.count(Severity::Warning));
-  Out += ", \"notes\": " + std::to_string(Engine.count(Severity::Note));
-  Out += "},\n  \"diagnostics\": [";
-  bool First = true;
-  for (const Diagnostic &D : Engine.diagnostics()) {
-    Out += First ? "\n" : ",\n";
-    First = false;
-    Out += "    {\"check\": " + obs::jsonStringLiteral(D.CheckId);
-    Out += ", \"severity\": ";
-    Out += obs::jsonStringLiteral(severityName(D.Sev));
-    Out += ", \"location\": " + obs::jsonStringLiteral(D.Location);
-    Out += ", \"message\": " + obs::jsonStringLiteral(D.Message);
+void verify::writeDiagnosticsJson(obs::JsonWriter &W,
+                                  const std::vector<Diagnostic> &Diags) {
+  W.beginArray();
+  for (const Diagnostic &D : Diags) {
+    W.beginObject()
+        .field("check", D.CheckId)
+        .field("severity", severityName(D.Sev))
+        .field("location", D.Location)
+        .field("message", D.Message);
     if (D.ByteOffset != NoByteOffset)
-      Out += ", \"byteOffset\": " + std::to_string(D.ByteOffset);
-    Out += "}";
+      W.field("byteOffset", D.ByteOffset);
+    W.end();
   }
-  Out += First ? "]\n}\n" : "\n  ]\n}\n";
-  return Out;
+  W.end();
 }

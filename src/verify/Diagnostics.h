@@ -28,6 +28,10 @@
 #include <utility>
 #include <vector>
 
+namespace twpp::obs {
+class JsonWriter;
+} // namespace twpp::obs
+
 namespace twpp::verify {
 
 /// Severity ladder; Error is what flips the exit code.
@@ -115,9 +119,11 @@ private:
 /// <message>" lines plus a summary line, the CLI's text output.
 std::string renderDiagnosticsText(const DiagnosticEngine &Engine);
 
-/// Renders {"schema":"twpp-verify-v1", "summary":{...},
-/// "diagnostics":[...]} reusing obs/Json.h escaping.
-std::string renderDiagnosticsJson(const DiagnosticEngine &Engine);
+/// Writes \p Diags as one JSON array of {"check", "severity", "location",
+/// "message"} objects, each with "byteOffset" when it has one: the
+/// diagnostics list of every `twpp --format=json` report.
+void writeDiagnosticsJson(obs::JsonWriter &W,
+                          const std::vector<Diagnostic> &Diags);
 
 } // namespace twpp::verify
 

@@ -6,7 +6,6 @@
 
 #include "verify/Recover.h"
 
-#include "obs/Json.h"
 #include "support/FaultInjection.h"
 #include "support/FileIO.h"
 #include "support/LZW.h"
@@ -387,40 +386,4 @@ std::string recover::renderSalvageReportText(const SalvageReport &Report) {
     Text += "not salvaged\n";
   }
   return Text;
-}
-
-std::string recover::renderSalvageReportJson(const SalvageReport &Report) {
-  auto Bool = [](bool B) { return B ? "true" : "false"; };
-  std::string Json = "{\n  \"schema\": \"twpp-recover-v1\",\n";
-  Json += "  \"salvaged\": " + std::string(Bool(Report.Salvaged)) + ",\n";
-  Json += "  \"input_bytes\": " + std::to_string(Report.InputBytes) + ",\n";
-  Json += "  \"output_bytes\": " + std::to_string(Report.OutputBytes) + ",\n";
-  Json +=
-      "  \"functions_total\": " + std::to_string(Report.FunctionsTotal) +
-      ",\n";
-  Json += "  \"functions_kept\": " + std::to_string(Report.FunctionsKept) +
-          ",\n";
-  Json +=
-      "  \"functions_dropped\": " + std::to_string(Report.FunctionsDropped) +
-      ",\n";
-  Json += "  \"dropped_function_ids\": [";
-  for (size_t I = 0; I < Report.DroppedFunctions.size(); ++I)
-    Json += (I ? ", " : "") + std::to_string(Report.DroppedFunctions[I]);
-  Json += "],\n";
-  Json += "  \"calls_lost\": " + std::to_string(Report.CallsLost) + ",\n";
-  Json += "  \"dcg_recovered\": " + std::string(Bool(Report.DcgRecovered)) +
-          ",\n";
-  Json += "  \"diagnostics\": [";
-  for (size_t I = 0; I < Report.Diagnostics.size(); ++I) {
-    const Diagnostic &D = Report.Diagnostics[I];
-    Json += I ? ",\n    " : "\n    ";
-    Json += "{\"check\": " + obs::jsonStringLiteral(D.CheckId) +
-            ", \"severity\": " +
-            obs::jsonStringLiteral(severityName(D.Sev)) +
-            ", \"location\": " + obs::jsonStringLiteral(D.Location) +
-            ", \"message\": " + obs::jsonStringLiteral(D.Message) + "}";
-  }
-  Json += Report.Diagnostics.empty() ? "]\n" : "\n  ]\n";
-  Json += "}\n";
-  return Json;
 }

@@ -74,9 +74,6 @@ bool salvageArchiveFile(const std::string &InputPath,
 /// Human-readable report (diagnostic lines plus a summary).
 std::string renderSalvageReportText(const SalvageReport &Report);
 
-/// {"schema": "twpp-recover-v1", ...} machine form for CI artifacts.
-std::string renderSalvageReportJson(const SalvageReport &Report);
-
 } // namespace twpp::recover
 
 #endif // TWPP_VERIFY_RECOVER_H

@@ -8,14 +8,23 @@
 // must then fail with a message naming the function (exit 1), never with
 // a signal or with wrong output.
 //
+// The report verbs print archive paths whole: a path of any length comes
+// back intact in the text report and in a --format=json document that
+// tools/check_report.py accepts.
+//
 //===----------------------------------------------------------------------===//
 
+#include "workloads/Concurrent.h"
 #include "wpp/Archive.h"
+#include "wpp/Concurrent.h"
 #include "wpp/Twpp.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <sys/wait.h>
 
@@ -55,11 +64,10 @@ struct CommandRun {
   std::string Output;
 };
 
-/// Runs `twpp <Args>` with stderr folded into the captured output.
-CommandRun runTwpp(const std::string &Args) {
+/// Runs the shell \p Command, capturing its stdout and stderr.
+CommandRun runCommand(const std::string &Command) {
   CommandRun Result;
-  std::string Command = std::string(TWPP_BINARY) + " " + Args + " 2>&1";
-  FILE *Pipe = popen(Command.c_str(), "r");
+  FILE *Pipe = popen((Command + " 2>&1").c_str(), "r");
   if (!Pipe)
     return Result;
   char Buffer[4096];
@@ -68,6 +76,29 @@ CommandRun runTwpp(const std::string &Args) {
     Result.Output.append(Buffer, Got);
   Result.Status = pclose(Pipe);
   return Result;
+}
+
+/// Runs `twpp <Args>` with stderr folded into the captured output.
+CommandRun runTwpp(const std::string &Args) {
+  return runCommand(std::string(TWPP_BINARY) + " " + Args);
+}
+
+/// The racy contended test profile as a thread-aware archive, written
+/// under a directory path longer than 1,100 bytes.
+std::string writeRacyArchiveUnderLongPath(const std::string &Name) {
+  std::string Dir = ::testing::TempDir() + "/" + Name;
+  while (Dir.size() < 1100)
+    Dir += "/" + std::string(200, 'd');
+  std::filesystem::create_directories(Dir);
+  ConcurrentProfile Racy;
+  for (const ConcurrentProfile &P : testConcurrentProfiles())
+    if (P.Kind == ConcurrentProfile::Shape::Contended && P.InjectRaces)
+      Racy = P;
+  EXPECT_TRUE(Racy.InjectRaces);
+  std::string Path = Dir + "/racy.twpp";
+  EXPECT_TRUE(writeConcurrentArchiveFile(
+      Path, compactConcurrentWpp(generateConcurrentTrace(Racy))));
+  return Path;
 }
 
 TEST(CliOverlappingSets, VerifyNamesTheOverlap) {
@@ -112,6 +143,34 @@ TEST(CliOverlappingSets, DotTracePrintsOneMessage) {
   EXPECT_EQ(R.Output.find('\n'), R.Output.size() - 1) << R.Output;
   EXPECT_NE(R.Output.find("do not tile"), std::string::npos) << R.Output;
   std::remove(Path.c_str());
+}
+
+TEST(CliLongPath, RacesJsonReportValidates) {
+  std::string Path = writeRacyArchiveUnderLongPath("twpp_long_races");
+  std::string Report = ::testing::TempDir() + "/twpp_long_races.json";
+  CommandRun R =
+      runTwpp("races --format=json '" + Path + "' > '" + Report + "'");
+  ASSERT_TRUE(WIFEXITED(R.Status)) << R.Output;
+  ASSERT_EQ(WEXITSTATUS(R.Status), 1) << R.Output;
+  CommandRun Check = runCommand(std::string("python3 ") + TWPP_CHECK_REPORT +
+                                " '" + Report + "' --verb races --exit 1");
+  EXPECT_EQ(Check.Status, 0) << Check.Output;
+  std::stringstream Json;
+  Json << std::ifstream(Report).rdbuf();
+  EXPECT_NE(Json.str().find("\"verdict\": \"racy\""), std::string::npos)
+      << Json.str();
+  EXPECT_NE(Json.str().find(Path), std::string::npos);
+  std::filesystem::remove_all(::testing::TempDir() + "/twpp_long_races");
+  std::remove(Report.c_str());
+}
+
+TEST(CliLongPath, MemstatPrintsTheWholePath) {
+  std::string Path = writeRacyArchiveUnderLongPath("twpp_long_memstat");
+  CommandRun R = runTwpp("memstat '" + Path + "'");
+  ASSERT_TRUE(WIFEXITED(R.Status)) << R.Output;
+  EXPECT_EQ(WEXITSTATUS(R.Status), 0) << R.Output;
+  EXPECT_EQ(R.Output.rfind(Path + "\n", 0), 0u) << R.Output;
+  std::filesystem::remove_all(::testing::TempDir() + "/twpp_long_memstat");
 }
 
 } // namespace

@@ -371,6 +371,84 @@ TEST(ObsJson, NumberFormatsFiniteValuesCompactly) {
   EXPECT_EQ(obs::jsonNumber(1234567), "1.23457e+06");
 }
 
+TEST(ObsJsonWriter, EscapesKeysAndStringValues) {
+  obs::JsonWriter W;
+  W.beginObject().field("say \"hi\"", "a\\b\n").field("tab\t", "");
+  EXPECT_EQ(W.finish(),
+            "{\"say \\\"hi\\\"\": \"a\\\\b\\u000a\", \"tab\\u0009\": \"\"}");
+}
+
+TEST(ObsJsonWriter, WritesEveryValueKind) {
+  obs::JsonWriter W;
+  W.beginArray()
+      .value(uint64_t(18446744073709551615ull))
+      .value(int64_t(-5))
+      .value(uint32_t(7))
+      .value(0.5)
+      .value(true)
+      .value(false)
+      .value(std::string("s"))
+      .end();
+  EXPECT_EQ(W.finish(),
+            "[18446744073709551615, -5, 7, 0.5, true, false, \"s\"]");
+}
+
+TEST(ObsJsonWriter, NestsObjectsAndArraysIncludingEmptyOnes) {
+  obs::JsonWriter W;
+  W.beginObject()
+      .key("empty_object")
+      .beginObject()
+      .end()
+      .key("empty_array")
+      .beginArray()
+      .end()
+      .key("nested")
+      .beginArray()
+      .beginObject()
+      .field("a", 1)
+      .key("b")
+      .beginArray()
+      .value(2)
+      .value(3)
+      .end()
+      .end()
+      .beginArray()
+      .end()
+      .end()
+      .end();
+  EXPECT_EQ(W.finish(), "{\"empty_object\": {}, \"empty_array\": [], "
+                        "\"nested\": [{\"a\": 1, \"b\": [2, 3]}, []]}");
+}
+
+TEST(ObsJsonWriter, WritesNaNAndInfinityAsZero) {
+  obs::JsonWriter W;
+  W.beginObject()
+      .field("nan", std::nan(""))
+      .field("inf", std::numeric_limits<double>::infinity());
+  EXPECT_EQ(W.finish(), "{\"nan\": 0, \"inf\": 0}");
+}
+
+TEST(ObsJsonWriter, PutsNoTrailingCommasAndClosesWhatIsOpen) {
+  // A report cut short (a verb failing part-way) still finishes as one
+  // well-formed document: finish() closes every open scope.
+  obs::JsonWriter W;
+  W.beginObject().field("x", 1).key("list").beginArray().value(1).value(2);
+  std::string Json = W.finish();
+  EXPECT_EQ(Json, "{\"x\": 1, \"list\": [1, 2]}");
+  EXPECT_EQ(Json.find(", ]"), std::string::npos);
+  EXPECT_EQ(Json.find(", }"), std::string::npos);
+  EXPECT_EQ(Json.find(",]"), std::string::npos);
+  EXPECT_EQ(Json.find(",}"), std::string::npos);
+}
+
+TEST(ObsJsonWriter, SplicesARenderedValue) {
+  obs::JsonWriter Inner;
+  Inner.beginObject().field("k", "v");
+  obs::JsonWriter W;
+  W.beginObject().field("a", 1).key("body").raw(Inner.finish()).field("z", 2);
+  EXPECT_EQ(W.finish(), "{\"a\": 1, \"body\": {\"k\": \"v\"}, \"z\": 2}");
+}
+
 //===----------------------------------------------------------------------===//
 // Exporters
 //===----------------------------------------------------------------------===//

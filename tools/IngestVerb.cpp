@@ -29,14 +29,11 @@
 
 #include "ingest/Ingest.h"
 #include "ingest/Producer.h"
-#include "obs/Json.h"
 #include "support/FaultInjection.h"
 #include "workloads/Workload.h"
 
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -52,40 +49,21 @@ namespace {
 
 struct ToolOptions {
   IngestConfig Config;
-  std::string Format = "text";
   std::string SocketPath;
-  std::string ProfileName;
-  std::string Scale = "test";
   std::string Fault;
   uint64_t Producers = 4;
   uint64_t ProducerId = 0;
-  uint64_t SeedBase = 0;
-  uint64_t BatchEvents = 4096;
 } Opts;
 
-/// Builds the deterministic replay trace of producer \p Index: the
-/// selected workload profile reseeded per producer so streams differ but
-/// reruns (and the golden in-process compaction CI diffs against) agree
-/// byte for byte.
-RawTrace producerTrace(const ToolOptions &Options, uint64_t Index) {
-  std::vector<WorkloadProfile> Profiles = Options.Scale == "paper"
-                                              ? paperProfiles()
-                                              : testProfiles();
+/// Builds the deterministic replay trace of producer \p Index: a test
+/// workload profile reseeded per producer so streams differ but reruns
+/// (and the golden in-process compaction CI diffs against) agree byte
+/// for byte.
+RawTrace producerTrace(uint64_t Index) {
+  std::vector<WorkloadProfile> Profiles = testProfiles();
   WorkloadProfile Profile =
       Profiles[static_cast<size_t>(Index) % Profiles.size()];
-  if (!Options.ProfileName.empty()) {
-    auto It = std::find_if(Profiles.begin(), Profiles.end(),
-                           [&](const WorkloadProfile &P) {
-                             return P.Name == Options.ProfileName;
-                           });
-    if (It == Profiles.end()) {
-      std::fprintf(stderr, "twpp ingest: unknown profile '%s'\n",
-                   Options.ProfileName.c_str());
-      std::exit(cli::ExitUsage);
-    }
-    Profile = *It;
-  }
-  Profile.Seed += Options.SeedBase + Index;
+  Profile.Seed += Index;
   return generateWorkloadTrace(Profile);
 }
 
@@ -128,107 +106,66 @@ std::string renderReportText(const IngestReport &Report) {
   return Out;
 }
 
-std::string u64(uint64_t V) { return std::to_string(V); }
-std::string boolean(bool B) { return B ? "true" : "false"; }
-
-std::string renderReportJson(const IngestReport &Report) {
-  std::string Out = "{\"schema\": \"twpp-ingest-v1\", \"clean\": " +
-                    boolean(Report.clean());
-  Out += ", \"aborted\": " + boolean(Report.Aborted);
-  Out += ", \"frames\": " + u64(Report.Frames);
-  Out += ", \"frame_bytes\": " + u64(Report.FrameBytes);
-  Out += ", \"events\": " + u64(Report.EventsApplied);
-  Out += ", \"corrupt_frames\": " + u64(Report.CorruptFrames);
-  Out += ", \"resync_bytes\": " + u64(Report.ResyncBytes);
-  Out += ", \"read_retries\": " + u64(Report.ReadRetries);
-  Out += ", \"idle_timeouts\": " + u64(Report.IdleTimeouts);
-  Out += ", \"backpressure_waits\": " + u64(Report.BackpressureWaits);
-  Out += ", \"queue_depth_peak\": " + u64(Report.QueueDepthPeak);
-  Out += ", \"elapsed_us\": " + std::to_string(Report.ElapsedUs);
+void reportJson(const IngestReport &Report, obs::JsonWriter &W) {
+  W.field("clean", Report.clean())
+      .field("aborted", Report.Aborted)
+      .field("frames", Report.Frames)
+      .field("frame_bytes", Report.FrameBytes)
+      .field("events", Report.EventsApplied)
+      .field("corrupt_frames", Report.CorruptFrames)
+      .field("resync_bytes", Report.ResyncBytes)
+      .field("read_retries", Report.ReadRetries)
+      .field("idle_timeouts", Report.IdleTimeouts)
+      .field("backpressure_waits", Report.BackpressureWaits)
+      .field("queue_depth_peak", Report.QueueDepthPeak)
+      .field("elapsed_us", Report.ElapsedUs);
   if (!Report.FatalError.empty())
-    Out += ", \"fatal\": " + obs::jsonStringLiteral(Report.FatalError);
-  Out += ", \"producers\": [";
+    W.field("fatal", Report.FatalError);
+  W.beginArray("producers");
   for (const ProducerReport &P : Report.Producers) {
-    Out += &P == Report.Producers.data() ? "" : ", ";
-    Out += "{\"id\": " + u64(P.ProducerId);
-    Out += ", \"lossless\": " + boolean(P.lossless());
-    Out += ", \"function_count\": " + u64(P.FunctionCount);
-    Out += ", \"saw_hello\": " + boolean(P.SawHello);
-    Out += ", \"saw_bye\": " + boolean(P.SawBye);
-    Out += ", \"resumed\": " + boolean(P.Resumed);
-    Out += ", \"disconnected\": " + boolean(P.Disconnected);
-    Out += ", \"frames_applied\": " + u64(P.FramesApplied);
-    Out += ", \"events_applied\": " + u64(P.EventsApplied);
-    Out += ", \"events_declared\": " + u64(P.EventsDeclared);
-    Out += ", \"events_dropped\": " + u64(P.EventsDropped);
-    Out += ", \"events_lost\": " + u64(P.eventsLost());
-    Out += ", \"frames_invalid\": " + u64(P.FramesInvalid);
-    Out += ", \"frames_duplicate\": " + u64(P.FramesDuplicate);
-    Out += ", \"frames_reordered\": " + u64(P.FramesReordered);
-    Out += ", \"frames_replayed\": " + u64(P.FramesReplayed);
-    Out += ", \"seq_gaps\": " + u64(P.SeqGaps);
-    Out += ", \"shed_frames\": " + u64(P.ShedFrames);
-    Out += ", \"shed_bytes\": " + u64(P.ShedBytes);
-    Out += ", \"synthesized_exits\": " + u64(P.SynthesizedExits);
-    Out += ", \"degraded_frames\": " + u64(P.DegradedFrames);
-    Out += ", \"checkpoints\": " + u64(P.CheckpointsWritten);
-    Out += ", \"checkpoint_failures\": " + u64(P.CheckpointFailures);
+    W.beginObject()
+        .field("id", P.ProducerId)
+        .field("lossless", P.lossless())
+        .field("function_count", P.FunctionCount)
+        .field("saw_hello", P.SawHello)
+        .field("saw_bye", P.SawBye)
+        .field("resumed", P.Resumed)
+        .field("disconnected", P.Disconnected)
+        .field("frames_applied", P.FramesApplied)
+        .field("events_applied", P.EventsApplied)
+        .field("events_declared", P.EventsDeclared)
+        .field("events_dropped", P.EventsDropped)
+        .field("events_lost", P.eventsLost())
+        .field("frames_invalid", P.FramesInvalid)
+        .field("frames_duplicate", P.FramesDuplicate)
+        .field("frames_reordered", P.FramesReordered)
+        .field("frames_replayed", P.FramesReplayed)
+        .field("seq_gaps", P.SeqGaps)
+        .field("shed_frames", P.ShedFrames)
+        .field("shed_bytes", P.ShedBytes)
+        .field("synthesized_exits", P.SynthesizedExits)
+        .field("degraded_frames", P.DegradedFrames)
+        .field("checkpoints", P.CheckpointsWritten)
+        .field("checkpoint_failures", P.CheckpointFailures);
     if (!P.ArchivePath.empty())
-      Out += ", \"archive\": " + obs::jsonStringLiteral(P.ArchivePath);
+      W.field("archive", P.ArchivePath);
     if (!P.ArchiveError.ok())
-      Out += ", \"archive_error\": " +
-             obs::jsonStringLiteral(P.ArchiveError.message());
-    Out += "}";
+      W.field("archive_error", P.ArchiveError.message());
+    W.end();
   }
-  Out += "]}\n";
-  return Out;
+  W.end();
 }
 
-int finishRun(const ToolOptions &Options, const IngestReport &Report) {
-  if (!Report.FatalError.empty()) {
-    std::fprintf(stderr, "twpp ingest: %s\n", Report.FatalError.c_str());
-    return cli::ExitUsage;
-  }
-  publishIngestMetrics(Report);
-  std::string Rendered = Options.Format == "json"
-                             ? renderReportJson(Report)
-                             : renderReportText(Report);
-  std::fputs(Rendered.c_str(), stdout);
-  return Report.clean() ? cli::ExitSuccess : cli::ExitFindings;
-}
-
-int runReplay(const ToolOptions &Options) {
-  std::vector<RawTrace> Traces;
-  for (uint64_t I = 0; I < Options.Producers; ++I)
-    Traces.push_back(producerTrace(Options, I));
-  ProducerOptions PO;
-  PO.BatchEvents = static_cast<size_t>(Options.BatchEvents);
-  return finishRun(Options, runLoopbackIngest(Options.Config, Traces, PO));
-}
-
-int runServe(const ToolOptions &Options) {
-  IngestServer Server(Options.Config);
+int runProduce(const Invocation &Inv) {
   std::string Error;
-  if (!Server.listenUnixSocket(Options.SocketPath,
-                               static_cast<size_t>(Options.Producers),
-                               &Error)) {
-    std::fprintf(stderr, "twpp ingest: %s\n", Error.c_str());
-    return cli::ExitUsage;
-  }
-  return finishRun(Options, Server.run());
-}
-
-int runProduce(const ToolOptions &Options) {
-  std::string Error;
-  int Fd = connectUnixSocket(Options.SocketPath, &Error);
+  int Fd = connectUnixSocket(Opts.SocketPath, &Error);
   if (Fd < 0) {
     std::fprintf(stderr, "twpp ingest: %s\n", Error.c_str());
     return cli::ExitUsage;
   }
-  RawTrace Trace = producerTrace(Options, Options.ProducerId);
+  RawTrace Trace = producerTrace(Opts.ProducerId);
   ProducerOptions PO;
-  PO.ProducerId = static_cast<uint32_t>(Options.ProducerId);
-  PO.BatchEvents = static_cast<size_t>(Options.BatchEvents);
+  PO.ProducerId = static_cast<uint32_t>(Opts.ProducerId);
   ProducerWireStats Stats;
   bool Ok = sendTraceOverFd(Fd, Trace, PO, &Stats);
 #if !defined(_WIN32)
@@ -237,14 +174,20 @@ int runProduce(const ToolOptions &Options) {
   if (!Ok) {
     std::fprintf(stderr, "twpp ingest: producer %llu: send failed "
                          "(receiver gone)\n",
-                 static_cast<unsigned long long>(Options.ProducerId));
+                 static_cast<unsigned long long>(Opts.ProducerId));
     return cli::ExitFindings;
   }
-  std::printf("producer %llu: %llu frames, %llu bytes, %llu events\n",
-              static_cast<unsigned long long>(Options.ProducerId),
-              static_cast<unsigned long long>(Stats.FramesSent),
-              static_cast<unsigned long long>(Stats.BytesSent),
-              static_cast<unsigned long long>(Trace.Events.size()));
+  if (Inv.Json)
+    Inv.Json->Body.field("producer", Opts.ProducerId)
+        .field("frames", Stats.FramesSent)
+        .field("bytes", Stats.BytesSent)
+        .field("events", Trace.Events.size());
+  else
+    std::printf("producer %llu: %llu frames, %llu bytes, %llu events\n",
+                static_cast<unsigned long long>(Opts.ProducerId),
+                static_cast<unsigned long long>(Stats.FramesSent),
+                static_cast<unsigned long long>(Stats.BytesSent),
+                static_cast<unsigned long long>(Trace.Events.size()));
   return cli::ExitSuccess;
 }
 
@@ -268,31 +211,12 @@ cli::FlagTable tool::ingestFlags() {
       cli::unsignedFlag("memory-budget", "BYTES",
                         "per-producer degradable-state budget",
                         C.MemoryBudgetBytes),
-      cli::unsignedFlag("queue-capacity", "N", "queued frames (default 1024)",
-                        C.QueueCapacity, 1),
-      {"policy", "block|shed", "when the queue is full (default block)",
-       [&C](const std::string &V) {
-         return parseBackpressurePolicy(V, C.Policy);
-       }},
-      cli::unsignedFlag("reorder-window", "N",
-                        "out-of-order frames buffered (default 16)",
-                        C.ReorderWindow, 1),
-      cli::unsignedFlag("idle-timeout-ms", "N", "idle cutoff (default 10000)",
-                        C.IdleTimeoutMs, 1),
-      cli::choiceFlag("scale", "workload scale", Opts.Scale,
-                      {"test", "paper"}),
-      cli::stringFlag("profile", "NAME", "one workload for every producer",
-                      Opts.ProfileName),
-      cli::unsignedFlag("seed", "N", "workload seed base", Opts.SeedBase),
-      cli::unsignedFlag("batch-events", "N", "events per frame (default 4096)",
-                        Opts.BatchEvents, 1),
       cli::unsignedFlag("producers", "N", "producers (default 4)",
                         Opts.Producers, 1),
       cli::unsignedFlag("producer-id", "N", "this producer's id",
                         Opts.ProducerId),
       cli::stringFlag("socket", "PATH", "unix socket", Opts.SocketPath),
       cli::stringFlag("fault", "SPEC", "install a TWPP_FAULT spec", Opts.Fault),
-      cli::choiceFlag("format", "report", Opts.Format, {"text", "json"}),
   };
 }
 
@@ -313,9 +237,32 @@ int tool::runIngest(const Invocation &Inv) {
   Opts.Config.Parallel = Inv.Jobs;
   Opts.Config.CrashHook = [] { raise(SIGKILL); };
 
-  if (Mode == "replay")
-    return runReplay(Opts);
-  if (Mode == "serve")
-    return runServe(Opts);
-  return runProduce(Opts);
+  if (Mode == "produce")
+    return runProduce(Inv);
+
+  IngestReport Report;
+  if (Mode == "replay") {
+    std::vector<RawTrace> Traces;
+    for (uint64_t I = 0; I < Opts.Producers; ++I)
+      Traces.push_back(producerTrace(I));
+    Report = runLoopbackIngest(Opts.Config, Traces);
+  } else {
+    IngestServer Server(Opts.Config);
+    if (!Server.listenUnixSocket(Opts.SocketPath,
+                                 static_cast<size_t>(Opts.Producers), &Error)) {
+      std::fprintf(stderr, "twpp ingest: %s\n", Error.c_str());
+      return cli::ExitUsage;
+    }
+    Report = Server.run();
+  }
+  if (!Report.FatalError.empty()) {
+    std::fprintf(stderr, "twpp ingest: %s\n", Report.FatalError.c_str());
+    return cli::ExitUsage;
+  }
+  publishIngestMetrics(Report);
+  if (Inv.Json)
+    reportJson(Report, Inv.Json->Body);
+  else
+    std::fputs(renderReportText(Report).c_str(), stdout);
+  return Report.clean() ? cli::ExitSuccess : cli::ExitFindings;
 }

@@ -11,16 +11,14 @@
 // fails the tool, not just the verifier.
 //
 //   twpp memstat out.twpp
-//   twpp memstat --top=5 --format=json --out memstat.json out.twpp
+//   twpp memstat --top=5 --format=json out.twpp > memstat.json
 //
-// The JSON report has schema twpp-memstat-v1. The reconcile tolerance is
-// 1% + 1 KiB.
+// The reconcile tolerance is 1% + 1 KiB.
 //
 //===----------------------------------------------------------------------===//
 
 #include "Verbs.h"
 
-#include "obs/Json.h"
 #include "obs/Memory.h"
 #include "verify/MemoryChecks.h"
 #include "wpp/Archive.h"
@@ -41,8 +39,6 @@ namespace {
 
 struct MemstatOptions {
   size_t Top = 10;
-  std::string Format = "text";
-  std::string OutPath;
 } Opts;
 
 struct FunctionStat {
@@ -115,8 +111,8 @@ bool collect(const std::string &Path, ArchiveStat &Stat) {
   return true;
 }
 
-void renderText(const std::vector<ArchiveStat> &Stats, size_t Top,
-                std::string &Out) {
+std::string renderText(const std::vector<ArchiveStat> &Stats, size_t Top) {
+  std::string Out;
   for (const ArchiveStat &Stat : Stats) {
     appendf(Out, "%s\n", Stat.Path.c_str());
     appendf(Out, "  file %llu bytes (header+index %llu, dcg %llu)\n",
@@ -152,41 +148,41 @@ void renderText(const std::vector<ArchiveStat> &Stats, size_t Top,
               (unsigned long long)Fn.ModelBytes, (unsigned long long)Fn.Calls);
     }
   }
+  return Out;
 }
 
-void renderJson(const std::vector<ArchiveStat> &Stats, size_t Top,
-                std::string &Out) {
-  auto U64 = [](uint64_t Value) { return std::to_string(Value); };
-  Out += "{\"schema\": \"twpp-memstat-v1\", \"archives\": [";
-  for (size_t A = 0; A < Stats.size(); ++A) {
-    const ArchiveStat &Stat = Stats[A];
-    if (A)
-      Out += ", ";
-    Out += "{\"path\": " + obs::jsonStringLiteral(Stat.Path);
-    Out += ", \"file_bytes\": " + U64(Stat.FileBytes);
-    Out += ", \"header_index_bytes\": " + U64(Stat.HeaderIndexBytes);
-    Out += ", \"dcg\": {\"compressed_bytes\": " +
-           U64(Stat.DcgCompressedBytes) +
-           ", \"decoded_bytes\": " + U64(Stat.DcgDecodedBytes) + "}";
-    Out += ", \"audit\": {\"tracked_bytes\": " +
-           U64(Stat.Audit.TrackedBytes) +
-           ", \"deep_bytes\": " + U64(Stat.Audit.DeepBytes) +
-           ", \"model_bytes\": " + U64(Stat.Audit.ModelBytes) +
-           ", \"reconciled\": " + (Stat.Reconciled ? "true" : "false") + "}";
-    Out += ", \"functions\": [";
+void reportJson(const std::vector<ArchiveStat> &Stats, size_t Top,
+                obs::JsonWriter &W) {
+  W.beginArray("archives");
+  for (const ArchiveStat &Stat : Stats) {
+    W.beginObject()
+        .field("path", Stat.Path)
+        .field("file_bytes", Stat.FileBytes)
+        .field("header_index_bytes", Stat.HeaderIndexBytes)
+        .beginObject("dcg")
+        .field("compressed_bytes", Stat.DcgCompressedBytes)
+        .field("decoded_bytes", Stat.DcgDecodedBytes)
+        .end()
+        .beginObject("audit")
+        .field("tracked_bytes", Stat.Audit.TrackedBytes)
+        .field("deep_bytes", Stat.Audit.DeepBytes)
+        .field("model_bytes", Stat.Audit.ModelBytes)
+        .field("reconciled", Stat.Reconciled)
+        .end()
+        .beginArray("functions");
     for (size_t I = 0; I < Stat.Functions.size() && I < Top; ++I) {
       const FunctionStat &Fn = Stat.Functions[I];
-      if (I)
-        Out += ", ";
-      Out += "{\"function\": " + U64(Fn.Function) +
-             ", \"compressed_bytes\": " + U64(Fn.CompressedBytes) +
-             ", \"decoded_bytes\": " + U64(Fn.DecodedBytes) +
-             ", \"model_bytes\": " + U64(Fn.ModelBytes) +
-             ", \"calls\": " + U64(Fn.Calls) + "}";
+      W.beginObject()
+          .field("function", Fn.Function)
+          .field("compressed_bytes", Fn.CompressedBytes)
+          .field("decoded_bytes", Fn.DecodedBytes)
+          .field("model_bytes", Fn.ModelBytes)
+          .field("calls", Fn.Calls)
+          .end();
     }
-    Out += "]}";
+    W.end().end();
   }
-  Out += "]}\n";
+  W.end();
 }
 
 } // namespace
@@ -195,8 +191,6 @@ cli::FlagTable tool::memstatFlags() {
   return {
       cli::unsignedFlag("top", "N", "functions to list (default 10)",
                         Opts.Top, 1),
-      cli::choiceFlag("format", "report", Opts.Format, {"text", "json"}),
-      cli::stringFlag("out", "FILE", "write the report to FILE", Opts.OutPath),
   };
 }
 
@@ -212,14 +206,10 @@ int tool::runMemstat(const Invocation &Inv) {
     Stats.push_back(std::move(Stat));
   }
 
-  std::string Out;
-  if (Opts.Format == "json")
-    renderJson(Stats, Opts.Top, Out);
+  if (Inv.Json)
+    reportJson(Stats, Opts.Top, Inv.Json->Body);
   else
-    renderText(Stats, Opts.Top, Out);
-
-  if (!writeReport(Out, Opts.OutPath))
-    return cli::ExitUsage;
+    std::fputs(renderText(Stats, Opts.Top).c_str(), stdout);
 
   for (const ArchiveStat &Stat : Stats)
     if (!Stat.Reconciled) {

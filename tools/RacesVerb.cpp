@@ -8,17 +8,16 @@
 // segments and never expands the trace:
 //
 //   twpp races out.twpp
-//   twpp races --engine=both --format=json out.twpp
+//   twpp races --format=json out.twpp
 //
-// --engine=oracle runs the decompress-and-check baseline instead, and
-// --engine=both runs the two differentially: any disagreement is
-// reported and exits 2. The JSON report has schema twpp-races-v1.
+// The decompress-and-check baseline (detectRacesOracle) is not on the
+// command line: the race tests and bench/race_detect check this engine
+// against it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "Verbs.h"
 
-#include "obs/Json.h"
 #include "races/RaceDetect.h"
 #include "wpp/Archive.h"
 
@@ -33,43 +32,45 @@ using namespace twpp::tool;
 
 namespace {
 
-struct RacesOptions {
-  std::string Engine = "compacted";
-  std::string Format = "text";
-} Opts;
-
-void renderRacesJson(std::string &Out, const RaceReport &Report) {
-  Out += "\"races\": [";
-  for (size_t I = 0; I != Report.Races.size(); ++I) {
-    const RacePair &R = Report.Races[I];
-    appendf(Out,
-            "%s{\"addr\": \"0x%" PRIx64 "\", \"threadA\": %u, "
-            "\"threadB\": %u, \"timeA\": %u, \"timeB\": %u, "
-            "\"kindA\": \"%c\", \"kindB\": \"%c\", \"pairs\": %" PRIu64 "}",
-            I ? ", " : "", R.Addr, R.ThreadA, R.ThreadB, R.TimeA, R.TimeB,
-            R.KindA == 0 ? 'W' : 'R', R.KindB == 0 ? 'W' : 'R', R.PairCount);
+void reportJson(const std::string &Path, const ConcurrencyInfo &Conc,
+                const RaceReport &Report, obs::JsonWriter &W) {
+  W.beginObject()
+      .field("path", Path)
+      .field("threads", Conc.Threads.size())
+      .field("edges", Conc.Edges.size())
+      .field("verdict", Report.racy() ? "racy" : "race-free")
+      .beginArray("races");
+  for (const RacePair &R : Report.Races) {
+    char Addr[24];
+    std::snprintf(Addr, sizeof(Addr), "0x%" PRIx64, R.Addr);
+    W.beginObject()
+        .field("addr", Addr)
+        .field("threadA", R.ThreadA)
+        .field("threadB", R.ThreadB)
+        .field("timeA", R.TimeA)
+        .field("timeB", R.TimeB)
+        .field("kindA", R.KindA == 0 ? "W" : "R")
+        .field("kindB", R.KindB == 0 ? "W" : "R")
+        .field("pairs", R.PairCount)
+        .end();
   }
-  Out += "]";
+  W.end()
+      .beginObject("stats")
+      .field("pairsCovered", Report.Stats.PairsCovered)
+      .field("segments", Report.Stats.Segments)
+      .field("segmentPairs", Report.Stats.SegmentPairs)
+      .field("racyPairs", Report.Stats.RacyPairs)
+      .end()
+      .end();
 }
 
 } // namespace
 
-cli::FlagTable tool::racesFlags() {
-  return {
-      cli::choiceFlag("engine", "detector to run; both compares the two",
-                      Opts.Engine, {"compacted", "oracle", "both"}),
-      cli::choiceFlag("format", "report", Opts.Format, {"text", "json"}),
-  };
-}
-
 int tool::runRaces(const Invocation &Inv) {
-  const std::vector<std::string> &Archives = Inv.Args;
   bool AnyRaces = false;
-  bool Mismatch = false;
-  std::string Json = "{\"schema\": \"twpp-races-v1\", \"archives\": [";
-
-  for (size_t A = 0; A != Archives.size(); ++A) {
-    const std::string &Path = Archives[A];
+  if (Inv.Json)
+    Inv.Json->Body.beginArray("archives");
+  for (const std::string &Path : Inv.Args) {
     ArchiveReader Reader;
     ConcurrencyInfo Conc;
     if (!Reader.open(Path) || !Reader.readConcurrency(Conc)) {
@@ -79,58 +80,20 @@ int tool::runRaces(const Invocation &Inv) {
       return cli::ExitUsage;
     }
 
-    RaceReport Report = Opts.Engine == "oracle" ? detectRacesOracle(Conc)
-                                                : detectRacesCompacted(Conc);
-    bool Agree = true;
-    if (Opts.Engine == "both") {
-      RaceReport Oracle = detectRacesOracle(Conc);
-      Agree = sameVerdict(Report, Oracle);
-      if (!Agree) {
-        Mismatch = true;
-        std::fprintf(stderr,
-                     "twpp races: %s: compacted and oracle engines disagree\n"
-                     "--- compacted ---\n%s--- oracle ---\n%s",
-                     Path.c_str(), renderRaceLines(Report).c_str(),
-                     renderRaceLines(Oracle).c_str());
-      }
-    }
+    RaceReport Report = detectRacesCompacted(Conc);
     AnyRaces |= Report.racy();
-
-    if (Opts.Format == "json") {
-      appendf(Json,
-              "%s{\"path\": %s, \"engine\": \"%s\", \"threads\": %zu, "
-              "\"edges\": %zu, \"verdict\": \"%s\", ",
-              A ? ", " : "", obs::jsonStringLiteral(Path).c_str(),
-              Opts.Engine.c_str(), Conc.Threads.size(), Conc.Edges.size(),
-              Report.racy() ? "racy" : "race-free");
-      renderRacesJson(Json, Report);
-      appendf(Json,
-              ", \"stats\": {\"pairsCovered\": %" PRIu64
-              ", \"segments\": %" PRIu64 ", \"segmentPairs\": %" PRIu64
-              ", \"racyPairs\": %" PRIu64 "}",
-              Report.Stats.PairsCovered, Report.Stats.Segments,
-              Report.Stats.SegmentPairs, Report.Stats.RacyPairs);
-      if (Opts.Engine == "both")
-        Json += Agree ? ", \"enginesAgree\": true"
-                      : ", \"enginesAgree\": false";
-      Json += "}";
-    } else {
-      std::printf("%s: %s (%zu threads, %zu hb edges, engine %s)\n",
-                  Path.c_str(), Report.racy() ? "RACY" : "race-free",
-                  Conc.Threads.size(), Conc.Edges.size(), Opts.Engine.c_str());
-      std::fputs(renderRaceLines(Report).c_str(), stdout);
-      std::printf("  pairs covered %" PRIu64 ", racy pairs %" PRIu64
-                  ", segments %" PRIu64 "\n",
-                  Report.Stats.PairsCovered, Report.Stats.RacyPairs,
-                  Report.Stats.Segments);
+    if (Inv.Json) {
+      reportJson(Path, Conc, Report, Inv.Json->Body);
+      continue;
     }
+    std::printf("%s: %s (%zu threads, %zu hb edges)\n", Path.c_str(),
+                Report.racy() ? "RACY" : "race-free", Conc.Threads.size(),
+                Conc.Edges.size());
+    std::fputs(renderRaceLines(Report).c_str(), stdout);
+    std::printf("  pairs covered %" PRIu64 ", racy pairs %" PRIu64
+                ", segments %" PRIu64 "\n",
+                Report.Stats.PairsCovered, Report.Stats.RacyPairs,
+                Report.Stats.Segments);
   }
-
-  if (Opts.Format == "json") {
-    Json += "]}\n";
-    std::fputs(Json.c_str(), stdout);
-  }
-  if (Mismatch)
-    return cli::ExitUsage;
   return AnyRaces ? cli::ExitFindings : cli::ExitSuccess;
 }

@@ -5,8 +5,7 @@
 // Salvages what remains of a damaged TWPP archive (verify/Recover.h):
 //
 //   twpp recover damaged.twpp recovered.twpp
-//   twpp recover --format=json damaged.twpp recovered.twpp
-//   twpp recover --report=salvage.json damaged.twpp recovered.twpp
+//   twpp recover --format=json damaged.twpp recovered.twpp > salvage.json
 //
 // The index layout makes every function block an independent extent, so
 // salvage keeps each block that decodes and passes the verifier's
@@ -31,21 +30,23 @@ using namespace twpp::tool;
 
 namespace {
 
-struct RecoverOptions {
-  std::string Format = "text";
-  std::string ReportPath;
-} Opts;
+void reportJson(const SalvageReport &R, Report &Json) {
+  Json.Diagnostics = R.Diagnostics;
+  Json.Body.field("salvaged", R.Salvaged)
+      .field("input_bytes", R.InputBytes)
+      .field("output_bytes", R.OutputBytes)
+      .field("functions_total", R.FunctionsTotal)
+      .field("functions_kept", R.FunctionsKept)
+      .field("functions_dropped", R.FunctionsDropped)
+      .beginArray("dropped_function_ids");
+  for (uint32_t Id : R.DroppedFunctions)
+    Json.Body.value(Id);
+  Json.Body.end()
+      .field("calls_lost", R.CallsLost)
+      .field("dcg_recovered", R.DcgRecovered);
+}
 
 } // namespace
-
-cli::FlagTable tool::recoverFlags() {
-  return {
-      cli::choiceFlag("format", "stdout report", Opts.Format,
-                      {"text", "json"}),
-      cli::stringFlag("report", "FILE", "also write the JSON report to FILE",
-                      Opts.ReportPath),
-  };
-}
 
 int tool::runRecover(const Invocation &Inv) {
   const std::vector<std::string> &Paths = Inv.Args;
@@ -60,13 +61,10 @@ int tool::runRecover(const Invocation &Inv) {
   SalvageReport Report;
   salvageArchive(Bytes, Out, Report);
 
-  std::string Rendered = Opts.Format == "json"
-                             ? renderSalvageReportJson(Report)
-                             : renderSalvageReportText(Report);
-  std::fputs(Rendered.c_str(), stdout);
-  if (!Opts.ReportPath.empty() &&
-      !writeReport(renderSalvageReportJson(Report), Opts.ReportPath))
-    return cli::ExitUsage;
+  if (Inv.Json)
+    reportJson(Report, *Inv.Json);
+  else
+    std::fputs(renderSalvageReportText(Report).c_str(), stdout);
   if (!Report.Salvaged)
     return cli::ExitFindings;
 

@@ -9,16 +9,14 @@
 // computed purely from the archive's path traces and timestamps.
 //
 //   twpp selfprof run.twppa
-//   twpp selfprof --top=3 --format=collapsed --out profile.folded run.twppa
+//   twpp selfprof --top=3 --format=collapsed run.twppa > profile.folded
 //
-// The collapsed format is flamegraph folded stacks ("a;b;c <exclusive_us>");
-// the JSON report has schema twpp-selfprof-v1.
+// The collapsed format is flamegraph folded stacks ("a;b;c <exclusive_us>").
 //
 //===----------------------------------------------------------------------===//
 
 #include "Verbs.h"
 
-#include "obs/Json.h"
 #include "obs/SelfProfile.h"
 #include "wpp/Archive.h"
 #include "wpp/HotPaths.h"
@@ -38,9 +36,6 @@ namespace {
 
 struct SelfprofOptions {
   size_t Top = 5;
-  std::string Format = "text";
-  std::string MetaPath;
-  std::string OutPath;
 } Opts;
 
 /// One span path's aggregate, from its function block alone.
@@ -195,81 +190,69 @@ void renderCollapsed(const std::vector<FunctionReport> &Functions,
   }
 }
 
-void renderJson(const std::string &ArchivePath, const obs::SelfProfileMeta &M,
+void reportJson(const std::string &ArchivePath, const obs::SelfProfileMeta &M,
                 const std::vector<FunctionReport> &Functions,
                 const std::vector<StageReport> &Stages, size_t Top,
-                std::string &Out) {
-  auto U64 = [](uint64_t Value) { return std::to_string(Value); };
-  Out += "{\"schema\": \"twpp-selfprof-v1\", \"archive\": " +
-         obs::jsonStringLiteral(ArchivePath);
-  Out += ", \"stats\": {\"functions\": " + U64(M.Stats.Functions) +
-         ", \"spans\": " + U64(M.Stats.Spans) +
-         ", \"events\": " + U64(M.Stats.Events) +
-         ", \"records_dropped\": " + U64(M.Stats.RecordsDropped) +
-         ", \"truncated_spans\": " + U64(M.Stats.TruncatedSpans) +
-         ", \"unclosed_spans\": " + U64(M.Stats.UnclosedSpans) +
-         ", \"orphan_flows\": " + U64(M.Stats.OrphanFlows) +
-         ", \"archive_bytes\": " + U64(M.Stats.ArchiveBytes) +
-         ", \"trace_json_bytes\": " + U64(M.Stats.TraceJsonBytes) + "}";
-  Out += ", \"stages\": [";
-  for (size_t I = 0; I < Stages.size(); ++I) {
-    const StageReport &S = Stages[I];
-    if (I)
-      Out += ", ";
-    Out += "{\"stage\": " + obs::jsonStringLiteral(S.Name) +
-           ", \"exclusive_ns\": " + U64(S.ExclusiveNs) +
-           ", \"calls\": " + U64(S.Calls) + ", \"hot_paths\": [";
+                obs::JsonWriter &W) {
+  W.field("archive", ArchivePath)
+      .beginObject("stats")
+      .field("functions", M.Stats.Functions)
+      .field("spans", M.Stats.Spans)
+      .field("events", M.Stats.Events)
+      .field("records_dropped", M.Stats.RecordsDropped)
+      .field("truncated_spans", M.Stats.TruncatedSpans)
+      .field("unclosed_spans", M.Stats.UnclosedSpans)
+      .field("orphan_flows", M.Stats.OrphanFlows)
+      .field("archive_bytes", M.Stats.ArchiveBytes)
+      .field("trace_json_bytes", M.Stats.TraceJsonBytes)
+      .end()
+      .beginArray("stages");
+  for (const StageReport &S : Stages) {
+    W.beginObject()
+        .field("stage", S.Name)
+        .field("exclusive_ns", S.ExclusiveNs)
+        .field("calls", S.Calls)
+        .beginArray("hot_paths");
     for (size_t P = 0; P < S.Hot.size() && P < Top; ++P) {
       const RankedPath &R = S.Hot[P];
-      if (P)
-        Out += ", ";
-      Out += "{\"path\": " + obs::jsonStringLiteral(R.Fn->Path) +
-             ", \"use_count\": " + U64(R.Path->UseCount) +
-             ", \"path_ns\": " + U64(R.PathNs) + ", \"blocks\": [";
-      for (size_t B = 0; B < R.Path->Blocks.size(); ++B) {
-        if (B)
-          Out += ", ";
-        Out += U64(R.Path->Blocks[B]);
-      }
-      Out += "]}";
+      W.beginObject()
+          .field("path", R.Fn->Path)
+          .field("use_count", R.Path->UseCount)
+          .field("path_ns", R.PathNs)
+          .beginArray("blocks");
+      for (BlockId B : R.Path->Blocks)
+        W.value(B);
+      W.end().end();
     }
-    Out += "]}";
+    W.end().end();
   }
-  Out += "], \"functions\": [";
-  bool First = true;
+  W.end().beginArray("functions");
   for (const FunctionReport &Fn : Functions) {
     if (Fn.Calls == 0)
       continue;
-    if (!First)
-      Out += ", ";
-    First = false;
-    Out += "{\"function\": " + U64(Fn.Function) +
-           ", \"path\": " + obs::jsonStringLiteral(Fn.Path) +
-           ", \"calls\": " + U64(Fn.Calls) +
-           ", \"exclusive_ns\": " + U64(Fn.ExclusiveNs) +
-           ", \"inclusive_ns\": " + U64(Fn.InclusiveNs) + "}";
+    W.beginObject()
+        .field("function", Fn.Function)
+        .field("path", Fn.Path)
+        .field("calls", Fn.Calls)
+        .field("exclusive_ns", Fn.ExclusiveNs)
+        .field("inclusive_ns", Fn.InclusiveNs)
+        .end();
   }
-  Out += "]}\n";
+  W.end();
 }
 
 } // namespace
 
 cli::FlagTable tool::selfprofFlags() {
   return {
-      cli::stringFlag("meta", "FILE", "sidecar (default <archive>.meta)",
-                      Opts.MetaPath),
       cli::unsignedFlag("top", "N", "entries per listing (default 5)",
                         Opts.Top, 1),
-      cli::choiceFlag("format", "report", Opts.Format,
-                      {"text", "collapsed", "json"}),
-      cli::stringFlag("out", "FILE", "write the report to FILE", Opts.OutPath),
   };
 }
 
 int tool::runSelfprof(const Invocation &Inv) {
   const std::string &ArchivePath = Inv.Args[0];
-  std::string MetaPath =
-      Opts.MetaPath.empty() ? ArchivePath + ".meta" : Opts.MetaPath;
+  std::string MetaPath = ArchivePath + ".meta";
 
   obs::SelfProfileMeta Meta;
   if (!obs::readSelfProfileMetaFile(MetaPath, Meta)) {
@@ -352,15 +335,15 @@ int tool::runSelfprof(const Invocation &Inv) {
                      return A.ExclusiveNs > B.ExclusiveNs;
                    });
 
+  if (Inv.Json) {
+    reportJson(ArchivePath, Meta, Functions, Stages, Opts.Top, Inv.Json->Body);
+    return cli::ExitSuccess;
+  }
   std::string Out;
-  if (Opts.Format == "collapsed")
+  if (Inv.Format == "collapsed")
     renderCollapsed(Functions, Out);
-  else if (Opts.Format == "json")
-    renderJson(ArchivePath, Meta, Functions, Stages, Opts.Top, Out);
   else
     renderText(ArchivePath, Meta, Functions, Stages, GapNs, Opts.Top, Out);
-
-  if (!writeReport(Out, Opts.OutPath))
-    return cli::ExitUsage;
+  std::fputs(Out.c_str(), stdout);
   return cli::ExitSuccess;
 }

@@ -7,7 +7,10 @@
 /// \file
 /// What the verb table in tools/twpp.cpp needs from each verb: a flag
 /// table bound to the verb's own options, and a body that runs once the
-/// driver has parsed them. One source file per verb family:
+/// driver has parsed them. A report verb prints text itself; under
+/// `--format=json` it only fills a Report, which the driver prints as one
+/// twpp-report-v1 document (docs/FORMATS.md). One source file per verb
+/// family:
 ///
 ///   ArchiveVerbs.cpp     trace, stats, query, dot-dcg, dot-trace,
 ///                        reconstruct
@@ -24,8 +27,10 @@
 #ifndef TWPP_TOOLS_VERBS_H
 #define TWPP_TOOLS_VERBS_H
 
+#include "obs/Json.h"
 #include "support/CliCommon.h"
 #include "support/Parallel.h"
+#include "verify/Diagnostics.h"
 
 #include <cstddef>
 #include <string>
@@ -40,24 +45,29 @@ namespace tool {
 
 struct VerbSpec;
 
+/// What a verb reports under `--format=json`: the fields of its body and,
+/// for verify and recover, its diagnostics. The driver adds the schema,
+/// the verb's name and its exit code.
+struct Report {
+  obs::JsonWriter Body; ///< Already inside the body object.
+  std::vector<verify::Diagnostic> Diagnostics;
+};
+
 /// What the driver hands a verb: the positional words after the verb's
-/// name, their count already checked against the table, and the global
-/// `--jobs` setting.
+/// name, their count already checked against the table, the global
+/// `--jobs` setting and the report format.
 struct Invocation {
   const VerbSpec *Verb = nullptr;
   std::vector<std::string> Args;
   ParallelConfig Jobs;
+  std::string Format = "text"; ///< One of the verb's Formats.
+  Report *Json = nullptr;      ///< Set under `--format=json` only.
 
   /// Prints \p Why and the verb's usage to stderr. \returns cli::ExitUsage.
   int usage(const std::string &Why) const;
 };
 
-/// Writes \p Report to \p Path, or to stdout when \p Path is empty.
-/// \returns false, having said why on stderr, when the file cannot be
-/// written.
-bool writeReport(const std::string &Report, const std::string &Path);
-
-/// Appends printf-style formatted text (up to 1023 bytes) to \p Out.
+/// Appends printf-style formatted text, of any length, to \p Out.
 __attribute__((format(printf, 2, 3))) void appendf(std::string &Out,
                                                    const char *Format, ...);
 
@@ -77,6 +87,9 @@ struct VerbSpec {
   size_t MaxArgs;
   cli::FlagTable (*Flags)(); ///< The verb's own flags.
   int (*Run)(const Invocation &Inv);
+  /// The values of the verb's `--format` flag, "text" (the default)
+  /// among them; a verb with none has no such flag.
+  std::vector<std::string> Formats = {};
 };
 
 cli::FlagTable traceFlags();
@@ -90,7 +103,6 @@ int runReconstruct(const Invocation &Inv);
 cli::FlagTable verifyFlags();
 int runVerify(const Invocation &Inv);
 
-cli::FlagTable recoverFlags();
 int runRecover(const Invocation &Inv);
 
 cli::FlagTable memstatFlags();
@@ -99,7 +111,6 @@ int runMemstat(const Invocation &Inv);
 cli::FlagTable selfprofFlags();
 int runSelfprof(const Invocation &Inv);
 
-cli::FlagTable racesFlags();
 int runRaces(const Invocation &Inv);
 
 cli::FlagTable ingestFlags();

@@ -44,7 +44,6 @@ namespace {
 
 struct VerifyOptions {
   std::string Glob = "*";
-  std::string Format = "text";
   std::string ProgramPath;
   bool ListChecks = false;
 } Opts;
@@ -112,7 +111,6 @@ cli::FlagTable tool::verifyFlags() {
   return {
       cli::stringFlag("checks", "GLOB", "run only the matching checks",
                       Opts.Glob),
-      cli::choiceFlag("format", "report", Opts.Format, {"text", "json"}),
       cli::switchFlag("list-checks", "print the check catalog",
                       Opts.ListChecks),
       cli::stringFlag("program", "FILE", "run the IR and dataflow checks",
@@ -152,8 +150,9 @@ int tool::runVerify(const Invocation &Inv) {
     runFactChecks(M, Engine);
   }
 
-  std::string Out = Opts.Format == "json" ? renderDiagnosticsJson(Engine)
-                                          : renderDiagnosticsText(Engine);
-  std::fputs(Out.c_str(), stdout);
+  if (Inv.Json)
+    Inv.Json->Diagnostics = Engine.diagnostics();
+  else
+    std::fputs(renderDiagnosticsText(Engine).c_str(), stdout);
   return Engine.clean() ? cli::ExitSuccess : cli::ExitFindings;
 }

@@ -23,9 +23,9 @@
 #include "obs/Names.h"
 #include "obs/SelfProfile.h"
 #include "obs/Trace.h"
-#include "support/FileIO.h"
 #include "verify/Verify.h"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
@@ -41,6 +41,8 @@ namespace {
 constexpr size_t Many = SIZE_MAX;
 
 cli::FlagTable noFlags() { return {}; }
+
+const std::vector<std::string> TextJson = {"text", "json"};
 
 const VerbSpec Verbs[] = {
     {"trace", "<program.mini> <archive.twpp> [input...]",
@@ -60,22 +62,21 @@ const VerbSpec Verbs[] = {
      runReconstruct},
     {"verify", "[archive.twpp...]",
      "static invariant checks; 1 = error diagnostics", 0, Many, verifyFlags,
-     runVerify},
+     runVerify, TextJson},
     {"recover", "<damaged.twpp> <recovered.twpp>",
-     "salvage a damaged archive; 1 = cannot salvage", 2, 2, recoverFlags,
-     runRecover},
+     "salvage a damaged archive; 1 = cannot salvage", 2, 2, noFlags,
+     runRecover, TextJson},
     {"memstat", "<archive.twpp...>",
      "where an archive's bytes live; 1 = the memory audit disagrees", 1, Many,
-     memstatFlags, runMemstat},
+     memstatFlags, runMemstat, TextJson},
     {"selfprof", "<archive.twppa>",
      "hottest paths of a self-profile; 1 = sidecar mismatch", 1, 1,
-     selfprofFlags, runSelfprof},
-    {"races", "<archive.twpp...>",
-     "detect data races; 1 = races found, 2 = engines disagree", 1, Many,
-     racesFlags, runRaces},
+     selfprofFlags, runSelfprof, {"text", "json", "collapsed"}},
+    {"races", "<archive.twpp...>", "detect data races; 1 = races found", 1,
+     Many, noFlags, runRaces, TextJson},
     {"ingest", "replay|serve|produce",
      "compact wire streams from N producers; 1 = accounted loss", 1, 1,
-     ingestFlags, runIngest},
+     ingestFlags, runIngest, TextJson},
     {"metrics-diff", "<baseline> <current>",
      "compare metrics exports; 1 = a metric regressed", 2, 2,
      metricsDiffFlags, runMetricsDiff},
@@ -90,6 +91,9 @@ struct GlobalOptions {
   std::string SelfProfilePath;
   bool MetricsTable = false;
 } Global;
+
+/// The value of the verb's `--format` flag.
+std::string ReportFormat = "text";
 
 cli::FlagTable globalFlags() {
   return {
@@ -113,13 +117,22 @@ cli::FlagTable globalFlags() {
   };
 }
 
+/// The verb's own flags, and `--format` when it has report formats.
+cli::FlagTable verbFlags(const VerbSpec &V) {
+  cli::FlagTable Flags = V.Flags();
+  if (!V.Formats.empty())
+    Flags.push_back(
+        cli::choiceFlag("format", "report format", ReportFormat,
+                        V.Formats));
+  return Flags;
+}
 
 /// The verb is the first positional word under that verb's own flag
 /// table, which tells `--resume JOURNAL trace` from `--resume ingest`.
 const VerbSpec *findVerb(const std::vector<std::string> &Args,
                          const cli::FlagTable &GlobalFlags) {
   for (const VerbSpec &V : Verbs) {
-    cli::FlagTable Flags = V.Flags();
+    cli::FlagTable Flags = verbFlags(V);
     std::vector<std::string> Words;
     cli::parseArgs(Args, {&Flags, &GlobalFlags}, Words, nullptr);
     if (!Words.empty() && Words[0] == V.Name)
@@ -128,12 +141,25 @@ const VerbSpec *findVerb(const std::vector<std::string> &Args,
   return nullptr;
 }
 
+/// Prints the twpp-report-v1 envelope around what \p Verb reported.
+void printReport(const VerbSpec &Verb, int Exit, Report &R) {
+  obs::JsonWriter W;
+  W.beginObject()
+      .field("schema", "twpp-report-v1")
+      .field("verb", Verb.Name)
+      .field("exit", Exit)
+      .key("diagnostics");
+  verify::writeDiagnosticsJson(W, R.Diagnostics);
+  W.key("body").raw(R.Body.finish());
+  std::printf("%s\n", W.finish().c_str());
+}
+
 } // namespace
 
 int tool::Invocation::usage(const std::string &Why) const {
   std::string Text = "twpp: " + Why + "\n";
   if (Verb) {
-    std::string Flags = cli::renderFlags(Verb->Flags());
+    std::string Flags = cli::renderFlags(verbFlags(*Verb));
     Text += "usage: twpp " + std::string(Verb->Name) + " [flags] " +
             Verb->Synopsis + "\n  " + Verb->Summary + "\n" +
             (Flags.empty() ? "" : "flags:\n" + Flags);
@@ -151,24 +177,16 @@ int tool::Invocation::usage(const std::string &Why) const {
 }
 
 void tool::appendf(std::string &Out, const char *Format, ...) {
-  char Line[1024];
-  va_list Args;
+  va_list Args, Sizing;
   va_start(Args, Format);
-  std::vsnprintf(Line, sizeof(Line), Format, Args);
+  va_copy(Sizing, Args);
+  int Length = std::vsnprintf(nullptr, 0, Format, Sizing);
+  va_end(Sizing);
+  size_t At = Out.size();
+  Out.resize(At + static_cast<size_t>(std::max(Length, 0)) + 1);
+  std::vsnprintf(&Out[At], Out.size() - At, Format, Args);
   va_end(Args);
-  Out += Line;
-}
-
-bool tool::writeReport(const std::string &Report, const std::string &Path) {
-  if (Path.empty()) {
-    std::fputs(Report.c_str(), stdout);
-    return true;
-  }
-  IoError Write =
-      writeFileBytes(Path, std::vector<uint8_t>(Report.begin(), Report.end()));
-  if (!Write)
-    std::fprintf(stderr, "twpp: %s\n", Write.message().c_str());
-  return Write.ok();
+  Out.pop_back(); // vsnprintf's terminating NUL
 }
 
 int main(int Argc, char **Argv) {
@@ -185,7 +203,7 @@ int main(int Argc, char **Argv) {
                                       : "unknown verb '" + Inv.Args[0] + "'");
   }
   const VerbSpec *Verb = Inv.Verb;
-  cli::FlagTable VerbFlags = Verb->Flags();
+  cli::FlagTable VerbFlags = verbFlags(*Verb);
   std::string Error;
   if (!cli::parseArgs(Args, {&VerbFlags, &GlobalFlags}, Inv.Args, &Error))
     return Inv.usage(Error);
@@ -193,6 +211,12 @@ int main(int Argc, char **Argv) {
   if (Inv.Args.size() < Verb->MinArgs || Inv.Args.size() > Verb->MaxArgs)
     return Inv.usage("wrong number of arguments");
   Inv.Jobs = Global.Jobs;
+  Inv.Format = ReportFormat;
+  Report Json;
+  if (ReportFormat == "json") {
+    Json.Body.beginObject();
+    Inv.Json = &Json;
+  }
 
   bool Metrics = !Global.MetricsOut.empty() || Global.MetricsTable;
   if (Metrics) {
@@ -223,6 +247,8 @@ int main(int Argc, char **Argv) {
   }
 
   int Exit = Verb->Run(Inv);
+  if (Inv.Json)
+    printReport(*Verb, Exit, Json);
 
   // Finish the self-profile before exporting metrics so the selfprof.*
   // counters it publishes land in the export.
