@@ -12,29 +12,30 @@
 using namespace twpp;
 using namespace twpp::races;
 
-const VectorClock &ThreadTimeline::clockForEvent(uint32_t Time) const {
+size_t ThreadTimeline::checkpointForEvent(uint32_t Time) const {
   assert(Time >= 1 && "event times are 1-based");
-  // Last checkpoint with Time_cp < Time. Checkpoints are few; binary
-  // search keeps the oracle's per-event lookups honest at scale.
-  auto It = std::partition_point(
-      Checkpoints.begin(), Checkpoints.end(),
-      [Time](const ClockCheckpoint &C) { return C.Time < Time; });
-  return (It - 1)->Clock;
+  return std::lower_bound(Times.begin(), Times.end(), Time) - Times.begin() -
+         1;
 }
 
-const VectorClock &ThreadTimeline::clockAfter(uint32_t Time) const {
-  auto It = std::partition_point(
-      Checkpoints.begin(), Checkpoints.end(),
-      [Time](const ClockCheckpoint &C) { return C.Time <= Time; });
-  return (It - 1)->Clock;
+size_t ThreadTimeline::checkpointAfter(uint32_t Time) const {
+  return std::upper_bound(Times.begin(), Times.end(), Time) - Times.begin() -
+         1;
 }
 
 HappensBefore races::buildHappensBefore(const ConcurrencyInfo &Conc) {
-  size_t ThreadCount = Conc.Threads.size();
+  const size_t ThreadCount = Conc.Threads.size();
   HappensBefore Out;
   Out.Threads.resize(ThreadCount);
-  for (ThreadTimeline &T : Out.Threads)
-    T.Checkpoints.push_back({0, VectorClock(ThreadCount)});
+  for (ThreadTimeline &T : Out.Threads) {
+    T.Width = static_cast<uint32_t>(ThreadCount);
+    T.Times.push_back(0);
+    T.Clocks.assign(ThreadCount, 0);
+  }
+  // Per source thread, the checkpoint the previous edge from it read.
+  // Derived edges leave each thread at non-decreasing times, so the hint
+  // or its successor almost always answers without a search.
+  std::vector<size_t> Hint(ThreadCount, 0);
 
   for (uint32_t I = 0; I != Conc.Edges.size(); ++I) {
     const HbEdge &E = Conc.Edges[I];
@@ -45,28 +46,39 @@ HappensBefore races::buildHappensBefore(const ConcurrencyInfo &Conc) {
     // Source: the source thread's knowledge after FromTime block events,
     // plus its own elapsed time. Derivation order guarantees every edge
     // into the source at times <= FromTime was already applied.
-    VectorClock Src = Out.Threads[E.FromThread].clockAfter(E.FromTime);
-    Src.raise(E.FromThread, E.FromTime);
+    const ThreadTimeline &From = Out.Threads[E.FromThread];
+    size_t Src = Hint[E.FromThread];
+    auto Governs = [&From, &E](size_t C) {
+      return C < From.size() && From.Times[C] <= E.FromTime &&
+             (C + 1 == From.size() || From.Times[C + 1] > E.FromTime);
+    };
+    if (!Governs(Src))
+      Src = Governs(Src + 1) ? Src + 1 : From.checkpointAfter(E.FromTime);
+    Hint[E.FromThread] = Src;
 
-    std::vector<ClockCheckpoint> &Cps = Out.Threads[E.ToThread].Checkpoints;
-    ClockCheckpoint &Last = Cps.back();
-    if (E.ToTime < Last.Time) {
+    ThreadTimeline &To = Out.Threads[E.ToThread];
+    const uint32_t Last = To.Times.back();
+    if (E.ToTime < Last) {
       // Non-monotone target: record it and fold into the final
       // checkpoint so verdicts stay total (the verifier flags the
       // archive as invalid regardless).
       Out.OutOfOrderEdges.push_back(I);
-      Last.Clock.joinWith(Src);
-      continue;
+    } else if (E.ToTime > Last) {
+      To.Times.push_back(E.ToTime);
+      To.Clocks.resize(To.Clocks.size() + ThreadCount);
+      std::copy_n(To.Clocks.end() - 2 * ThreadCount, ThreadCount,
+                  To.Clocks.end() - ThreadCount);
     }
-    if (E.ToTime == Last.Time) {
-      Last.Clock.joinWith(Src);
-      continue;
-    }
-    ClockCheckpoint Next;
-    Next.Time = E.ToTime;
-    Next.Clock = Last.Clock;
-    Next.Clock.joinWith(Src);
-    Cps.push_back(std::move(Next));
+    // Join the source row into the target's last row. Indices, not
+    // pointers: the resize above may have moved the source's storage when
+    // an edge runs from a thread to itself.
+    const size_t Row = (To.size() - 1) * ThreadCount;
+    const size_t SrcRow = Src * ThreadCount;
+    for (size_t C = 0; C != ThreadCount; ++C)
+      To.Clocks[Row + C] =
+          std::max(To.Clocks[Row + C], From.Clocks[SrcRow + C]);
+    To.Clocks[Row + E.FromThread] =
+        std::max(To.Clocks[Row + E.FromThread], E.FromTime);
   }
   return Out;
 }

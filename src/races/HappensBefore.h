@@ -10,17 +10,26 @@
 /// the clock governing an event at per-thread time t is the clock of the
 /// last checkpoint with Time < t. Clocks change only at incoming-edge
 /// targets, so a thread's 1..N block clock splits into *segments* of
-/// constant vector clock — about 5,200 per thread on average in the
-/// pipeline bench's analyze workload, far fewer than its block events.
-/// The compacted race engine does all of its work per segment pair; it
-/// never looks inside a segment.
+/// constant vector clock. A timeline is two flat arrays — checkpoint
+/// times and one ThreadCount-wide row of clock components per
+/// checkpoint — so building one allocates per thread, not per
+/// checkpoint.
+///
+/// Component j of a row held at thread i is the largest thread-j time
+/// known, through happens-before edges, to precede the events the row
+/// governs. Rows only grow along a timeline (each checkpoint starts as a
+/// copy of the previous row and joins an edge source into it), so every
+/// component is monotone in the checkpoint index. The compacted race
+/// engine relies on that monotonicity: it compresses the segment bounds
+/// and each opposite-thread component into arithmetic stretches and
+/// counts ordered access pairs stretch by stretch, never segment by
+/// segment (docs/RACES.md).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TWPP_RACES_HAPPENSBEFORE_H
 #define TWPP_RACES_HAPPENSBEFORE_H
 
-#include "races/VectorClock.h"
 #include "trace/ThreadEvents.h"
 #include "wpp/Concurrent.h"
 
@@ -28,26 +37,29 @@
 
 namespace twpp::races {
 
-/// One clock change point: events of the owning thread with time > Time
-/// know Clock (their own component is implicit — an event at time t
+/// One thread's timeline. Times[0] is always 0 with an all-zero row;
+/// times are strictly increasing. Events of the thread with time > Times[i]
+/// know row i (their own component is implicit — an event at time t
 /// always knows its own past 1..t-1).
-struct ClockCheckpoint {
-  uint32_t Time = 0;
-  VectorClock Clock;
-};
-
-/// One thread's timeline. Checkpoints[0] is always {0, bottom}; times
-/// are strictly increasing.
 struct ThreadTimeline {
-  std::vector<ClockCheckpoint> Checkpoints;
+  uint32_t Width = 0;            ///< Components per row (the thread count).
+  std::vector<uint32_t> Times;   ///< Checkpoint times.
+  std::vector<uint32_t> Clocks;  ///< Times.size() rows of Width components.
 
-  /// The clock governing an event at per-thread time \p Time (>= 1):
-  /// the last checkpoint with Time < \p Time.
-  const VectorClock &clockForEvent(uint32_t Time) const;
+  size_t size() const { return Times.size(); }
+
+  /// Component \p Thread of checkpoint \p Index's clock.
+  uint32_t component(size_t Index, size_t Thread) const {
+    return Clocks[Index * Width + Thread];
+  }
+
+  /// The checkpoint governing an event at per-thread time \p Time (>= 1):
+  /// the last one with Times[i] < \p Time.
+  size_t checkpointForEvent(uint32_t Time) const;
 
   /// The thread's state after completing \p Time block events: the last
-  /// checkpoint with Time <= \p Time. Used for edge sources.
-  const VectorClock &clockAfter(uint32_t Time) const;
+  /// checkpoint with Times[i] <= \p Time. Used for edge sources.
+  size_t checkpointAfter(uint32_t Time) const;
 };
 
 /// The happens-before relation in checkpoint form.

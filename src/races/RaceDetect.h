@@ -12,13 +12,14 @@
 ///
 /// Two engines produce byte-identical reports:
 ///
-///  - detectRacesCompacted: walks run-compressed access timestamp sets
-///    against the constant-clock segments of each thread's timeline.
-///    For a segment pair the racy region of either side is a single
-///    range clip (events after what the other segment's clock already
-///    ordered), so counting candidate pairs and locating the first racy
-///    pair are O(runs) arithmetic — whole race-free regions are skipped
-///    in one comparison, and nothing is ever expanded.
+///  - detectRacesCompacted: counts racy pairs as totalWithWrite minus the
+///    pairs ordered each way. Each thread's constant-clock segments are
+///    compressed into arithmetic stretches (bounds and opposite-thread
+///    clock both linear in the segment index); within a stretch, the
+///    ordered pairs of one access run are summed per residue class with
+///    closed-form floor sums. Work follows runs and stretches, never
+///    segments, and nothing is expanded. The first racy pair is then
+///    located by jumping between accesses along the monotone clocks.
 ///
 ///  - detectRacesOracle: the naive differential baseline. Expands every
 ///    access set to per-event lists, assigns every event its vector
@@ -63,7 +64,9 @@ struct RacePair {
 
 /// Work accounting. PairsCovered is engine-independent (the candidate
 /// universe: cross-thread same-address access-pair combinations);
-/// Segments/SegmentPairs are only meaningful for the compacted engine.
+/// Segments and SegmentPairs are only meaningful for the compacted
+/// engine. SegmentPairs counts its units of work: residue classes summed
+/// by the ordered-pair census plus segment pairs probed for a witness.
 struct RaceStats {
   uint64_t PairsCovered = 0;
   uint64_t Segments = 0;
@@ -78,7 +81,7 @@ struct RaceReport {
   bool racy() const { return !Races.empty(); }
 };
 
-/// The production engine: segment-batched detection on the compacted
+/// The production engine: stretch-wise detection on the compacted
 /// representation. Never expands a timestamp set.
 RaceReport detectRacesCompacted(const ConcurrencyInfo &Conc);
 

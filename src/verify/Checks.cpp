@@ -138,8 +138,8 @@ const std::vector<CheckInfo> &verify::checkCatalog() {
        "edges targeting time 0, known edge kinds"},
       {checks::ThreadAccessBounds, "thread", Severity::Error,
        "access tables sorted by strictly ascending address with non-empty "
-       "read/write sets whose timestamps lie within the owning thread's "
-       "1..N block clock"},
+       "read/write sets whose runs ascend without overlap and whose "
+       "timestamps lie within the owning thread's 1..N block clock"},
 
       // Race family.
       {checks::RaceClockMonotone, "race", Severity::Error,

@@ -141,13 +141,23 @@ void checkAccessBounds(const ConcurrencyInfo &Conc,
       if (Acc.Reads.empty() && Acc.Writes.empty())
         Engine.report(checks::ThreadAccessBounds, Severity::Error,
                       "entry with neither reads nor writes", Loc);
-      for (const TimestampSet *Set : {&Acc.Reads, &Acc.Writes})
+      for (const TimestampSet *Set : {&Acc.Reads, &Acc.Writes}) {
+        const std::vector<SeriesRun> &Runs = Set->runs();
+        for (size_t R = 1; R < Runs.size(); ++R)
+          if (Runs[R].Lo <= Runs[R - 1].Hi) {
+            Engine.report(checks::ThreadAccessBounds, Severity::Error,
+                          "timestamp run " + std::to_string(R) +
+                              " does not start after the previous run",
+                          Loc);
+            break;
+          }
         if (!Set->empty() && Set->max() > N)
           Engine.report(checks::ThreadAccessBounds, Severity::Error,
                         "access timestamp " + std::to_string(Set->max()) +
                             " exceeds the thread's block count " +
                             std::to_string(N),
                         Loc);
+      }
     }
   }
 }
@@ -162,19 +172,23 @@ void checkClockMonotone(const ConcurrencyInfo &Conc,
                       "(clocks would run backwards)",
                   "edge " + std::to_string(I));
   for (size_t T = 0; T != Hb.Threads.size(); ++T) {
-    const std::vector<races::ClockCheckpoint> &Cps =
-        Hb.Threads[T].Checkpoints;
-    for (size_t I = 0; I != Cps.size(); ++I) {
+    const races::ThreadTimeline &Timeline = Hb.Threads[T];
+    for (size_t I = 0; I != Timeline.size(); ++I) {
       std::string Loc = "thread " + std::to_string(T) + " checkpoint " +
                         std::to_string(I);
-      if (I > 0 && !Cps[I - 1].Clock.dominatedBy(Cps[I].Clock))
+      bool Monotone = true;
+      for (size_t C = 0; I > 0 && C != Timeline.Width; ++C)
+        Monotone &= Timeline.component(I - 1, C) <= Timeline.component(I, C);
+      if (!Monotone)
         Engine.report(checks::RaceClockMonotone, Severity::Error,
                       "clock not monotone along program order", Loc);
-      if (Cps[I].Clock[T] > Cps[I].Time)
+      uint32_t Own = Timeline.component(I, T);
+      if (Own > Timeline.Times[I])
         Engine.report(checks::RaceClockMonotone, Severity::Error,
-                      "checkpoint at time " + std::to_string(Cps[I].Time) +
+                      "checkpoint at time " +
+                          std::to_string(Timeline.Times[I]) +
                           " claims knowledge of the thread's own future (" +
-                          std::to_string(Cps[I].Clock[T]) + ")",
+                          std::to_string(Own) + ")",
                       Loc);
     }
   }

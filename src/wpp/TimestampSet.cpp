@@ -85,45 +85,22 @@ bool TimestampSet::contains(Timestamp T) const {
   return false;
 }
 
-uint64_t TimestampSet::countInRange(Timestamp Lo, Timestamp Hi) const {
-  if (Lo > Hi)
-    return 0;
-  uint64_t Total = 0;
-  for (const SeriesRun &Run : Runs) {
-    if (Run.Lo > Hi)
-      break;
-    if (Run.Hi < Lo)
-      continue;
-    // Clip the run to [Lo, Hi] along its own stride.
-    uint64_t First = Run.Lo;
-    if (Lo > Run.Lo)
-      First = Run.Lo + ((static_cast<uint64_t>(Lo) - Run.Lo + Run.Step - 1) /
-                        Run.Step) *
-                           Run.Step;
-    uint64_t Last = Run.Hi;
-    if (Hi < Run.Hi)
-      Last = Run.Lo +
-             ((static_cast<uint64_t>(Hi) - Run.Lo) / Run.Step) * Run.Step;
-    if (First <= Last)
-      Total += (Last - First) / Run.Step + 1;
-  }
-  return Total;
-}
-
 Timestamp TimestampSet::firstAtLeast(Timestamp T) const {
-  for (const SeriesRun &Run : Runs) {
-    if (Run.Hi < T)
-      continue;
-    if (Run.Lo >= T)
-      return Run.Lo;
-    uint64_t First =
-        Run.Lo +
-        ((static_cast<uint64_t>(T) - Run.Lo + Run.Step - 1) / Run.Step) *
-            Run.Step;
-    if (First <= Run.Hi)
-      return static_cast<Timestamp>(First);
-  }
-  return 0;
+  // Runs are disjoint and ascending, so their upper ends ascend too.
+  auto It = std::partition_point(
+      Runs.begin(), Runs.end(),
+      [T](const SeriesRun &Run) { return Run.Hi < T; });
+  if (It == Runs.end())
+    return 0;
+  if (It->Lo >= T)
+    return It->Lo;
+  uint64_t First =
+      It->Lo +
+      ((static_cast<uint64_t>(T) - It->Lo + It->Step - 1) / It->Step) *
+          It->Step;
+  if (First <= It->Hi)
+    return static_cast<Timestamp>(First);
+  return It + 1 != Runs.end() ? (It + 1)->Lo : 0;
 }
 
 std::vector<Timestamp> TimestampSet::toVector() const {

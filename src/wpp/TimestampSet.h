@@ -67,13 +67,9 @@ public:
   uint64_t count() const;
   bool contains(Timestamp T) const;
 
-  /// Number of elements in [Lo, Hi], computed per run in O(1) — the race
-  /// detector's batch-advance over race-free regions counts candidate
-  /// accesses inside a clock segment without expanding the set.
-  uint64_t countInRange(Timestamp Lo, Timestamp Hi) const;
-
-  /// Smallest element >= T, or 0 when none exists. Companion of
-  /// countInRange for locating the first racy access of a region.
+  /// Smallest element >= T, or 0 when none exists: one binary search
+  /// over the runs. The race detector's witness search jumps from access
+  /// to access with it.
   Timestamp firstAtLeast(Timestamp T) const;
   Timestamp min() const { return Runs.front().Lo; }
   Timestamp max() const { return Runs.back().Hi; }

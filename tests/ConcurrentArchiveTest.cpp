@@ -157,6 +157,18 @@ TEST(ConcurrentArchiveTest, VerifierCatchesCorruptConcurrency) {
     EXPECT_GE(countCheck(Engine, "twpp-thread-access-bounds"), 1u);
   }
   {
+    // An access set whose runs descend: the decoder takes {-9, -3}, the
+    // race engine's run cursors do not.
+    ConcurrentWpp Bad = Wpp;
+    ASSERT_TRUE(TimestampSet::decodeSigned(
+        std::vector<int64_t>{-9, -3},
+        Bad.Conc.Accesses[1].Accesses[0].Writes));
+    verify::DiagnosticEngine Engine;
+    verify::runArchiveBytesChecks(encodeConcurrentArchive(Bad), Engine);
+    EXPECT_EQ(countCheck(Engine, "twpp-thread-access-bounds"), 1u)
+        << verify::renderDiagnosticsText(Engine);
+  }
+  {
     // An edge from a nonexistent thread.
     ConcurrentWpp Bad = Wpp;
     Bad.Conc.Edges.push_back({HbEdge::Kind::Lock, 99, 1, 0, 1});
@@ -172,6 +184,55 @@ TEST(ConcurrentArchiveTest, VerifierCatchesCorruptConcurrency) {
     verify::DiagnosticEngine Engine;
     verify::runArchiveBytesChecks(encodeConcurrentArchive(Bad), Engine);
     EXPECT_GE(countCheck(Engine, "twpp-race-clock-monotone"), 1u);
+  }
+}
+
+/// Every rendered diagnostic of the clock family, in report order.
+std::string clockDiagnostics(const ConcurrentWpp &Wpp) {
+  verify::DiagnosticEngine Engine;
+  verify::runArchiveBytesChecks(encodeConcurrentArchive(Wpp), Engine);
+  std::string Out;
+  for (const verify::Diagnostic &D : Engine.diagnostics())
+    if (D.CheckId == "twpp-race-clock-monotone")
+      Out += D.Location + ": " + D.Message + "\n";
+  return Out;
+}
+
+TEST(ConcurrentArchiveTest, ClockDiagnosticsArePinned) {
+  ConcurrentWpp Wpp = buildSmall();
+  const size_t Base = Wpp.Conc.Edges.size();
+  {
+    // The regressing-target archive above: both appended edges target
+    // times behind thread 0's derived checkpoints.
+    ConcurrentWpp Bad = Wpp;
+    Bad.Conc.Edges.push_back({HbEdge::Kind::Lock, 1, 1, 0, 2});
+    Bad.Conc.Edges.push_back({HbEdge::Kind::Lock, 1, 2, 0, 1});
+    std::string Expected;
+    for (size_t I : {Base, Base + 1})
+      Expected += "edge " + std::to_string(I) + ": edge " +
+                  std::to_string(I) +
+                  " targets a time before an already-applied edge (clocks "
+                  "would run backwards)\n";
+    EXPECT_EQ(clockDiagnostics(Bad), Expected);
+  }
+  {
+    // A cycle placed before every derived edge: thread 0 at 40 -> thread
+    // 1 at 1 -> thread 0 at 2. Every later checkpoint of thread 0 up to
+    // time 40 inherits the claim on its own future, and the first fork
+    // edge now lands behind thread 1's checkpoint at 1.
+    ConcurrentWpp Bad = Wpp;
+    Bad.Conc.Edges.insert(Bad.Conc.Edges.begin(),
+                          {{HbEdge::Kind::Lock, 0, 40, 1, 1},
+                           {HbEdge::Kind::Lock, 1, 1, 0, 2}});
+    std::string Expected = "edge 2: edge 2 targets a time before an "
+                           "already-applied edge (clocks would run "
+                           "backwards)\n";
+    const uint32_t Times[] = {2, 8, 15, 22, 29, 36};
+    for (size_t I = 0; I != 6; ++I)
+      Expected += "thread 0 checkpoint " + std::to_string(I + 1) +
+                  ": checkpoint at time " + std::to_string(Times[I]) +
+                  " claims knowledge of the thread's own future (40)\n";
+    EXPECT_EQ(clockDiagnostics(Bad), Expected);
   }
 }
 

@@ -9,7 +9,7 @@
 //   twpp verify out.twpp
 //   twpp verify --checks='twpp-archive-*' out.twpp
 //   twpp verify --program prog.mini --format=json out.twpp
-//   twpp verify --list-checks
+//   twpp verify --list-checks [--format=json]
 //
 // Archive checks run on the raw bytes without reconstructing the WPP:
 // header/index layout first, then the decoded compacted form (series
@@ -120,6 +120,17 @@ cli::FlagTable tool::verifyFlags() {
 
 int tool::runVerify(const Invocation &Inv) {
   if (Opts.ListChecks) {
+    if (Inv.Json) {
+      obs::JsonWriter &W = Inv.Json->Body.beginArray("checks");
+      for (const CheckInfo &Info : checkCatalog())
+        W.beginObject()
+            .field("id", Info.Id)
+            .field("severity", severityName(Info.DefaultSev))
+            .field("summary", Info.Summary)
+            .end();
+      W.end();
+      return cli::ExitSuccess;
+    }
     for (const CheckInfo &Info : checkCatalog())
       std::printf("%-36s %-8s %s\n", Info.Id, severityName(Info.DefaultSev),
                   Info.Summary);

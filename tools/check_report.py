@@ -16,7 +16,8 @@ location and message, and byteOffset only when it has one. The body must
 have the fields docs/FORMATS.md lists for the verb. When the exit code is
 0 or 1, the body must also agree with it the way the verb table says:
 
-    verify   exit 1 <=> an error diagnostic
+    verify   exit 1 <=> an error diagnostic; with --list-checks, exit 0,
+             no diagnostics and a non-empty catalog
     recover  exit 1 <=> not salvaged
     races    exit 1 <=> some archive is racy; a racy archive lists a race
     memstat  exit 1 <=> some archive is not reconciled
@@ -53,6 +54,7 @@ PRODUCER_KEYS = ("id", "lossless", "saw_hello", "saw_bye", "resumed",
                  "disconnected", "events_applied", "events_declared",
                  "events_dropped", "events_lost", "frames_replayed")
 PRODUCE_KEYS = ("producer", "frames", "bytes", "events")
+CHECK_KEYS = ("id", "severity", "summary")
 
 
 class Invalid(Exception):
@@ -88,6 +90,17 @@ def check_diagnostics(diags):
 
 # One check per verb, run on exit 0 and exit 1 only.
 def check_verify(body, diags, code):
+    if "checks" in body:  # verify --list-checks
+        require(code == 0 and not diags,
+                f"check catalog with exit {code} and {len(diags)} "
+                "diagnostic(s)")
+        require(isinstance(body["checks"], list) and body["checks"],
+                "checks is not a non-empty list")
+        for i, c in enumerate(body["checks"]):
+            has_keys(c, CHECK_KEYS, f"checks[{i}]")
+            require(c["severity"] in SEVERITIES,
+                    f"checks[{i}] has severity {c['severity']!r}")
+        return
     errors = sum(d["severity"] == "error" for d in diags)
     require((code == 1) == (errors > 0),
             f"exit {code} with {errors} error diagnostic(s)")
