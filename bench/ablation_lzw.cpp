@@ -30,5 +30,5 @@ int main(int Argc, char **Argv) {
                                static_cast<double>(Compressed.size()))});
   }
   Table.print();
-  return 0;
+  return Telemetry.finish(0);
 }

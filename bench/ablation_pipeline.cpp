@@ -52,5 +52,5 @@ int main(int Argc, char **Argv) {
                   kb(S.TwppTraceBytes + S.DictionaryBytes)});
   }
   Table.print();
-  return 0;
+  return Telemetry.finish(0);
 }

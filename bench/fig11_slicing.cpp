@@ -70,5 +70,5 @@ int main(int Argc, char **Argv) {
                  std::to_string(A3.QueriesGenerated),
                  "{1..14} - {3,8,10}"});
   Slices.print();
-  return 0;
+  return Telemetry.finish(0);
 }

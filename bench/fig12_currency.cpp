@@ -99,5 +99,5 @@ int main(int Argc, char **Argv) {
   Table.print();
 
   fromSource();
-  return 0;
+  return Telemetry.finish(0);
 }

@@ -42,5 +42,5 @@ int main(int Argc, char **Argv) {
     Table.addRow(Row);
   }
   Table.print();
-  return 0;
+  return Telemetry.finish(0);
 }

@@ -69,5 +69,5 @@ int main(int Argc, char **Argv) {
   Result.addRow({"Queries generated",
                  std::to_string(Freq.QueriesGenerated), "6"});
   Result.print();
-  return 0;
+  return Telemetry.finish(0);
 }

@@ -108,11 +108,11 @@ std::string formatRate(double EventsPerSec) {
 
 int main(int Argc, char **Argv) {
   double MinEventsPerSec = 0;
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--min-events-per-sec") == 0)
-      MinEventsPerSec = std::atof(Argv[I + 1]);
-
-  BenchTelemetry Telemetry(Argc, Argv, "ingest_throughput");
+  BenchTelemetry Telemetry(
+      Argc, Argv, "ingest_throughput",
+      {cli::decimalFlag("min-events-per-sec", "N",
+                        "exit 1 when the p4 aggregate rate is below N",
+                        MinEventsPerSec)});
   TablePrinter Table("Ingestion throughput: wire decode + sequencing + "
                      "streaming compaction (loopback)");
   Table.addRow({"Config", "Producers", "Events", "Elapsed (ms)",
@@ -161,5 +161,5 @@ int main(int Argc, char **Argv) {
                  P4Rate, MinEventsPerSec);
     return 1;
   }
-  return AnyLoss ? 1 : 0;
+  return Telemetry.finish(AnyLoss ? 1 : 0);
 }

@@ -2,11 +2,11 @@
 //
 // Part of the TWPP reproduction of Zhang & Gupta, PLDI 2001.
 //
-// Compares the compacted-representation race detector (vector clocks
-// advanced over timestamp-set runs, no trace expansion) against the
-// decompress-and-check oracle on the concurrent workload profiles. The
-// two engines must agree on every profile — a disagreement is a bench
-// failure, not a table row.
+// Compares the compacted-representation race detector (flat clock
+// timelines, a census summed over timestamp-set runs, no trace
+// expansion) against the decompress-and-check oracle on the concurrent
+// workload profiles. The two engines must agree on every profile — a
+// disagreement is a bench failure, not a table row.
 //
 //   race_detect [--emit DIR] [--metrics-out PATH] [--trace-out PATH]
 //
@@ -24,7 +24,6 @@
 #include "wpp/Concurrent.h"
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 using namespace twpp;
@@ -63,12 +62,15 @@ int emitArchives(const std::string &Dir) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--emit") == 0)
-      if (int Rc = emitArchives(Argv[I + 1]))
-        return Rc;
-
-  BenchTelemetry Telemetry(Argc, Argv, "race_detect");
+  std::string EmitDir;
+  BenchTelemetry Telemetry(
+      Argc, Argv, "race_detect",
+      {cli::stringFlag("emit", "DIR",
+                       "also write each test profile's archive to DIR",
+                       EmitDir)});
+  if (!EmitDir.empty())
+    if (int Rc = emitArchives(EmitDir))
+      return Rc;
   TablePrinter Table("Race detection: compacted engine vs "
                      "decompress-and-check oracle");
   Table.addRow({"Profile", "Thr", "Accesses", "Edges", "Verdict",
@@ -105,5 +107,5 @@ int main(int Argc, char **Argv) {
   }
 
   Table.print();
-  return Mismatch ? 1 : 0;
+  return Telemetry.finish(Mismatch ? 1 : 0);
 }

@@ -85,5 +85,5 @@ int main(int Argc, char **Argv) {
     Telemetry.checkpoint(Label);
   }
   Table.print();
-  return 0;
+  return Telemetry.finish(0);
 }

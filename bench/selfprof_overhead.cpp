@@ -38,14 +38,15 @@ void runPipeline(const RawTrace &Trace, const ParallelConfig &Jobs) {
   (void)Twpp;
 }
 
+/// Milliseconds per iteration; \p Profiler, when given, drains after
+/// each one.
 double timeIterations(const RawTrace &Trace, const ParallelConfig &Jobs,
-                      unsigned Iters, bool DrainEachIter) {
+                      unsigned Iters, obs::SelfProfiler *Profiler = nullptr) {
   Stopwatch Watch;
   for (unsigned I = 0; I != Iters; ++I) {
     runPipeline(Trace, Jobs);
-    if (DrainEachIter)
-      if (obs::SelfProfiler *P = obs::selfProfiler())
-        P->drain();
+    if (Profiler)
+      Profiler->drain();
   }
   return Watch.elapsedUs() / 1000.0 / Iters;
 }
@@ -53,18 +54,15 @@ double timeIterations(const RawTrace &Trace, const ParallelConfig &Jobs,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchTelemetry Telemetry(Argc, Argv, "selfprof_overhead");
-  ParallelConfig Jobs = parseParallelConfig(Argc, Argv);
+  ParallelConfig Jobs;
   unsigned Iters = 5;
   std::string ArchivePath = "selfprof_overhead.twppa";
-  for (int I = 1; I + 1 < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--iters") == 0)
-      Iters = static_cast<unsigned>(std::atoi(Argv[I + 1]));
-    else if (std::strcmp(Argv[I], "--archive") == 0)
-      ArchivePath = Argv[I + 1];
-  }
-  if (Iters == 0)
-    Iters = 1;
+  BenchTelemetry Telemetry(
+      Argc, Argv, "selfprof_overhead",
+      {cli::jobsFlag(Jobs.Jobs),
+       cli::unsignedFlag("iters", "N", "pipeline runs per mode", Iters, 1),
+       cli::stringFlag("archive", "PATH",
+                       "the third mode's self-profile archive", ArchivePath)});
 
   // One mid-size paper workload, traced once; every mode compacts the
   // same events.
@@ -79,26 +77,23 @@ int main(int Argc, char **Argv) {
   bool TracingBefore = obs::tracingEnabled();
   obs::setTracingEnabled(false);
   runPipeline(Trace, Jobs); // warm-up
-  double BaselineMs = timeIterations(Trace, Jobs, Iters, false);
+  double BaselineMs = timeIterations(Trace, Jobs, Iters);
   Telemetry.checkpoint("baseline");
 
   // Mode 2: flight recorder on, nothing consumes it.
   obs::setTracingEnabled(true);
-  double TracedMs = timeIterations(Trace, Jobs, Iters, false);
+  double TracedMs = timeIterations(Trace, Jobs, Iters);
   Telemetry.checkpoint("traced");
   obs::setTracingEnabled(TracingBefore);
 
   // Mode 3: recorder plus self-profiling — incremental drains during the
   // run, archive + sidecar written (and the Chrome-JSON equivalent
   // measured) at finish.
-  obs::SelfProfileConfig Config;
-  Config.ArchivePath = ArchivePath;
-  Config.CompareTraceJson = true;
-  obs::enableSelfProfile(Config);
-  double SelfProfMs = timeIterations(Trace, Jobs, Iters, true);
+  obs::SelfProfiler Profiler({ArchivePath, /*CompareTraceJson=*/true});
+  double SelfProfMs = timeIterations(Trace, Jobs, Iters, &Profiler);
   obs::SelfProfileStats Stats;
   std::string Error;
-  if (!obs::finishSelfProfile(&Stats, &Error)) {
+  if (!Profiler.finish(Stats, &Error)) {
     std::fprintf(stderr, "[bench] self-profile failed: %s\n", Error.c_str());
     return 1;
   }
@@ -137,5 +132,5 @@ int main(int Argc, char **Argv) {
                (unsigned long long)Stats.Events,
                (unsigned long long)Stats.Functions,
                (unsigned long long)Stats.RecordsDropped, ArchivePath.c_str());
-  return 0;
+  return Telemetry.finish(0);
 }

@@ -27,5 +27,5 @@ int main(int Argc, char **Argv) {
                   std::to_string(Data.Trace.callCount())});
   }
   Table.print();
-  return 0;
+  return Telemetry.finish(0);
 }

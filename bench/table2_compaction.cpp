@@ -29,8 +29,9 @@ std::string withFactor(uint64_t Bytes, uint64_t PrevBytes) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchTelemetry Telemetry(Argc, Argv, "table2_compaction");
-  ParallelConfig Jobs = parseParallelConfig(Argc, Argv);
+  ParallelConfig Jobs;
+  BenchTelemetry Telemetry(Argc, Argv, "table2_compaction",
+                           {cli::jobsFlag(Jobs.Jobs)});
   TablePrinter Table(
       "Table 2: WPP trace compaction by transformation (KB, factor vs "
       "previous stage)");
@@ -52,5 +53,5 @@ int main(int Argc, char **Argv) {
   std::fprintf(stderr,
                "[bench] end-to-end compaction wall time: %.1f ms (jobs=%u)\n",
                TotalCompactionMs, Jobs.effectiveJobs());
-  return 0;
+  return Telemetry.finish(0);
 }

@@ -30,5 +30,5 @@ int main(int Argc, char **Argv) {
                                0)});
   }
   Table.print();
-  return 0;
+  return Telemetry.finish(0);
 }

@@ -89,5 +89,5 @@ int main(int Argc, char **Argv) {
     std::remove(ArchivePath.c_str());
   }
   Table.print();
-  return 0;
+  return Telemetry.finish(0);
 }

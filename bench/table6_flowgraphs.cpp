@@ -66,5 +66,5 @@ int main(int Argc, char **Argv) {
              ")"});
   }
   Table.print();
-  return 0;
+  return Telemetry.finish(0);
 }

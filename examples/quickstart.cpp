@@ -8,44 +8,32 @@
 // answer the canonical query — "give me every path trace of function f"
 // — without touching the rest of the file.
 //
-// With `--self-profile <out.twppa>` (or the TWPP_SELF_PROFILE environment
-// variable) the run additionally compacts its *own* execution into a TWPP
-// archive — the library profiling itself with its own representation.
+// The telemetry sink flags of obs::TelemetrySession all work here. With
+// `--self-profile <out.twppa>` the run additionally compacts its *own*
+// execution into a TWPP archive — the library profiling itself with its
+// own representation.
 //
 //===----------------------------------------------------------------------===//
 
 #include "lang/Lower.h"
-#include "obs/SelfProfile.h"
+#include "obs/TelemetrySession.h"
 #include "runtime/Interpreter.h"
 #include "support/Stats.h"
 #include "wpp/Archive.h"
 #include "wpp/Sizes.h"
 
 #include <cstdio>
-#include <cstring>
 
 using namespace twpp;
 
 int main(int Argc, char **Argv) {
-  // Self-profiling: the flag wins over the TWPP_SELF_PROFILE env var.
-  bool SelfProfiling = false;
-  for (int I = 1; I < Argc; ++I) {
-    obs::SelfProfileConfig SelfCfg;
-    // Measure the equivalent Chrome-JSON size too: the sidecar then
-    // carries the compaction ratio CI asserts.
-    SelfCfg.CompareTraceJson = true;
-    if (std::strcmp(Argv[I], "--self-profile") == 0 && I + 1 < Argc) {
-      SelfCfg.ArchivePath = Argv[++I];
-      SelfProfiling = obs::enableSelfProfile(std::move(SelfCfg));
-    } else if (std::strncmp(Argv[I], "--self-profile=", 15) == 0) {
-      SelfCfg.ArchivePath = Argv[I] + 15;
-      SelfProfiling = obs::enableSelfProfile(std::move(SelfCfg));
-    }
-  }
-  if (!SelfProfiling)
-    SelfProfiling = obs::maybeEnableSelfProfileFromEnv();
-  if (SelfProfiling)
-    obs::setCurrentThreadName("main");
+  obs::TelemetrySession Telemetry;
+  if (!Telemetry.parseCommandLine(Argc, Argv))
+    return cli::ExitUsage;
+  // Measure the equivalent Chrome-JSON size too: the self-profile's
+  // sidecar then carries the compaction ratio CI asserts.
+  Telemetry.start(/*CompareTraceJson=*/true);
+
   // A miniature program in the spirit of the paper's Figure 1: main's
   // loop calls f five times; f's loop body follows one of two paths.
   const char *Source = R"(
@@ -130,20 +118,5 @@ int main(int Argc, char **Argv) {
   }
   std::remove(Path);
 
-  if (SelfProfiling) {
-    obs::SelfProfileStats Stats;
-    std::string SelfError;
-    if (!obs::finishSelfProfile(&Stats, &SelfError)) {
-      std::fprintf(stderr, "cannot write self-profile: %s\n",
-                   SelfError.c_str());
-      return 1;
-    }
-    std::printf("\nself-profile: %llu spans -> %llu events, %llu functions, "
-                "%llu archive bytes\n",
-                (unsigned long long)Stats.Spans,
-                (unsigned long long)Stats.Events,
-                (unsigned long long)Stats.Functions,
-                (unsigned long long)Stats.ArchiveBytes);
-  }
-  return 0;
+  return Telemetry.finish(0);
 }

@@ -70,34 +70,35 @@ struct StagedFrame {
 StagedFrame stageFrame(uint32_t ProducerId, uint64_t Sequence,
                        const std::vector<uint8_t> &Payload,
                        const ProducerOptions &Options,
+                       fault::WireFaultState &Faults,
                        ProducerWireStats &Stats) {
   StagedFrame Staged;
   appendWireFrame(Staged.Bytes, ProducerId, Sequence, Payload);
 
-  if (fault::shouldFaultWire("corrupt")) {
+  if (fault::shouldFaultWire(Faults, "corrupt")) {
     // Flip a byte in the middle of the frame (payload when there is one,
     // header otherwise) so the CRC — or the magic scan — must catch it.
     Staged.Bytes[Staged.Bytes.size() / 2] ^= 0xFF;
     ++Stats.Corrupted;
   }
-  if (fault::shouldFaultWire("truncate")) {
+  if (fault::shouldFaultWire(Faults, "truncate")) {
     // Keep a strict prefix: the header survives but the payload is torn,
     // the shape a died-mid-send producer leaves behind.
     Staged.Bytes.resize(Staged.Bytes.size() / 2);
     ++Stats.Truncated;
   }
-  if (fault::shouldFaultWire("duplicate")) {
+  if (fault::shouldFaultWire(Faults, "duplicate")) {
     size_t Len = Staged.Bytes.size();
     Staged.Bytes.reserve(Len * 2);
     Staged.Bytes.insert(Staged.Bytes.end(), Staged.Bytes.begin(),
                         Staged.Bytes.begin() + static_cast<long>(Len));
     ++Stats.Duplicated;
   }
-  if (fault::shouldFaultWire("reorder")) {
+  if (fault::shouldFaultWire(Faults, "reorder")) {
     Staged.Reorder = true;
     ++Stats.Reordered;
   }
-  if (fault::shouldFaultWire("stall")) {
+  if (fault::shouldFaultWire(Faults, "stall")) {
     std::this_thread::sleep_for(std::chrono::milliseconds(Options.StallMs));
     ++Stats.Stalls;
   }
@@ -110,13 +111,14 @@ bool ingest::sendTraceOverFd(int Fd, const RawTrace &Trace,
                              const ProducerOptions &Options,
                              ProducerWireStats *StatsOut) {
   ProducerWireStats Stats;
+  fault::WireFaultState Faults;
   uint64_t Sequence = 0;
   // A frame held back by a reorder fault; flushed after its successor.
   std::vector<uint8_t> Held;
 
   auto Send = [&](const std::vector<uint8_t> &Payload) {
-    StagedFrame Staged =
-        stageFrame(Options.ProducerId, Sequence++, Payload, Options, Stats);
+    StagedFrame Staged = stageFrame(Options.ProducerId, Sequence++, Payload,
+                                    Options, Faults, Stats);
     if (Staged.Reorder && Held.empty()) {
       Held = std::move(Staged.Bytes);
       return true;

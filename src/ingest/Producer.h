@@ -53,7 +53,8 @@ struct ProducerWireStats {
 };
 
 /// Streams \p Trace over \p Fd as twpp-wire-v1 frames (Hello, Events
-/// batches, Bye), applying any armed wire faults. \returns false when a
+/// batches, Bye), applying any armed wire faults with hit counters of
+/// this call's own (fault::WireFaultState). \returns false when a
 /// write on \p Fd fails terminally (receiver gone); short writes and
 /// EINTR are retried. \p Stats, when given, receives the mutation tally.
 bool sendTraceOverFd(int Fd, const RawTrace &Trace,

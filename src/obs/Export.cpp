@@ -317,10 +317,3 @@ std::string obs::exportMetricsProm(const MetricsRegistry &Registry) {
   }
   return Out;
 }
-
-bool obs::writeMetricsPromFile(const std::string &Path,
-                               const MetricsRegistry &Registry) {
-  std::string Text = exportMetricsProm(Registry);
-  return writeFileBytes(Path, std::vector<uint8_t>(Text.begin(), Text.end()))
-      .ok();
-}

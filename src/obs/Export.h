@@ -51,11 +51,6 @@ bool writeMetricsJsonFile(const std::string &Path,
 /// escaped per the exposition spec.
 std::string exportMetricsProm(const MetricsRegistry &Registry);
 
-/// Writes exportMetricsProm(\p Registry) to \p Path. \returns true on
-/// success.
-bool writeMetricsPromFile(const std::string &Path,
-                          const MetricsRegistry &Registry);
-
 } // namespace twpp::obs
 
 #endif // TWPP_OBS_EXPORT_H

@@ -14,10 +14,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <unordered_map>
 
@@ -371,63 +369,6 @@ bool SelfProfiler::finish(SelfProfileStats &Stats, std::string *Error) {
 
   Stats = Stream.Stats;
   setTracingEnabled(TracingWasOn);
-  return Ok;
-}
-
-//===----------------------------------------------------------------------===//
-// Process-global profiler
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-std::mutex &globalProfilerMutex() {
-  static std::mutex M;
-  return M;
-}
-
-std::unique_ptr<SelfProfiler> &globalProfiler() {
-  static std::unique_ptr<SelfProfiler> P;
-  return P;
-}
-
-} // namespace
-
-SelfProfiler *twpp::obs::selfProfiler() {
-  std::lock_guard<std::mutex> Lock(globalProfilerMutex());
-  return globalProfiler().get();
-}
-
-bool twpp::obs::enableSelfProfile(SelfProfileConfig Config) {
-  std::lock_guard<std::mutex> Lock(globalProfilerMutex());
-  if (globalProfiler())
-    return false;
-  globalProfiler() = std::make_unique<SelfProfiler>(std::move(Config));
-  return true;
-}
-
-bool twpp::obs::maybeEnableSelfProfileFromEnv() {
-  const char *Env = std::getenv("TWPP_SELF_PROFILE");
-  if (Env && Env[0] != '\0') {
-    SelfProfileConfig Config;
-    Config.ArchivePath = Env;
-    enableSelfProfile(std::move(Config));
-  }
-  return selfProfiler() != nullptr;
-}
-
-bool twpp::obs::finishSelfProfile(SelfProfileStats *Stats,
-                                  std::string *Error) {
-  std::unique_ptr<SelfProfiler> P;
-  {
-    std::lock_guard<std::mutex> Lock(globalProfilerMutex());
-    P = std::move(globalProfiler());
-  }
-  if (!P)
-    return true;
-  SelfProfileStats Local;
-  bool Ok = P->finish(Local, Error);
-  if (Stats)
-    *Stats = Local;
   return Ok;
 }
 

@@ -43,7 +43,6 @@
 #include "trace/Events.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -161,30 +160,6 @@ private:
   bool TracingWasOn = false;
   bool Finished = false;
 };
-
-//===----------------------------------------------------------------------===//
-// Process-global profiler — what --self-profile / TWPP_SELF_PROFILE turn
-// on. One profiler per process; enable is idempotent per path.
-//===----------------------------------------------------------------------===//
-
-/// The active profiler, or nullptr when self-profiling is off.
-SelfProfiler *selfProfiler();
-
-/// Installs a process-global profiler and turns tracing on. \returns
-/// false when one is already active (the existing run wins).
-bool enableSelfProfile(SelfProfileConfig Config);
-
-/// Reads TWPP_SELF_PROFILE (an archive path) and enables profiling when
-/// it is set and non-empty. \returns true when a profiler is active
-/// after the call.
-bool maybeEnableSelfProfileFromEnv();
-
-/// Finishes and tears down the global profiler: writes the archive,
-/// publishes selfprof.* metrics, restores the tracing flag. No-op
-/// (returning true) when no profiler is active. \p Stats, when given,
-/// receives the run's accounting.
-bool finishSelfProfile(SelfProfileStats *Stats = nullptr,
-                       std::string *Error = nullptr);
 
 //===----------------------------------------------------------------------===//
 // Sidecar — the plain-text map from archive ids back to span paths and

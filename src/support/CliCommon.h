@@ -122,6 +122,15 @@ Flag unsignedFlag(std::string Name, std::string Meta, std::string Help,
           }};
 }
 
+/// `--jobs N`, shared by twpp and the bench binaries: worker threads,
+/// 0 = one per hardware thread.
+inline Flag jobsFlag(unsigned &Jobs) {
+  return unsignedFlag("jobs", "N",
+                      "compaction worker threads (0 = one per hardware "
+                      "thread)",
+                      Jobs, 0, MaxJobs);
+}
+
 /// One of \p Choices; help shows them as the placeholder.
 inline Flag choiceFlag(std::string Name, std::string Help, std::string &Out,
                        const std::vector<std::string> &Choices) {

@@ -60,14 +60,8 @@ bool parseDouble(const std::string &Text, double &Out) {
 
 /// The live rules plus their hit counters and per-rule PRNGs.
 struct InjectorState {
-  struct ArmedRule {
-    FaultRule Rule;
-    uint64_t Hits = 0;
-    Rng Prng;
-    ArmedRule(FaultRule R) : Rule(R), Prng(R.Seed) {}
-  };
   std::string Spec;
-  std::vector<ArmedRule> Rules;
+  std::vector<ArmedFaultRule> Rules;
 };
 
 std::mutex &stateMutex() {
@@ -110,13 +104,16 @@ std::atomic<uint64_t> &injectedCounter() {
 
 thread_local int SuspendDepth = 0;
 
-/// One hit against every matching armed rule; true when any fires.
-bool hit(FaultRule::Kind Kind, const char *Op) {
-  if (!armedFlag().load(std::memory_order_relaxed) || SuspendDepth > 0)
-    return false;
-  std::lock_guard<std::mutex> Lock(stateMutex());
+bool injectionLive() {
+  return armedFlag().load(std::memory_order_relaxed) && SuspendDepth == 0;
+}
+
+/// One hit against every armed rule in \p Rules that matches; true when
+/// any fires.
+bool hit(std::vector<ArmedFaultRule> &Rules, FaultRule::Kind Kind,
+         const char *Op) {
   bool Fire = false;
-  for (auto &Armed : state().Rules) {
+  for (ArmedFaultRule &Armed : Rules) {
     const FaultRule &R = Armed.Rule;
     if (R.RuleKind != Kind)
       continue;
@@ -137,6 +134,14 @@ bool hit(FaultRule::Kind Kind, const char *Op) {
     Injected.add();
   }
   return Fire;
+}
+
+/// One hit against the process-wide rules.
+bool globalHit(FaultRule::Kind Kind, const char *Op) {
+  if (!injectionLive())
+    return false;
+  std::lock_guard<std::mutex> Lock(stateMutex());
+  return hit(state().Rules, Kind, Op);
 }
 
 } // namespace
@@ -260,16 +265,25 @@ std::string fault::activeFaultSpec() {
 }
 
 bool fault::shouldFailIo(const char *Op) {
-  return hit(FaultRule::Kind::Io, Op);
+  return globalHit(FaultRule::Kind::Io, Op);
 }
 
 void fault::maybeFailAlloc() {
-  if (hit(FaultRule::Kind::Alloc, "*"))
+  if (globalHit(FaultRule::Kind::Alloc, "*"))
     throw std::bad_alloc();
 }
 
-bool fault::shouldFaultWire(const char *Op) {
-  return hit(FaultRule::Kind::Wire, Op);
+fault::WireFaultState::WireFaultState() {
+  if (!armedFlag().load(std::memory_order_relaxed))
+    return;
+  std::lock_guard<std::mutex> Lock(stateMutex());
+  for (const ArmedFaultRule &Armed : state().Rules)
+    if (Armed.Rule.RuleKind == FaultRule::Kind::Wire)
+      Rules.emplace_back(Armed.Rule);
+}
+
+bool fault::shouldFaultWire(WireFaultState &State, const char *Op) {
+  return injectionLive() && hit(State.Rules, FaultRule::Kind::Wire, Op);
 }
 
 uint64_t fault::injectedFaultCount() {

@@ -33,15 +33,17 @@
 /// maybeFailAlloc(), which the journal writer and the salvage tool catch
 /// and convert into their degraded/diagnostic paths. Wire faults drive
 /// the replay producer's frame mutations (src/ingest/Producer.h): a hit
-/// on shouldFaultWire("corrupt") makes the producer damage that frame on
-/// the wire, deterministically, so the ingestion frontend's resync and
-/// sequencing recovery paths are CI-sweepable. With no spec installed
-/// every hook is a single relaxed atomic load.
+/// on shouldFaultWire(State, "corrupt") makes the producer damage that
+/// frame on the wire, deterministically, so the ingestion frontend's
+/// resync and sequencing recovery paths are CI-sweepable. With no spec
+/// installed every hook is a single relaxed atomic load.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TWPP_SUPPORT_FAULTINJECTION_H
 #define TWPP_SUPPORT_FAULTINJECTION_H
+
+#include "support/Random.h"
 
 #include <cstdint>
 #include <string>
@@ -90,12 +92,32 @@ bool shouldFailIo(const char *Op);
 /// Throws std::bad_alloc when an alloc rule fires on this hit.
 void maybeFailAlloc();
 
+/// A rule of the installed spec with its own hit counter and p= PRNG.
+struct ArmedFaultRule {
+  FaultRule Rule;
+  uint64_t Hits = 0;
+  Rng Prng;
+  explicit ArmedFaultRule(const FaultRule &R) : Rule(R), Prng(R.Seed) {}
+};
+
+/// The wire rules of one producer (one sendTraceOverFd call), with hit
+/// counters and PRNG states of their own. io and alloc rules count hits
+/// process-wide; wire rules count each producer's frames apart, so which
+/// frame `wire:corrupt:every=7` hits does not depend on how producer
+/// threads interleave. Copies the wire rules installed when it is made;
+/// none, and no lock taken, when injection is off.
+struct WireFaultState {
+  WireFaultState();
+  std::vector<ArmedFaultRule> Rules;
+};
+
 /// True when a wire-level fault should be injected for \p Op
-/// ("corrupt", "truncate", "duplicate", "reorder", "stall") on this hit.
-/// Consulted by the replay producer per frame; the mutation itself lives
-/// with the caller. Bumps the io.faults_injected counter when it fires
-/// and is suppressed by ScopedFaultSuspend like every other hook.
-bool shouldFaultWire(const char *Op);
+/// ("corrupt", "truncate", "duplicate", "reorder", "stall") on this hit
+/// of the producer whose rules \p State holds. Consulted by the replay
+/// producer per frame; the mutation itself lives with the caller. Bumps
+/// the io.faults_injected counter when it fires and is suppressed by
+/// ScopedFaultSuspend like every other hook.
+bool shouldFaultWire(WireFaultState &State, const char *Op);
 
 /// Number of faults injected since process start (all rules).
 uint64_t injectedFaultCount();

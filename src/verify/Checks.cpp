@@ -143,9 +143,9 @@ const std::vector<CheckInfo> &verify::checkCatalog() {
 
       // Race family.
       {checks::RaceClockMonotone, "race", Severity::Error,
-       "vector clocks derived from the edge list are monotone along each "
-       "thread's program order and never claim knowledge of the thread's "
-       "own future"},
+       "happens-before edges apply in order (no edge targets a time "
+       "before one already applied) and no clock checkpoint claims "
+       "knowledge of its own thread's future"},
   };
   return Catalog;
 }

@@ -162,6 +162,10 @@ void checkAccessBounds(const ConcurrencyInfo &Conc,
   }
 }
 
+/// buildHappensBefore starts each checkpoint row as a copy of the
+/// previous one and only joins into it, so rows never shrink along
+/// program order; what can still go wrong is an edge applied out of
+/// order, or a row that knows more of its own thread than has run.
 void checkClockMonotone(const ConcurrencyInfo &Conc,
                         DiagnosticEngine &Engine) {
   races::HappensBefore Hb = races::buildHappensBefore(Conc);
@@ -174,14 +178,6 @@ void checkClockMonotone(const ConcurrencyInfo &Conc,
   for (size_t T = 0; T != Hb.Threads.size(); ++T) {
     const races::ThreadTimeline &Timeline = Hb.Threads[T];
     for (size_t I = 0; I != Timeline.size(); ++I) {
-      std::string Loc = "thread " + std::to_string(T) + " checkpoint " +
-                        std::to_string(I);
-      bool Monotone = true;
-      for (size_t C = 0; I > 0 && C != Timeline.Width; ++C)
-        Monotone &= Timeline.component(I - 1, C) <= Timeline.component(I, C);
-      if (!Monotone)
-        Engine.report(checks::RaceClockMonotone, Severity::Error,
-                      "clock not monotone along program order", Loc);
       uint32_t Own = Timeline.component(I, T);
       if (Own > Timeline.Times[I])
         Engine.report(checks::RaceClockMonotone, Severity::Error,
@@ -189,7 +185,8 @@ void checkClockMonotone(const ConcurrencyInfo &Conc,
                           std::to_string(Timeline.Times[I]) +
                           " claims knowledge of the thread's own future (" +
                           std::to_string(Own) + ")",
-                      Loc);
+                      "thread " + std::to_string(T) + " checkpoint " +
+                          std::to_string(I));
     }
   }
 }

@@ -8,6 +8,9 @@
 // must then fail with a message naming the function (exit 1), never with
 // a signal or with wrong output.
 //
+// `twpp races` gives no verdict on a thread-aware archive that breaks
+// the invariants its engine assumes: it names the failed check, exit 2.
+//
 // The report verbs print archive paths whole: a path of any length comes
 // back intact in the text report and in a --format=json document that
 // tools/check_report.py accepts.
@@ -99,6 +102,56 @@ std::string writeRacyArchiveUnderLongPath(const std::string &Name) {
   EXPECT_TRUE(writeConcurrentArchiveFile(
       Path, compactConcurrentWpp(generateConcurrentTrace(Racy))));
   return Path;
+}
+
+/// The parallel racy test profile with thread 1's first write set
+/// decoded from {-9, -3}: runs that do not ascend. The decoder takes
+/// them; the race engine's run cursors do not, and its verdict on this
+/// archive would lose a racy address.
+std::string writeDescendingWritesArchive(const std::string &Name) {
+  ConcurrentProfile Racy;
+  for (const ConcurrentProfile &P : testConcurrentProfiles())
+    if (P.Kind == ConcurrentProfile::Shape::ParallelIndependent &&
+        P.InjectRaces)
+      Racy = P;
+  EXPECT_TRUE(Racy.InjectRaces);
+  ConcurrentWpp Wpp = compactConcurrentWpp(generateConcurrentTrace(Racy));
+  EXPECT_TRUE(TimestampSet::decodeSigned(
+      std::vector<int64_t>{-9, -3}, Wpp.Conc.Accesses[1].Accesses[0].Writes));
+  std::string Path = ::testing::TempDir() + "/" + Name + ".twpp";
+  EXPECT_TRUE(writeConcurrentArchiveFile(Path, Wpp));
+  return Path;
+}
+
+TEST(CliMalformedConcurrency, RacesNamesTheCheckAndGivesNoVerdict) {
+  std::string Path = writeDescendingWritesArchive("twpp_descending_races");
+  CommandRun Text = runTwpp("races " + Path);
+  ASSERT_TRUE(WIFEXITED(Text.Status)) << Text.Output;
+  EXPECT_EQ(WEXITSTATUS(Text.Status), 2) << Text.Output;
+  EXPECT_NE(Text.Output.find("[twpp-thread-access-bounds]"),
+            std::string::npos)
+      << Text.Output;
+  EXPECT_EQ(Text.Output.find("RACY"), std::string::npos) << Text.Output;
+  EXPECT_EQ(Text.Output.find("race-free"), std::string::npos) << Text.Output;
+
+  std::string Report = ::testing::TempDir() + "/twpp_descending_races.json";
+  // The diagnostics also go to stderr; only stdout is the document.
+  CommandRun Json = runCommand("{ " + std::string(TWPP_BINARY) +
+                               " races --format=json " + Path +
+                               " 2>/dev/null; } > '" + Report + "'");
+  ASSERT_TRUE(WIFEXITED(Json.Status)) << Json.Output;
+  EXPECT_EQ(WEXITSTATUS(Json.Status), 2) << Json.Output;
+  CommandRun Check = runCommand(std::string("python3 ") + TWPP_CHECK_REPORT +
+                                " '" + Report + "' --verb races --exit 2");
+  EXPECT_EQ(Check.Status, 0) << Check.Output;
+  std::stringstream Doc;
+  Doc << std::ifstream(Report).rdbuf();
+  EXPECT_NE(Doc.str().find("\"check\": \"twpp-thread-access-bounds\""),
+            std::string::npos)
+      << Doc.str();
+  EXPECT_EQ(Doc.str().find("\"verdict\""), std::string::npos) << Doc.str();
+  std::remove(Path.c_str());
+  std::remove(Report.c_str());
 }
 
 TEST(CliOverlappingSets, VerifyNamesTheOverlap) {

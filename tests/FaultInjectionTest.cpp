@@ -131,11 +131,12 @@ TEST(FaultSpec, RejectsBadWireRules) {
 
 TEST(FaultSeam, WireOpMatchingIsExactAndClassIsolated) {
   fault::ScopedFaultSpec Spec("wire:corrupt:every=2");
+  fault::WireFaultState Producer;
   int CorruptFires = 0, TruncateFires = 0;
   for (int I = 0; I < 10; ++I) {
-    if (fault::shouldFaultWire("corrupt"))
+    if (fault::shouldFaultWire(Producer, "corrupt"))
       ++CorruptFires;
-    if (fault::shouldFaultWire("truncate"))
+    if (fault::shouldFaultWire(Producer, "truncate"))
       ++TruncateFires;
   }
   EXPECT_EQ(CorruptFires, 5); // every 2nd of 10 matching hits
@@ -148,10 +149,25 @@ TEST(FaultSeam, WireOpMatchingIsExactAndClassIsolated) {
 
 TEST(FaultSeam, WireStarMatchesEveryOp) {
   fault::ScopedFaultSpec Spec("wire:*:n=3");
-  EXPECT_FALSE(fault::shouldFaultWire("corrupt"));
-  EXPECT_FALSE(fault::shouldFaultWire("duplicate"));
-  EXPECT_TRUE(fault::shouldFaultWire("stall")); // 3rd hit, any op
-  EXPECT_FALSE(fault::shouldFaultWire("stall")); // n= is one-shot
+  fault::WireFaultState Producer;
+  EXPECT_FALSE(fault::shouldFaultWire(Producer, "corrupt"));
+  EXPECT_FALSE(fault::shouldFaultWire(Producer, "duplicate"));
+  EXPECT_TRUE(fault::shouldFaultWire(Producer, "stall")); // 3rd hit, any op
+  EXPECT_FALSE(fault::shouldFaultWire(Producer, "stall")); // n= is one-shot
+}
+
+TEST(FaultSeam, WireHitsCountPerProducer) {
+  fault::ScopedFaultSpec Spec("wire:corrupt:n=2");
+  fault::WireFaultState First, Second;
+  EXPECT_FALSE(fault::shouldFaultWire(First, "corrupt"));
+  EXPECT_FALSE(fault::shouldFaultWire(Second, "corrupt"));
+  // Each producer's own second hit fires, however their hits interleave.
+  EXPECT_TRUE(fault::shouldFaultWire(Second, "corrupt"));
+  EXPECT_TRUE(fault::shouldFaultWire(First, "corrupt"));
+  // State made while injection is off holds no rules.
+  fault::ScopedFaultSpec Off("");
+  fault::WireFaultState Unarmed;
+  EXPECT_TRUE(Unarmed.Rules.empty());
 }
 
 TEST(FaultSeam, NthFaultFiresOnceAndNamesInjection) {

@@ -200,6 +200,39 @@ TEST(IngestServerTest, ChaosSweepNeverCrashesHangsOrSilentlyDrops) {
   EXPECT_EQ(fault::activeFaultSpec(), "");
 }
 
+/// Every count of \p Report and of each producer in it, one line each.
+std::string describeCounts(const IngestReport &Report) {
+  std::string Out = "frames " + std::to_string(Report.Frames) + " corrupt " +
+                    std::to_string(Report.CorruptFrames) + " resync " +
+                    std::to_string(Report.ResyncBytes) + "\n";
+  for (const ProducerReport &P : Report.Producers) {
+    for (uint64_t V :
+         {uint64_t(P.ProducerId), uint64_t(P.SawHello), uint64_t(P.SawBye),
+          uint64_t(P.Disconnected), P.FramesApplied, P.EventsApplied,
+          P.EventsDropped, P.EventsDeclared, P.FramesInvalid,
+          P.FramesDuplicate, P.FramesReordered, P.SeqGaps, P.ShedFrames,
+          P.SynthesizedExits, P.DegradedFrames, P.eventsLost()})
+      Out += std::to_string(V) + " ";
+    Out += "\n";
+  }
+  return Out;
+}
+
+TEST(IngestServerTest, WireChaosIsReproducibleFromItsSpec) {
+  // Each producer counts its own wire hits, so the same spec damages the
+  // same frames of every producer on every run, however the four
+  // producer threads interleave.
+  std::vector<RawTrace> Traces = sampleTraces(4);
+  ProducerOptions Fast;
+  Fast.BatchEvents = 128;
+  fault::ScopedFaultSpec Armed("wire:corrupt:every=7");
+  IngestReport First = runLoopbackIngest(IngestConfig(), Traces, Fast);
+  IngestReport Second = runLoopbackIngest(IngestConfig(), Traces, Fast);
+  ASSERT_EQ(First.Producers.size(), 4u);
+  EXPECT_GT(First.CorruptFrames, 0u);
+  EXPECT_EQ(describeCounts(First), describeCounts(Second));
+}
+
 TEST(IngestServerTest, DuplicateAndReorderCountersFire) {
   std::vector<RawTrace> Traces = sampleTraces(1);
   ProducerOptions Fast;

@@ -426,7 +426,6 @@ protected:
     obs::traceRecorder().reset();
   }
   void TearDown() override {
-    obs::finishSelfProfile(); // tear down any leftover global profiler
     obs::setTracingEnabled(false);
     obs::traceRecorder().reset();
     std::remove(Archive.c_str());
@@ -436,12 +435,8 @@ protected:
 };
 
 TEST_F(SelfProfilerEndToEnd, ArchiveVerifiesCleanAndMatchesSidecar) {
-  obs::SelfProfileConfig Config;
-  Config.ArchivePath = Archive;
-  Config.CompareTraceJson = true;
-  ASSERT_TRUE(obs::enableSelfProfile(Config));
-  ASSERT_TRUE(obs::tracingEnabled()) << "enable must turn the recorder on";
-  ASSERT_FALSE(obs::enableSelfProfile(Config)) << "second enable must lose";
+  obs::SelfProfiler Profiler({Archive, /*CompareTraceJson=*/true});
+  ASSERT_TRUE(obs::tracingEnabled()) << "a profiler turns the recorder on";
 
   {
     obs::PhaseSpan Outer("compact");
@@ -454,12 +449,12 @@ TEST_F(SelfProfilerEndToEnd, ArchiveVerifiesCleanAndMatchesSidecar) {
                   [](size_t) { obs::PhaseSpan Work("dbb_function"); });
     }
   }
-  obs::selfProfiler()->drain();
+  Profiler.drain();
 
   obs::SelfProfileStats Stats;
   std::string Error;
-  ASSERT_TRUE(obs::finishSelfProfile(&Stats, &Error)) << Error;
-  EXPECT_EQ(obs::selfProfiler(), nullptr);
+  ASSERT_TRUE(Profiler.finish(Stats, &Error)) << Error;
+  EXPECT_FALSE(Profiler.finish(Stats, &Error)) << "finish runs once";
   EXPECT_FALSE(obs::tracingEnabled()) << "finish restores the prior flag";
 
   // compact, partition, dbb, 2x pool (one per worker), 6x dbb_function
@@ -495,9 +490,7 @@ TEST_F(SelfProfilerEndToEnd, ArchiveVerifiesCleanAndMatchesSidecar) {
 TEST_F(SelfProfilerEndToEnd, DrainSurvivesRingWraparound) {
   obs::traceRecorder().setRingCapacity(64);
   obs::traceRecorder().reset();
-  obs::SelfProfileConfig Config;
-  Config.ArchivePath = Archive;
-  ASSERT_TRUE(obs::enableSelfProfile(Config));
+  obs::SelfProfiler Profiler({Archive});
 
   // Push far more spans than the ring holds, draining rarely enough
   // that overwrites happen between drains.
@@ -505,12 +498,12 @@ TEST_F(SelfProfilerEndToEnd, DrainSurvivesRingWraparound) {
     for (int I = 0; I < 100; ++I) {
       obs::PhaseSpan Span("spin");
     }
-    obs::selfProfiler()->drain();
+    Profiler.drain();
   }
 
   obs::SelfProfileStats Stats;
   std::string Error;
-  ASSERT_TRUE(obs::finishSelfProfile(&Stats, &Error)) << Error;
+  ASSERT_TRUE(Profiler.finish(Stats, &Error)) << Error;
   EXPECT_GT(Stats.RecordsDropped, 0u) << "test must actually wrap";
   EXPECT_GT(Stats.Spans, 0u);
 

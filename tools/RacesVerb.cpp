@@ -10,6 +10,10 @@
 //   twpp races out.twpp
 //   twpp races --format=json out.twpp
 //
+// An archive that breaks the thread and race invariants (the
+// twpp-thread-* and twpp-race-* checks of twpp verify) gets no verdict:
+// its diagnostics, and exit 2 as for an unreadable archive.
+//
 // The decompress-and-check baseline (detectRacesOracle) is not on the
 // command line: the race tests and bench/race_detect check this engine
 // against it.
@@ -19,6 +23,7 @@
 #include "Verbs.h"
 
 #include "races/RaceDetect.h"
+#include "verify/ThreadChecks.h"
 #include "wpp/Archive.h"
 
 #include <cinttypes>
@@ -77,6 +82,20 @@ int tool::runRaces(const Invocation &Inv) {
       const verify::Diagnostic &D = Reader.lastError();
       std::fprintf(stderr, "twpp races: %s: [%s] %s (%s)\n", Path.c_str(),
                    D.CheckId.c_str(), D.Message.c_str(), D.Location.c_str());
+      return cli::ExitUsage;
+    }
+
+    // The engine assumes the thread and race invariants; on an archive
+    // that breaks them its verdict could drop a race, so it gives none.
+    verify::DiagnosticEngine Engine;
+    verify::runConcurrencyChecks(Conc, nullptr, Engine);
+    if (!Engine.clean()) {
+      for (const verify::Diagnostic &D : Engine.diagnostics())
+        std::fprintf(stderr, "twpp races: %s: [%s] %s (%s)\n", Path.c_str(),
+                     D.CheckId.c_str(), D.Message.c_str(),
+                     D.Location.c_str());
+      if (Inv.Json)
+        Inv.Json->Diagnostics = Engine.diagnostics();
       return cli::ExitUsage;
     }
 

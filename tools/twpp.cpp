@@ -17,12 +17,7 @@
 
 #include "Verbs.h"
 
-#include "obs/Export.h"
-#include "obs/Memory.h"
-#include "obs/Metrics.h"
-#include "obs/Names.h"
-#include "obs/SelfProfile.h"
-#include "obs/Trace.h"
+#include "obs/TelemetrySession.h"
 #include "verify/Verify.h"
 
 #include <algorithm>
@@ -30,7 +25,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 using namespace twpp;
@@ -82,39 +76,17 @@ const VerbSpec Verbs[] = {
      metricsDiffFlags, runMetricsDiff},
 };
 
-/// The flags every verb accepts.
-struct GlobalOptions {
-  ParallelConfig Jobs;
-  std::string MetricsOut;
-  std::string MetricsFormat = "json";
-  std::string TraceOut;
-  std::string SelfProfilePath;
-  bool MetricsTable = false;
-} Global;
+/// The flags every verb accepts: `--jobs` and the telemetry sinks.
+ParallelConfig Jobs;
+obs::TelemetrySession Telemetry;
 
 /// The value of the verb's `--format` flag.
 std::string ReportFormat = "text";
 
 cli::FlagTable globalFlags() {
-  return {
-      cli::unsignedFlag("jobs", "N",
-                        "compaction worker threads (0 = one per hardware "
-                        "thread)",
-                        Global.Jobs.Jobs, 0, cli::MaxJobs),
-      cli::stringFlag("metrics-out", "PATH", "write pipeline telemetry",
-                      Global.MetricsOut),
-      cli::choiceFlag("metrics-format", "format of --metrics-out",
-                      Global.MetricsFormat, {"json", "prom"}),
-      cli::switchFlag("metrics-table", "print telemetry tables to stderr",
-                      Global.MetricsTable),
-      cli::stringFlag("trace-out", "PATH",
-                      "write a Chrome trace-event JSON timeline",
-                      Global.TraceOut),
-      cli::stringFlag("self-profile", "PATH",
-                      "compact this run into a TWPP archive (+ PATH.meta); "
-                      "or set TWPP_SELF_PROFILE",
-                      Global.SelfProfilePath),
-  };
+  cli::FlagTable Flags = Telemetry.flags();
+  Flags.insert(Flags.begin(), cli::jobsFlag(Jobs.Jobs));
+  return Flags;
 }
 
 /// The verb's own flags, and `--format` when it has report formats.
@@ -210,7 +182,7 @@ int main(int Argc, char **Argv) {
   Inv.Args.erase(Inv.Args.begin()); // the verb's own name
   if (Inv.Args.size() < Verb->MinArgs || Inv.Args.size() > Verb->MaxArgs)
     return Inv.usage("wrong number of arguments");
-  Inv.Jobs = Global.Jobs;
+  Inv.Jobs = Jobs;
   Inv.Format = ReportFormat;
   Report Json;
   if (ReportFormat == "json") {
@@ -218,79 +190,9 @@ int main(int Argc, char **Argv) {
     Inv.Json = &Json;
   }
 
-  bool Metrics = !Global.MetricsOut.empty() || Global.MetricsTable;
-  if (Metrics) {
-    obs::setMetricsEnabled(true);
-    // Pre-register every canonical metric so the export enumerates all
-    // pipeline stages, zero-valued when this verb does not reach them.
-    obs::names::registerCanonicalMetrics(obs::metrics());
-  }
-  if (!Global.TraceOut.empty())
-    obs::setTracingEnabled(true);
-  // Self-profiling: compact this very run into a TWPP archive. The flag
-  // wins over the TWPP_SELF_PROFILE environment variable; either turns
-  // the flight recorder on for the SelfProfiler to consume.
-  obs::SelfProfileConfig SelfCfg;
-  SelfCfg.ArchivePath = Global.SelfProfilePath;
-  bool SelfProfiling = Global.SelfProfilePath.empty()
-                           ? obs::maybeEnableSelfProfileFromEnv()
-                           : obs::enableSelfProfile(std::move(SelfCfg));
-  if (SelfProfiling || !Global.TraceOut.empty())
-    obs::setCurrentThreadName("main");
-  bool Telemetry = Metrics || !Global.TraceOut.empty();
-  if (Telemetry) {
-    // Memory telemetry rides along with either sink: the tracker feeds
-    // the mem.tracked_* gauges and the poller samples RSS (emitting
-    // counter tracks when tracing).
-    obs::setMemTrackingEnabled(true);
-    obs::startMemPoller();
-  }
-
+  Telemetry.start();
   int Exit = Verb->Run(Inv);
   if (Inv.Json)
     printReport(*Verb, Exit, Json);
-
-  // Finish the self-profile before exporting metrics so the selfprof.*
-  // counters it publishes land in the export.
-  if (SelfProfiling) {
-    obs::SelfProfileStats Stats;
-    std::string SelfError;
-    if (obs::finishSelfProfile(&Stats, &SelfError)) {
-      std::fprintf(stderr,
-                   "self-profile: wrote %llu spans (%llu events, %llu "
-                   "functions, %llu records dropped)\n",
-                   (unsigned long long)Stats.Spans,
-                   (unsigned long long)Stats.Events,
-                   (unsigned long long)Stats.Functions,
-                   (unsigned long long)Stats.RecordsDropped);
-    } else {
-      std::fprintf(stderr, "cannot write self-profile: %s\n",
-                   SelfError.c_str());
-      if (Exit == 0)
-        Exit = 1;
-    }
-  }
-  if (Telemetry) {
-    obs::stopMemPoller();
-    obs::publishMemMetrics(obs::metrics());
-  }
-  // A telemetry file that cannot be written is fatal IO.
-  bool MetricsOk =
-      Global.MetricsOut.empty() ||
-      (Global.MetricsFormat == "prom"
-           ? obs::writeMetricsPromFile(Global.MetricsOut, obs::metrics())
-           : obs::writeMetricsJsonFile(Global.MetricsOut, obs::metrics()));
-  if (!MetricsOk) {
-    std::fprintf(stderr, "cannot write metrics to %s\n",
-                 Global.MetricsOut.c_str());
-    Exit = cli::ExitUsage;
-  }
-  if (Global.MetricsTable)
-    std::fputs(obs::renderMetricsTable(obs::metrics()).c_str(), stderr);
-  if (!Global.TraceOut.empty() &&
-      !obs::writeTraceJsonFile(Global.TraceOut, obs::traceRecorder())) {
-    std::fprintf(stderr, "cannot write trace to %s\n", Global.TraceOut.c_str());
-    Exit = cli::ExitUsage;
-  }
-  return Exit;
+  return Telemetry.finish(Exit);
 }
