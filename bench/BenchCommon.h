@@ -16,7 +16,6 @@
 
 #include "obs/TelemetrySession.h"
 #include "support/CliCommon.h"
-#include "support/Parallel.h"
 #include "support/Stats.h"
 #include "support/TablePrinter.h"
 #include "support/Timer.h"
@@ -66,8 +65,7 @@ struct ProfileData {
   double CompactionMs = 0;
 };
 
-inline ProfileData buildProfileData(const WorkloadProfile &Profile,
-                                    const ParallelConfig &Config = {}) {
+inline ProfileData buildProfileData(const WorkloadProfile &Profile) {
   ProfileData Data;
   Data.Profile = Profile;
   Data.Program = generateProgram(Profile);
@@ -76,8 +74,8 @@ inline ProfileData buildProfileData(const WorkloadProfile &Profile,
   Data.Trace = Sink.take();
   Stopwatch Compaction;
   Data.Partitioned = partitionWpp(Data.Trace);
-  Data.Dbb = applyDbbCompaction(Data.Partitioned, Config);
-  Data.Twpp = convertToTwpp(Data.Dbb, Config);
+  Data.Dbb = applyDbbCompaction(Data.Partitioned);
+  Data.Twpp = convertToTwpp(Data.Dbb);
   Data.CompactionMs = Compaction.elapsedUs() / 1000.0;
   Data.Owpp = measureOwpp(Data.Partitioned);
   Data.Stages = measureStages(Data.Partitioned, Data.Dbb, Data.Twpp);
@@ -88,12 +86,11 @@ inline ProfileData buildProfileData(const WorkloadProfile &Profile,
 /// telemetry collector, each profile becomes one labelled checkpoint so
 /// its metrics can be compared against that profile's table row.
 inline std::vector<ProfileData>
-buildAllProfiles(BenchTelemetry *Telemetry = nullptr,
-                 const ParallelConfig &Config = {}) {
+buildAllProfiles(BenchTelemetry *Telemetry = nullptr) {
   std::vector<ProfileData> All;
   for (const WorkloadProfile &Profile : paperProfiles()) {
     std::fprintf(stderr, "[bench] building %s...\n", Profile.Name.c_str());
-    All.push_back(buildProfileData(Profile, Config));
+    All.push_back(buildProfileData(Profile));
     if (Telemetry)
       Telemetry->checkpoint(Profile.Name);
   }

@@ -9,8 +9,7 @@
 // .twppa archive and the equivalent Chrome-trace JSON export of the same
 // execution (the ISSUE's >=10x compaction claim).
 //
-//   selfprof_overhead [--iters N] [--archive PATH] [--jobs N]
-//                     [--metrics-out FILE]
+//   selfprof_overhead [--iters N] [--archive PATH] [--metrics-out FILE]
 //
 // With --metrics-out, each mode is one labelled telemetry checkpoint, so
 // the committed BENCH_metrics.json carries the selfprof.* counters the
@@ -30,21 +29,21 @@ namespace {
 
 /// One full-compaction iteration over a prebuilt trace; the stages'
 /// PhaseSpans are the workload the self-profiler records.
-void runPipeline(const RawTrace &Trace, const ParallelConfig &Jobs) {
+void runPipeline(const RawTrace &Trace) {
   obs::PhaseSpan Span("selfprof_overhead");
   PartitionedWpp Partitioned = partitionWpp(Trace);
-  DbbWpp Dbb = applyDbbCompaction(Partitioned, Jobs);
-  TwppWpp Twpp = convertToTwpp(Dbb, Jobs);
+  DbbWpp Dbb = applyDbbCompaction(Partitioned);
+  TwppWpp Twpp = convertToTwpp(Dbb);
   (void)Twpp;
 }
 
 /// Milliseconds per iteration; \p Profiler, when given, drains after
 /// each one.
-double timeIterations(const RawTrace &Trace, const ParallelConfig &Jobs,
-                      unsigned Iters, obs::SelfProfiler *Profiler = nullptr) {
+double timeIterations(const RawTrace &Trace, unsigned Iters,
+                      obs::SelfProfiler *Profiler = nullptr) {
   Stopwatch Watch;
   for (unsigned I = 0; I != Iters; ++I) {
-    runPipeline(Trace, Jobs);
+    runPipeline(Trace);
     if (Profiler)
       Profiler->drain();
   }
@@ -54,13 +53,11 @@ double timeIterations(const RawTrace &Trace, const ParallelConfig &Jobs,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  ParallelConfig Jobs;
   unsigned Iters = 5;
   std::string ArchivePath = "selfprof_overhead.twppa";
   BenchTelemetry Telemetry(
       Argc, Argv, "selfprof_overhead",
-      {cli::jobsFlag(Jobs.Jobs),
-       cli::unsignedFlag("iters", "N", "pipeline runs per mode", Iters, 1),
+      {cli::unsignedFlag("iters", "N", "pipeline runs per mode", Iters, 1),
        cli::stringFlag("archive", "PATH",
                        "the third mode's self-profile archive", ArchivePath)});
 
@@ -76,13 +73,13 @@ int main(int Argc, char **Argv) {
   // Mode 1: recorder off — the baseline the others are judged against.
   bool TracingBefore = obs::tracingEnabled();
   obs::setTracingEnabled(false);
-  runPipeline(Trace, Jobs); // warm-up
-  double BaselineMs = timeIterations(Trace, Jobs, Iters);
+  runPipeline(Trace); // warm-up
+  double BaselineMs = timeIterations(Trace, Iters);
   Telemetry.checkpoint("baseline");
 
   // Mode 2: flight recorder on, nothing consumes it.
   obs::setTracingEnabled(true);
-  double TracedMs = timeIterations(Trace, Jobs, Iters);
+  double TracedMs = timeIterations(Trace, Iters);
   Telemetry.checkpoint("traced");
   obs::setTracingEnabled(TracingBefore);
 
@@ -90,7 +87,7 @@ int main(int Argc, char **Argv) {
   // run, archive + sidecar written (and the Chrome-JSON equivalent
   // measured) at finish.
   obs::SelfProfiler Profiler({ArchivePath, /*CompareTraceJson=*/true});
-  double SelfProfMs = timeIterations(Trace, Jobs, Iters, &Profiler);
+  double SelfProfMs = timeIterations(Trace, Iters, &Profiler);
   obs::SelfProfileStats Stats;
   std::string Error;
   if (!Profiler.finish(Stats, &Error)) {

@@ -29,16 +29,14 @@ std::string withFactor(uint64_t Bytes, uint64_t PrevBytes) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  ParallelConfig Jobs;
-  BenchTelemetry Telemetry(Argc, Argv, "table2_compaction",
-                           {cli::jobsFlag(Jobs.Jobs)});
+  BenchTelemetry Telemetry(Argc, Argv, "table2_compaction");
   TablePrinter Table(
       "Table 2: WPP trace compaction by transformation (KB, factor vs "
       "previous stage)");
   Table.addRow({"Program", "OWPP traces", "Redundancy removal",
                 "Dictionary creation", "Compacted TWPP", "OWPP/CTWPP"});
   double TotalCompactionMs = 0;
-  for (const ProfileData &Data : buildAllProfiles(&Telemetry, Jobs)) {
+  for (const ProfileData &Data : buildAllProfiles(&Telemetry)) {
     const StageSizes &S = Data.Stages;
     TotalCompactionMs += Data.CompactionMs;
     Table.addRow(
@@ -50,8 +48,7 @@ int main(int Argc, char **Argv) {
                       static_cast<double>(S.TwppTraceBytes))});
   }
   Table.print();
-  std::fprintf(stderr,
-               "[bench] end-to-end compaction wall time: %.1f ms (jobs=%u)\n",
-               TotalCompactionMs, Jobs.effectiveJobs());
+  std::fprintf(stderr, "[bench] end-to-end compaction wall time: %.1f ms\n",
+               TotalCompactionMs);
   return Telemetry.finish(0);
 }

@@ -70,21 +70,11 @@ constexpr uint8_t FlagSawHello = 1u << 0;
 constexpr uint8_t FlagSawBye = 1u << 1;
 constexpr uint8_t FlagHasSnapshot = 1u << 2;
 
-/// The durable slice of a producer's dispatcher state — what a
-/// checkpoint record carries besides the compactor snapshot.
+/// One checkpoint record: the producer's ledger plus the compactor
+/// snapshot.
 struct CheckpointImage {
   uint32_t ProducerId = 0;
-  uint32_t FunctionCount = 0;
-  bool SawHello = false;
-  bool SawBye = false;
-  uint64_t NextSeq = 0; ///< Sequence the dispatcher expects next.
-  uint64_t FramesApplied = 0;
-  uint64_t EventsApplied = 0;
-  uint64_t EventsDropped = 0;
-  uint64_t EventsDeclared = 0;
-  uint64_t FramesInvalid = 0;
-  uint64_t SeqGaps = 0;
-  uint64_t CheckpointsWritten = 0;
+  ProducerLedger Ledger;
   std::vector<uint8_t> Snapshot; ///< Empty when no compactor existed.
   bool HasSnapshot = false;
 };
@@ -93,23 +83,23 @@ std::vector<uint8_t> encodeCheckpoint(const CheckpointImage &Image) {
   ByteWriter W;
   W.writeFixed32(CheckpointVersion);
   W.writeFixed32(Image.ProducerId);
-  W.writeFixed32(Image.FunctionCount);
+  W.writeFixed32(Image.Ledger.FunctionCount);
   uint8_t Flags = 0;
-  if (Image.SawHello)
+  if (Image.Ledger.SawHello)
     Flags |= FlagSawHello;
-  if (Image.SawBye)
+  if (Image.Ledger.SawBye)
     Flags |= FlagSawBye;
   if (Image.HasSnapshot)
     Flags |= FlagHasSnapshot;
   W.writeByte(Flags);
-  W.writeFixed64(Image.NextSeq);
-  W.writeFixed64(Image.FramesApplied);
-  W.writeFixed64(Image.EventsApplied);
-  W.writeFixed64(Image.EventsDropped);
-  W.writeFixed64(Image.EventsDeclared);
-  W.writeFixed64(Image.FramesInvalid);
-  W.writeFixed64(Image.SeqGaps);
-  W.writeFixed64(Image.CheckpointsWritten);
+  W.writeFixed64(Image.Ledger.NextSeq);
+  W.writeFixed64(Image.Ledger.FramesApplied);
+  W.writeFixed64(Image.Ledger.EventsApplied);
+  W.writeFixed64(Image.Ledger.EventsDropped);
+  W.writeFixed64(Image.Ledger.EventsDeclared);
+  W.writeFixed64(Image.Ledger.FramesInvalid);
+  W.writeFixed64(Image.Ledger.SeqGaps);
+  W.writeFixed64(Image.Ledger.CheckpointsWritten);
   W.writeVarUint(Image.Snapshot.size());
   W.writeBytes(Image.Snapshot.data(), Image.Snapshot.size());
   return W.take();
@@ -121,19 +111,19 @@ bool decodeCheckpoint(const std::vector<uint8_t> &Payload,
   if (R.readFixed32() != CheckpointVersion)
     return false;
   Image.ProducerId = R.readFixed32();
-  Image.FunctionCount = R.readFixed32();
+  Image.Ledger.FunctionCount = R.readFixed32();
   uint8_t Flags = R.readByte();
-  Image.SawHello = (Flags & FlagSawHello) != 0;
-  Image.SawBye = (Flags & FlagSawBye) != 0;
+  Image.Ledger.SawHello = (Flags & FlagSawHello) != 0;
+  Image.Ledger.SawBye = (Flags & FlagSawBye) != 0;
   Image.HasSnapshot = (Flags & FlagHasSnapshot) != 0;
-  Image.NextSeq = R.readFixed64();
-  Image.FramesApplied = R.readFixed64();
-  Image.EventsApplied = R.readFixed64();
-  Image.EventsDropped = R.readFixed64();
-  Image.EventsDeclared = R.readFixed64();
-  Image.FramesInvalid = R.readFixed64();
-  Image.SeqGaps = R.readFixed64();
-  Image.CheckpointsWritten = R.readFixed64();
+  Image.Ledger.NextSeq = R.readFixed64();
+  Image.Ledger.FramesApplied = R.readFixed64();
+  Image.Ledger.EventsApplied = R.readFixed64();
+  Image.Ledger.EventsDropped = R.readFixed64();
+  Image.Ledger.EventsDeclared = R.readFixed64();
+  Image.Ledger.FramesInvalid = R.readFixed64();
+  Image.Ledger.SeqGaps = R.readFixed64();
+  Image.Ledger.CheckpointsWritten = R.readFixed64();
   uint64_t SnapshotSize = R.readVarUint();
   if (R.hasError() || SnapshotSize != R.remaining())
     return false;
@@ -233,19 +223,9 @@ struct ProducerState {
   std::unique_ptr<StreamingCompactor> Compactor;
   JournalWriter Journal;
   bool JournalOpen = false;
-  uint32_t FunctionCount = 0;
-  bool SawHello = false;
-  bool SawBye = false;
   bool Resumed = false;
-  uint64_t NextSeq = 0; ///< Next sequence the dispatcher expects.
-  uint64_t FramesApplied = 0;
+  ProducerLedger Ledger;
   uint64_t FramesSinceCheckpoint = 0;
-  uint64_t EventsApplied = 0;
-  uint64_t EventsDropped = 0;
-  uint64_t EventsDeclared = 0;
-  uint64_t FramesInvalid = 0;
-  uint64_t SeqGaps = 0;
-  uint64_t CheckpointsWritten = 0;
   uint64_t CheckpointFailures = 0;
 };
 
@@ -374,24 +354,14 @@ struct IngestServer::Impl {
       return;
     if (Image.HasSnapshot) {
       auto Compactor = std::make_unique<StreamingCompactor>(
-          Image.FunctionCount, compactorConfig());
+          Image.Ledger.FunctionCount, compactorConfig());
       if (!Compactor->restoreState(Image.Snapshot))
         return;
       State.Compactor = std::move(Compactor);
     }
-    State.FunctionCount = Image.FunctionCount;
-    State.SawHello = Image.SawHello;
-    State.SawBye = Image.SawBye;
-    State.NextSeq = Image.NextSeq;
-    State.FramesApplied = Image.FramesApplied;
-    State.EventsApplied = Image.EventsApplied;
-    State.EventsDropped = Image.EventsDropped;
-    State.EventsDeclared = Image.EventsDeclared;
-    State.FramesInvalid = Image.FramesInvalid;
-    State.SeqGaps = Image.SeqGaps;
-    State.CheckpointsWritten = Image.CheckpointsWritten;
+    State.Ledger = Image.Ledger;
     State.Resumed = true;
-    State.Sequencer.Expected = Image.NextSeq;
+    State.Sequencer.Expected = Image.Ledger.NextSeq;
     State.Sequencer.ResumedBase = true;
     Resumes.fetch_add(1, std::memory_order_relaxed);
   }
@@ -521,18 +491,18 @@ struct IngestServer::Impl {
   /// Applies one in-order frame to its producer. Dispatcher thread only.
   void applyItem(QueueItem &Item) {
     ProducerState &P = *Item.State;
-    if (Item.Seq > P.NextSeq)
-      P.SeqGaps += Item.Seq - P.NextSeq;
+    if (Item.Seq > P.Ledger.NextSeq)
+      P.Ledger.SeqGaps += Item.Seq - P.Ledger.NextSeq;
     // Below-cursor can only happen on a resumed run whose journal was
     // behind the sequencer flush; drop, the state already covers it.
-    if (Item.Seq < P.NextSeq)
+    if (Item.Seq < P.Ledger.NextSeq)
       return;
-    P.NextSeq = Item.Seq + 1;
-    P.FramesApplied += 1;
+    P.Ledger.NextSeq = Item.Seq + 1;
+    P.Ledger.FramesApplied += 1;
     P.FramesSinceCheckpoint += 1;
 
     if (Item.Invalid) {
-      P.FramesInvalid += 1;
+      P.Ledger.FramesInvalid += 1;
       return;
     }
     try {
@@ -541,22 +511,22 @@ struct IngestServer::Impl {
         if (P.Compactor) {
           // A second Hello (or one disagreeing with the resumed state)
           // cannot be honoured without discarding data; count it.
-          if (Item.Payload.FunctionCount != P.FunctionCount)
-            P.FramesInvalid += 1;
+          if (Item.Payload.FunctionCount != P.Ledger.FunctionCount)
+            P.Ledger.FramesInvalid += 1;
         } else if (Item.Payload.FunctionCount > MaxFunctionCount) {
-          P.FramesInvalid += 1;
+          P.Ledger.FramesInvalid += 1;
         } else {
           P.Compactor = std::make_unique<StreamingCompactor>(
               Item.Payload.FunctionCount, compactorConfig());
-          P.FunctionCount = Item.Payload.FunctionCount;
-          P.SawHello = true;
+          P.Ledger.FunctionCount = Item.Payload.FunctionCount;
+          P.Ledger.SawHello = true;
         }
         break;
       case WireFrameKind::Events:
         if (!P.Compactor) {
           // The Hello fell into a gap; without the function universe the
           // events cannot be folded in. Count, don't crash.
-          P.EventsDropped += Item.Payload.Events.size();
+          P.Ledger.EventsDropped += Item.Payload.Events.size();
           break;
         }
         for (const TraceEvent &E : Item.Payload.Events) {
@@ -564,39 +534,39 @@ struct IngestServer::Impl {
           // release); the wire is untrusted, so guard here and account.
           switch (E.EventKind) {
           case TraceEvent::Kind::Enter:
-            if (E.Id >= P.FunctionCount) {
-              P.EventsDropped += 1;
+            if (E.Id >= P.Ledger.FunctionCount) {
+              P.Ledger.EventsDropped += 1;
               continue;
             }
             P.Compactor->onEnter(E.Id);
             break;
           case TraceEvent::Kind::Block:
             if (P.Compactor->openFrames() == 0) {
-              P.EventsDropped += 1;
+              P.Ledger.EventsDropped += 1;
               continue;
             }
             P.Compactor->onBlock(E.Id);
             break;
           case TraceEvent::Kind::Exit:
             if (P.Compactor->openFrames() == 0) {
-              P.EventsDropped += 1;
+              P.Ledger.EventsDropped += 1;
               continue;
             }
             P.Compactor->onExit();
             break;
           }
-          P.EventsApplied += 1;
+          P.Ledger.EventsApplied += 1;
         }
         break;
       case WireFrameKind::Bye:
-        P.EventsDeclared = Item.Payload.TotalEvents;
-        P.SawBye = true;
+        P.Ledger.EventsDeclared = Item.Payload.TotalEvents;
+        P.Ledger.SawBye = true;
         break;
       }
     } catch (const std::bad_alloc &) {
       // Allocation pressure while folding a frame in: the frame is lost
       // but the server is not.
-      P.FramesInvalid += 1;
+      P.Ledger.FramesInvalid += 1;
     }
 
     maybeCheckpoint(P);
@@ -616,17 +586,7 @@ struct IngestServer::Impl {
     try {
       CheckpointImage Image;
       Image.ProducerId = P.Id;
-      Image.FunctionCount = P.FunctionCount;
-      Image.SawHello = P.SawHello;
-      Image.SawBye = P.SawBye;
-      Image.NextSeq = P.NextSeq;
-      Image.FramesApplied = P.FramesApplied;
-      Image.EventsApplied = P.EventsApplied;
-      Image.EventsDropped = P.EventsDropped;
-      Image.EventsDeclared = P.EventsDeclared;
-      Image.FramesInvalid = P.FramesInvalid;
-      Image.SeqGaps = P.SeqGaps;
-      Image.CheckpointsWritten = P.CheckpointsWritten;
+      Image.Ledger = P.Ledger;
       if (P.Compactor) {
         Image.Snapshot = P.Compactor->snapshotState();
         Image.HasSnapshot = true;
@@ -640,7 +600,7 @@ struct IngestServer::Impl {
       P.CheckpointFailures += 1;
       return;
     }
-    P.CheckpointsWritten += 1;
+    P.Ledger.CheckpointsWritten += 1;
     ++TotalCheckpoints;
     if (Config.CrashAfterCheckpoints != 0 &&
         TotalCheckpoints == Config.CrashAfterCheckpoints &&
@@ -703,23 +663,14 @@ struct IngestServer::Impl {
   /// Drain is done: balance, compact and write out every producer.
   void finalizeProducer(ProducerState &P, ProducerReport &Report) {
     Report.ProducerId = P.Id;
-    Report.FunctionCount = P.FunctionCount;
-    Report.SawHello = P.SawHello;
-    Report.SawBye = P.SawBye;
     Report.Resumed = P.Resumed;
-    Report.FramesApplied = P.FramesApplied;
-    Report.EventsApplied = P.EventsApplied;
-    Report.EventsDropped = P.EventsDropped;
-    Report.EventsDeclared = P.EventsDeclared;
-    Report.FramesInvalid = P.FramesInvalid;
     Report.FramesDuplicate = P.Sequencer.Duplicates;
     Report.FramesReordered = P.Sequencer.Reordered;
     Report.FramesReplayed = P.Sequencer.Replayed;
-    Report.SeqGaps = P.SeqGaps;
     Report.ShedFrames = P.ShedFrames;
     Report.ShedBytes = P.ShedBytes;
     Report.CheckpointFailures = P.CheckpointFailures;
-    Report.Disconnected = !P.SawBye;
+    Report.Disconnected = !P.Ledger.SawBye;
 
     if (P.Compactor) {
       // An unbalanced stream (disconnect, gap that ate exits) cannot be
@@ -738,7 +689,6 @@ struct IngestServer::Impl {
       // replaying the whole stream.
       if (P.JournalOpen && Config.CheckpointIntervalFrames != 0)
         writeCheckpoint(P);
-      Report.CheckpointsWritten = P.CheckpointsWritten;
 
       if (!Config.OutPrefix.empty()) {
         Report.ArchivePath = archivePath(P.Id);
@@ -754,9 +704,8 @@ struct IngestServer::Impl {
               Report.ArchivePath + " (out of memory)";
         }
       }
-    } else {
-      Report.CheckpointsWritten = P.CheckpointsWritten;
     }
+    static_cast<ProducerLedger &>(Report) = P.Ledger;
     P.Journal.close();
   }
 };

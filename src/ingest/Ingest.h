@@ -14,7 +14,7 @@
 ///
 ///   fd --read--> FrameDecoder --resync--> SequenceTracker --in order-->
 ///     bounded queue --dispatcher--> StreamingCompactor --drain-->
-///       takeCompacted(parallelFor) --> <out>.p<ID>.twppa
+///       takeCompacted --> <out>.p<ID>.twppa
 ///
 /// Robustness is the contract, not a feature: every wire-level failure
 /// (corrupt/truncated frames, duplicates, reordering, stalls, idle or
@@ -102,28 +102,35 @@ struct IngestConfig {
   std::function<void()> CrashHook;
 };
 
-/// Per-producer accounting. Every field is a fact about what happened;
-/// lossless() is the contract check CI leans on.
-struct ProducerReport {
-  uint32_t ProducerId = 0;
+/// The durable slice of one producer's accounting: what the dispatcher
+/// keeps, what each checkpoint record carries besides the compactor
+/// snapshot, and the first fields of the producer's report.
+struct ProducerLedger {
   uint32_t FunctionCount = 0;
   bool SawHello = false;
   bool SawBye = false;
-  bool Resumed = false;
+  uint64_t NextSeq = 0;          ///< Sequence the dispatcher expects next.
   uint64_t FramesApplied = 0;    ///< In-order frames consumed (incl. replays skipped).
   uint64_t EventsApplied = 0;    ///< Events folded into the compactor.
   uint64_t EventsDropped = 0;    ///< Events rejected by structural guards.
   uint64_t EventsDeclared = 0;   ///< Bye frame's total (0 until SawBye).
   uint64_t FramesInvalid = 0;    ///< CRC-valid but undecodable payloads.
+  uint64_t SeqGaps = 0;          ///< Sequence numbers never delivered.
+  uint64_t CheckpointsWritten = 0;
+};
+
+/// Per-producer accounting. Every field is a fact about what happened;
+/// lossless() is the contract check CI leans on.
+struct ProducerReport : ProducerLedger {
+  uint32_t ProducerId = 0;
+  bool Resumed = false;
   uint64_t FramesDuplicate = 0;  ///< Below-cursor or in-window repeats.
   uint64_t FramesReordered = 0;  ///< Arrived early, windowed back in order.
   uint64_t FramesReplayed = 0;   ///< Pre-checkpoint frames re-sent after resume.
-  uint64_t SeqGaps = 0;          ///< Sequence numbers never delivered.
   uint64_t ShedFrames = 0;       ///< Dropped by the Shed backpressure policy.
   uint64_t ShedBytes = 0;
   uint64_t SynthesizedExits = 0; ///< Exits injected to balance the stream.
   uint64_t DegradedFrames = 0;   ///< Open frames degraded under memory budget.
-  uint64_t CheckpointsWritten = 0;
   uint64_t CheckpointFailures = 0;
   bool Disconnected = false;     ///< Stream ended without a Bye.
   std::string ArchivePath;       ///< Empty when no archive was requested.
@@ -186,8 +193,8 @@ struct IngestReport {
 ///
 /// run() spawns one reader thread per connection plus a dispatcher,
 /// consumes every stream to EOF (or idle timeout), drains the queue,
-/// compacts each producer with its function tables fanned out through
-/// parallelFor and writes the archives. The server owns the fds.
+/// compacts each producer and writes the archives. The server owns the
+/// fds.
 class IngestServer {
 public:
   explicit IngestServer(const IngestConfig &Config);

@@ -6,6 +6,7 @@
 
 #include "ingest/Wire.h"
 
+#include "support/ByteStream.h"
 #include "support/Crc32.h"
 
 using namespace twpp;
@@ -17,20 +18,6 @@ namespace {
 constexpr uint64_t TagEnter = 0;
 constexpr uint64_t TagBlock = 1;
 constexpr uint64_t TagExit = 2;
-
-uint32_t le32At(const std::vector<uint8_t> &Bytes, size_t Pos) {
-  uint32_t V = 0;
-  for (int I = 0; I < 4; ++I)
-    V |= static_cast<uint32_t>(Bytes[Pos + I]) << (8 * I);
-  return V;
-}
-
-uint64_t le64At(const std::vector<uint8_t> &Bytes, size_t Pos) {
-  uint64_t V = 0;
-  for (int I = 0; I < 8; ++I)
-    V |= static_cast<uint64_t>(Bytes[Pos + I]) << (8 * I);
-  return V;
-}
 
 } // namespace
 

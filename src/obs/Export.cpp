@@ -59,8 +59,7 @@ void names::registerCanonicalMetrics(MetricsRegistry &Registry) {
         JournalResumes, JournalRecordsDropped, StreamDegraded,
         TraceDroppedEvents, SelfprofSpans, SelfprofEvents,
         SelfprofRecordsDropped, SelfprofTruncatedSpans,
-        SelfprofUnclosedSpans, SelfprofOrphanFlows, RacesRuns,
-        RacesThreadsCompacted,
+        SelfprofUnclosedSpans, RacesRuns, RacesThreadsCompacted,
         RacesEdgesDerived, RacesSegments, RacesSegmentPairs,
         RacesPairsCovered, RacesFound, RacesRacyPairs, IngestProducers,
         IngestFrames, IngestFrameBytes, IngestEvents, IngestFramesCorrupt,

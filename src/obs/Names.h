@@ -114,7 +114,6 @@ inline constexpr const char *SelfprofTruncatedSpans =
     "selfprof.truncated_spans";
 inline constexpr const char *SelfprofUnclosedSpans =
     "selfprof.unclosed_spans";
-inline constexpr const char *SelfprofOrphanFlows = "selfprof.orphan_flows";
 inline constexpr const char *SelfprofFunctions = "selfprof.functions";
 inline constexpr const char *SelfprofArchiveBytes = "selfprof.archive_bytes";
 inline constexpr const char *SelfprofTraceJsonBytes =

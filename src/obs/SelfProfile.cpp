@@ -58,22 +58,8 @@ struct SpanNode {
   std::string_view Name;
   uint64_t BeginNs = 0;
   uint64_t EndNs = 0;
-  size_t Tid = 0;
   std::vector<SpanNode *> Children;
-  std::vector<uint64_t> FlowFinishes;
-  bool Detached = false;
 };
-
-void sortChildrenByBegin(SpanNode *N) {
-  // Same-thread children are already in begin order; grafted worker
-  // roots were appended and need merging in.
-  std::stable_sort(N->Children.begin(), N->Children.end(),
-                   [](const SpanNode *A, const SpanNode *B) {
-                     return A->BeginNs < B->BeginNs;
-                   });
-  for (SpanNode *C : N->Children)
-    sortChildrenByBegin(C);
-}
 
 class Lowerer {
 public:
@@ -81,13 +67,9 @@ public:
       : Trace(Trace), Stats(Stats) {}
 
   void emitSpan(const SpanNode *N, const std::string &ParentPath) {
-    std::string Path;
-    if (N->Detached)
-      Path = "(detached)/" + std::string(N->Name);
-    else if (ParentPath.empty())
-      Path = std::string(N->Name);
-    else
-      Path = ParentPath + "/" + std::string(N->Name);
+    std::string Path = ParentPath.empty()
+                           ? std::string(N->Name)
+                           : ParentPath + "/" + std::string(N->Name);
     auto [It, Inserted] =
         Ids.try_emplace(Path, static_cast<FunctionId>(Paths.size()));
     if (Inserted)
@@ -137,28 +119,23 @@ twpp::obs::adaptSpanRecords(
     const std::vector<std::vector<TraceRecord>> &PerThread) {
   SpanEventStream Out;
 
-  // Pass 1: rebuild each thread's span forest from its B/E stream,
-  // collecting flow-arrow endpoints as we go. Ring truncation shows up
-  // as orphan E records (opening B overwritten — drop, count) and as
-  // still-open B records at the end (synthesize the close, count).
+  // Pass 1: rebuild each thread's span forest from its B/E stream. Ring
+  // truncation shows up as orphan E records (opening B overwritten —
+  // drop, count) and as still-open B records at the end (synthesize the
+  // close, count). Every thread's root spans are roots of the profile.
   std::deque<SpanNode> Pool;
-  std::vector<std::vector<SpanNode *>> RootsPerTid(PerThread.size());
-  std::unordered_map<uint64_t, SpanNode *> FlowOrigin;
-  for (size_t Tid = 0; Tid != PerThread.size(); ++Tid) {
+  std::vector<SpanNode *> Roots;
+  for (const std::vector<TraceRecord> &Records : PerThread) {
     std::vector<SpanNode *> Stack;
     uint64_t LastTs = 0;
-    for (const TraceRecord &R : PerThread[Tid]) {
+    for (const TraceRecord &R : Records) {
       LastTs = std::max(LastTs, R.TsNs);
       switch (R.K) {
       case TraceRecord::Kind::Begin: {
         SpanNode &N = Pool.emplace_back();
         N.Name = std::string_view(R.Name);
         N.BeginNs = R.TsNs;
-        N.Tid = Tid;
-        if (Stack.empty())
-          RootsPerTid[Tid].push_back(&N);
-        else
-          Stack.back()->Children.push_back(&N);
+        (Stack.empty() ? Roots : Stack.back()->Children).push_back(&N);
         Stack.push_back(&N);
         break;
       }
@@ -169,14 +146,6 @@ twpp::obs::adaptSpanRecords(
         }
         Stack.back()->EndNs = std::max(R.TsNs, Stack.back()->BeginNs);
         Stack.pop_back();
-        break;
-      case TraceRecord::Kind::FlowStart:
-        if (!Stack.empty() && R.FlowId != 0)
-          FlowOrigin.emplace(R.FlowId, Stack.back());
-        break;
-      case TraceRecord::Kind::FlowFinish:
-        if (!Stack.empty() && R.FlowId != 0)
-          Stack.back()->FlowFinishes.push_back(R.FlowId);
         break;
       case TraceRecord::Kind::Instant:
       case TraceRecord::Kind::Counter:
@@ -189,58 +158,17 @@ twpp::obs::adaptSpanRecords(
     }
   }
 
-  // Pass 2: graft worker-side roots under the span that started their
-  // flow arrow, reproducing PhaseSpan::ScopedRoot's "compact/dbb/pool"
-  // attribution from the trace alone. A root is a parallelFor worker
-  // slice iff it recorded a flow finish — thread indices are
-  // ring-creation order, not "main first" (a metrics poller thread can
-  // claim tid 0), so the stream itself is the only reliable signal.
-  // Slices with no matching origin keep their stream under a
-  // "(detached)" pseudo-stage instead of being lost; the cross-thread
-  // requirement on the origin keeps a same-thread flow record from
-  // grafting a root into its own subtree.
-  std::vector<SpanNode *> FinalRoots;
-  for (size_t Tid = 0; Tid != RootsPerTid.size(); ++Tid) {
-    for (SpanNode *R : RootsPerTid[Tid]) {
-      SpanNode *Parent = nullptr;
-      for (uint64_t Flow : R->FlowFinishes) {
-        auto It = FlowOrigin.find(Flow);
-        if (It != FlowOrigin.end() && It->second != R &&
-            It->second->Tid != R->Tid) {
-          Parent = It->second;
-          break;
-        }
-      }
-      if (Parent) {
-        Parent->Children.push_back(R);
-      } else if (!R->FlowFinishes.empty()) {
-        R->Detached = true;
-        ++Out.Stats.OrphanFlows;
-        FinalRoots.push_back(R);
-      } else {
-        FinalRoots.push_back(R);
-      }
-    }
-  }
-  std::stable_sort(FinalRoots.begin(), FinalRoots.end(),
+  // Pass 2: order the roots of all threads by begin time and
+  // DFS-linearize. The result is well-nested by construction —
+  // timestamps only drive the gap blocks, so clock skew between threads
+  // can never unbalance the stream.
+  std::stable_sort(Roots.begin(), Roots.end(),
                    [](const SpanNode *A, const SpanNode *B) {
                      return A->BeginNs < B->BeginNs;
                    });
-  for (SpanNode *R : FinalRoots)
-    sortChildrenByBegin(R);
-
-  // Pass 3: DFS-linearize. The result is well-nested by construction —
-  // timestamps only drive the gap blocks, so clock skew between threads
-  // can never unbalance the stream.
   Lowerer L(Out.Trace, Out.Stats);
-  for (const SpanNode *R : FinalRoots)
+  for (const SpanNode *R : Roots)
     L.emitSpan(R, std::string());
-
-  // A flow cycle (only possible from corrupted records) would leave
-  // nodes unreachable from every root; account them as truncation
-  // rather than silently shrinking the profile.
-  if (Out.Stats.Spans < Pool.size())
-    Out.Stats.TruncatedSpans += Pool.size() - Out.Stats.Spans;
 
   Out.FunctionPaths = L.takePaths();
   Out.Trace.FunctionCount = static_cast<uint32_t>(Out.FunctionPaths.size());
@@ -359,7 +287,6 @@ bool SelfProfiler::finish(SelfProfileStats &Stats, std::string *Error) {
   M.counter(names::SelfprofRecordsDropped).add(Stream.Stats.RecordsDropped);
   M.counter(names::SelfprofTruncatedSpans).add(Stream.Stats.TruncatedSpans);
   M.counter(names::SelfprofUnclosedSpans).add(Stream.Stats.UnclosedSpans);
-  M.counter(names::SelfprofOrphanFlows).add(Stream.Stats.OrphanFlows);
   M.gauge(names::SelfprofFunctions)
       .set(static_cast<int64_t>(Stream.Stats.Functions));
   M.gauge(names::SelfprofArchiveBytes)
@@ -390,7 +317,6 @@ std::string twpp::obs::encodeSelfProfileMeta(const SelfProfileMeta &Meta) {
   Out << "stat records_dropped " << S.RecordsDropped << "\n";
   Out << "stat truncated_spans " << S.TruncatedSpans << "\n";
   Out << "stat unclosed_spans " << S.UnclosedSpans << "\n";
-  Out << "stat orphan_flows " << S.OrphanFlows << "\n";
   Out << "stat functions " << S.Functions << "\n";
   Out << "stat archive_bytes " << S.ArchiveBytes << "\n";
   Out << "stat trace_json_bytes " << S.TraceJsonBytes << "\n";
@@ -446,8 +372,6 @@ bool twpp::obs::decodeSelfProfileMeta(const std::string &Text,
         S.TruncatedSpans = Value;
       else if (Name == "unclosed_spans")
         S.UnclosedSpans = Value;
-      else if (Name == "orphan_flows")
-        S.OrphanFlows = Value;
       else if (Name == "functions")
         S.Functions = Value;
       else if (Name == "archive_bytes")

@@ -11,7 +11,7 @@
 /// those rings directly — never through the Chrome-JSON export — and
 /// lowers the span stream into the ordinary trace::Events model:
 ///
-///   * each distinct span path ("compact/dbb/pool") becomes one
+///   * each distinct span path ("compact/dbb") becomes one
 ///     FunctionId, numbered densely in first-seen order;
 ///   * each span instance becomes an Enter..Exit pair;
 ///   * wall time becomes Block events: block 1 is a call marker emitted
@@ -26,13 +26,10 @@
 /// `twpp selfprof` needs to report hottest paths per pipeline stage
 /// and inclusive/exclusive time, purely from the archive.
 ///
-/// Cross-thread sequencing reuses parallelFor's flow arrows: a worker-side
-/// root span containing traceFlowFinish(id) is grafted under the span
-/// that recorded traceFlowStart(id) on the calling thread, so the
-/// per-worker streams merge into one well-nested order (mirroring
-/// PhaseSpan::ScopedRoot's aggregation paths). Ring wraparound, torn
-/// reads and unmatched flows all degrade into counters (selfprof.*),
-/// never into a malformed event stream.
+/// Every thread's root spans become roots of the profile, merged into one
+/// well-nested order by begin time. Ring wraparound and torn reads
+/// degrade into counters (selfprof.*), never into a malformed event
+/// stream.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,7 +82,6 @@ struct SelfProfileStats {
   uint64_t RecordsDropped = 0; ///< Ring records lost to wraparound/tearing.
   uint64_t TruncatedSpans = 0; ///< Orphan E records (B overwritten) dropped.
   uint64_t UnclosedSpans = 0;  ///< B records synthesized closed at drain.
-  uint64_t OrphanFlows = 0;    ///< Worker roots with no matching FlowStart.
   uint64_t Functions = 0;      ///< Distinct span paths (FunctionCount).
   uint64_t ArchiveBytes = 0;   ///< Bytes of the written .twppa.
   uint64_t TraceJsonBytes = 0; ///< Equivalent Chrome-JSON bytes (optional).
@@ -105,11 +101,12 @@ struct SpanEventStream {
   SelfProfileStats Stats;
 };
 
-/// Lowers per-thread flight-recorder records (index = tid; tid 0 is the
-/// main thread) into one well-nested Enter/Block/Exit stream. Only
-/// Begin/End/FlowStart/FlowFinish records participate; Instant/Counter
-/// records are skipped. Gaps shorter than selfprof::MinGapNs are not
-/// encoded. The result's Trace always satisfies RawTrace::isWellFormed().
+/// Lowers per-thread flight-recorder records (index = tid, in ring
+/// creation order, so tid 0 need not be the main thread) into one
+/// well-nested Enter/Block/Exit stream. Only Begin/End records
+/// participate; Instant/Counter records are skipped. Gaps shorter than
+/// selfprof::MinGapNs are not encoded. The result's Trace always
+/// satisfies RawTrace::isWellFormed().
 SpanEventStream
 adaptSpanRecords(const std::vector<std::vector<TraceRecord>> &PerThread);
 

@@ -114,18 +114,6 @@ std::string obs::exportTraceJson(const TraceRecorder &Recorder) {
         appendEvent(Out, First, Event.finish());
         break;
       }
-      case TraceRecord::Kind::FlowStart: {
-        JsonWriter Event = eventHead("s", T.Tid, R.TsNs, BaseNs);
-        Event.field("name", R.Name).field("cat", "flow").field("id", R.FlowId);
-        appendEvent(Out, First, Event.finish());
-        break;
-      }
-      case TraceRecord::Kind::FlowFinish: {
-        JsonWriter Event = eventHead("f", T.Tid, R.TsNs, BaseNs);
-        Event.field("name", R.Name).field("cat", "flow").field("id", R.FlowId);
-        appendEvent(Out, First, Event.field("bp", "e").finish());
-        break;
-      }
       }
     }
     for (; Depth > 0; --Depth)

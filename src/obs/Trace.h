@@ -17,10 +17,7 @@
 ///
 ///   * Begin/End   — duration slices, emitted by obs::PhaseSpan;
 ///   * Instant     — point events ("archive encoded");
-///   * Counter     — sampled values (queue depth, stage bytes);
-///   * FlowStart / FlowFinish — arrows linking a parallelFor caller to
-///     each of its worker threads, which is what stitches the
-///     cross-thread fan-out back into one timeline.
+///   * Counter     — sampled values (queue depth, stage bytes).
 ///
 /// Like the metrics core, the recorder is header-only on purpose:
 /// support/ (LZW, parallelFor) sits below every other library yet emits
@@ -101,19 +98,16 @@ struct TraceRecord {
     End,        ///< Duration slice closes ("ph":"E").
     Instant,    ///< Point event ("ph":"i").
     Counter,    ///< Counter sample ("ph":"C").
-    FlowStart,  ///< Flow arrow leaves this thread ("ph":"s").
-    FlowFinish, ///< Flow arrow lands on this thread ("ph":"f").
   };
 
   static constexpr size_t NameCapacity = 48;
   static constexpr size_t ArgNameCapacity = 16;
 
-  uint64_t TsNs = 0;   ///< Steady-clock nanoseconds.
-  uint64_t FlowId = 0; ///< Nonzero for FlowStart/FlowFinish.
-  int64_t Value = 0;   ///< Counter sample or slice arg value.
+  uint64_t TsNs = 0; ///< Steady-clock nanoseconds.
+  int64_t Value = 0; ///< Counter sample or slice arg value.
   Kind K = Kind::Instant;
   bool HasArg = false;           ///< Value/ArgName are meaningful.
-  char Name[NameCapacity];       ///< Event name (slice, counter, flow).
+  char Name[NameCapacity];       ///< Event name (slice, counter).
   char ArgName[ArgNameCapacity]; ///< Arg key for Begin/Instant events.
 };
 
@@ -126,8 +120,8 @@ public:
       : Tid(Tid), ThreadName(std::move(Name)),
         Slots(Capacity < 2 ? 2 : Capacity) {}
 
-  void push(TraceRecord::Kind K, std::string_view Name, uint64_t FlowId,
-            const char *ArgName, int64_t Value, bool HasArg) {
+  void push(TraceRecord::Kind K, std::string_view Name, const char *ArgName,
+            int64_t Value, bool HasArg) {
     uint64_t Seq = Head.load(std::memory_order_relaxed);
     if (Seq >= Slots.size()) {
       // This push overwrites the oldest surviving event. Publish the
@@ -139,7 +133,6 @@ public:
     }
     TraceRecord &R = Slots[Seq % Slots.size()];
     R.TsNs = trace_detail::nowNs();
-    R.FlowId = FlowId;
     R.Value = Value;
     R.K = K;
     R.HasArg = HasArg;
@@ -264,11 +257,6 @@ public:
       Capacity = NewCapacity;
   }
 
-  /// Fresh process-unique id for one flow arrow (s/f pair).
-  uint64_t nextFlowId() {
-    return NextFlow.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
   struct ThreadSnapshot {
     uint32_t Tid = 0;
     std::string Name;
@@ -322,7 +310,6 @@ public:
     std::lock_guard<std::mutex> Lock(M);
     for (auto &Ring : Rings)
       Ring->reset(Capacity);
-    NextFlow.store(0, std::memory_order_relaxed);
   }
 
 private:
@@ -338,7 +325,6 @@ private:
   mutable std::mutex M;
   std::vector<std::unique_ptr<TraceRing>> Rings;
   size_t Capacity = DefaultRingCapacity;
-  std::atomic<uint64_t> NextFlow{0};
 };
 
 /// The process-global recorder.
@@ -359,7 +345,7 @@ inline void traceBegin(std::string_view Name, const char *ArgName = nullptr,
   if (!tracingEnabled())
     return;
   traceRecorder().ringForCurrentThread().push(TraceRecord::Kind::Begin, Name,
-                                              0, ArgName, ArgValue,
+                                              ArgName, ArgValue,
                                               ArgName != nullptr);
 }
 
@@ -367,7 +353,7 @@ inline void traceBegin(std::string_view Name, const char *ArgName = nullptr,
 inline void traceEnd() {
   if (!tracingEnabled())
     return;
-  traceRecorder().ringForCurrentThread().push(TraceRecord::Kind::End, {}, 0,
+  traceRecorder().ringForCurrentThread().push(TraceRecord::Kind::End, {},
                                               nullptr, 0, false);
 }
 
@@ -377,7 +363,7 @@ inline void traceInstant(std::string_view Name, const char *ArgName = nullptr,
   if (!tracingEnabled())
     return;
   traceRecorder().ringForCurrentThread().push(TraceRecord::Kind::Instant,
-                                              Name, 0, ArgName, ArgValue,
+                                              Name, ArgName, ArgValue,
                                               ArgName != nullptr);
 }
 
@@ -386,36 +372,10 @@ inline void traceCounter(std::string_view Name, int64_t Value) {
   if (!tracingEnabled())
     return;
   traceRecorder().ringForCurrentThread().push(TraceRecord::Kind::Counter,
-                                              Name, 0, nullptr, Value, true);
+                                              Name, nullptr, Value, true);
 }
 
-/// Fresh id for one flow arrow; 0 is never returned, so 0 can mean
-/// "no flow" at call sites.
-inline uint64_t traceNextFlowId() {
-  if (!tracingEnabled())
-    return 0;
-  return traceRecorder().nextFlowId();
-}
-
-/// Flow arrow leaves this thread (record inside the enqueuing slice).
-inline void traceFlowStart(std::string_view Name, uint64_t FlowId) {
-  if (!tracingEnabled() || FlowId == 0)
-    return;
-  traceRecorder().ringForCurrentThread().push(TraceRecord::Kind::FlowStart,
-                                              Name, FlowId, nullptr, 0,
-                                              false);
-}
-
-/// Flow arrow lands on this thread (record inside the executing slice).
-inline void traceFlowFinish(std::string_view Name, uint64_t FlowId) {
-  if (!tracingEnabled() || FlowId == 0)
-    return;
-  traceRecorder().ringForCurrentThread().push(TraceRecord::Kind::FlowFinish,
-                                              Name, FlowId, nullptr, 0,
-                                              false);
-}
-
-/// Names the calling thread in trace exports ("pool-worker-3").
+/// Names the calling thread in trace exports ("mem-poller").
 inline void setCurrentThreadName(std::string Name) {
   if (!tracingEnabled())
     return;

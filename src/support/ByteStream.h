@@ -68,6 +68,22 @@ inline int64_t zigzagDecode(uint64_t Value) {
   return static_cast<int64_t>(Value >> 1) ^ -static_cast<int64_t>(Value & 1);
 }
 
+/// Reads a little-endian fixed-width value at \p Pos (caller checks
+/// bounds).
+inline uint32_t le32At(const std::vector<uint8_t> &Bytes, size_t Pos) {
+  uint32_t V = 0;
+  for (int I = 0; I < 4; ++I)
+    V |= static_cast<uint32_t>(Bytes[Pos + I]) << (8 * I);
+  return V;
+}
+
+inline uint64_t le64At(const std::vector<uint8_t> &Bytes, size_t Pos) {
+  uint64_t V = 0;
+  for (int I = 0; I < 8; ++I)
+    V |= static_cast<uint64_t>(Bytes[Pos + I]) << (8 * I);
+  return V;
+}
+
 /// Append-only binary writer over a growable byte vector.
 class ByteWriter {
 public:

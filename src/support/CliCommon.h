@@ -42,10 +42,6 @@ inline constexpr int ExitSuccess = 0;  ///< Clean.
 inline constexpr int ExitFindings = 1; ///< Worked; has findings/loss.
 inline constexpr int ExitUsage = 2;    ///< Bad usage or fatal IO.
 
-/// Largest accepted `--jobs` value: parallelFor starts one thread per job
-/// (up to one per function), so a typo must not become thousands.
-inline constexpr unsigned MaxJobs = 1024;
-
 /// Parses decimal digits only (no sign, space or suffix) into \p Out's
 /// type, within [\p Min, \p Max]. \returns false for anything else.
 template <typename T>
@@ -120,15 +116,6 @@ Flag unsignedFlag(std::string Name, std::string Meta, std::string Help,
           [&Out, Min, Max](const std::string &Text) {
             return parseUnsigned(Text, Out, Min, Max);
           }};
-}
-
-/// `--jobs N`, shared by twpp and the bench binaries: worker threads,
-/// 0 = one per hardware thread.
-inline Flag jobsFlag(unsigned &Jobs) {
-  return unsignedFlag("jobs", "N",
-                      "compaction worker threads (0 = one per hardware "
-                      "thread)",
-                      Jobs, 0, MaxJobs);
 }
 
 /// One of \p Choices; help shows them as the placeholder.

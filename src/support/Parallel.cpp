@@ -17,30 +17,17 @@
 
 using namespace twpp;
 
-unsigned ParallelConfig::effectiveJobs() const {
-  if (Jobs != 0)
-    return Jobs;
-  unsigned Hardware = std::thread::hardware_concurrency();
-  return Hardware != 0 ? Hardware : 1;
-}
-
 void twpp::parallelFor(const ParallelConfig &Config, size_t N,
                        const std::function<void(size_t)> &Fn) {
-  size_t Workers = std::min<size_t>(Config.effectiveJobs(), N);
+  size_t Workers = std::min<size_t>(Config.Jobs, N);
   if (Workers <= 1) {
     for (size_t I = 0; I != N; ++I)
       Fn(I);
     return;
   }
-  // One flow arrow per worker, started inside the caller's span; each
-  // worker roots its spans at the caller's path, so they aggregate and
-  // render under "compact/dbb/pool" rather than a bare "pool".
+  // Each worker roots its spans at the caller's path, so they aggregate
+  // under "compact/dbb/pool" rather than a bare "pool".
   std::string ParentPath = obs::PhaseSpan::currentPath();
-  std::vector<uint64_t> FlowIds(Workers);
-  for (uint64_t &Id : FlowIds) {
-    Id = obs::traceNextFlowId();
-    obs::traceFlowStart("pool.task", Id);
-  }
   std::atomic<size_t> Next{0};
   std::vector<std::thread> Threads;
   Threads.reserve(Workers);
@@ -49,7 +36,6 @@ void twpp::parallelFor(const ParallelConfig &Config, size_t N,
       obs::setCurrentThreadName("pool-worker-" + std::to_string(W));
       obs::PhaseSpan::ScopedRoot Root(ParentPath);
       obs::PhaseSpan Span("pool");
-      obs::traceFlowFinish("pool.task", FlowIds[W]);
       for (size_t I; (I = Next.fetch_add(1, std::memory_order_relaxed)) < N;)
         Fn(I);
     });

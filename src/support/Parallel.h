@@ -15,7 +15,7 @@
 /// Parallel runs are bit-for-bit deterministic: every task writes only its
 /// own pre-allocated output slot and all cross-function ordering (archive
 /// layout, metric accounting loops) stays on the calling thread, so
-/// `--jobs 8` produces byte-identical archives to `--jobs 1`.
+/// eight jobs produce byte-identical archives to one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,21 +31,17 @@ namespace twpp {
 /// default (1) is fully serial, which keeps every existing call site and
 /// test on the single-threaded path unless a consumer opts in.
 struct ParallelConfig {
-  /// Worker count; 0 means "one per hardware thread".
+  /// Worker count; 1 or less runs inline on the calling thread.
   unsigned Jobs = 1;
 
   static ParallelConfig withJobs(unsigned N) { return ParallelConfig{N}; }
-
-  /// Jobs with 0 resolved against the hardware.
-  unsigned effectiveJobs() const;
 };
 
-/// Runs Fn(0), ..., Fn(N-1) on min(Config.effectiveJobs(), N) new worker
-/// threads that claim indices in order from one atomic counter, and
-/// returns when all have joined; inline on the calling thread when that
-/// count is 1. Each worker runs under one "pool" span rooted at the
-/// caller's span path and finishes one "pool.task" flow arrow the caller
-/// started. Fn must not throw; iterations must be independent (each
+/// Runs Fn(0), ..., Fn(N-1) on min(Config.Jobs, N) new worker threads
+/// that claim indices in order from one atomic counter, and returns when
+/// all have joined; inline on the calling thread when that count is at
+/// most 1. Each worker runs under one "pool" span rooted at the caller's
+/// span path. Fn must not throw; iterations must be independent (each
 /// writing only its own output slot).
 void parallelFor(const ParallelConfig &Config, size_t N,
                  const std::function<void(size_t)> &Fn);

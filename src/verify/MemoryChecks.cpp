@@ -37,14 +37,17 @@ std::string bytesStr(uint64_t Bytes) {
 } // namespace
 
 bool verify::auditArchiveMemory(const std::string &Path, MemoryAudit &Audit,
-                                TwppWpp *Wpp) {
+                                TwppWpp *Wpp, Diagnostic *Error) {
   Audit = MemoryAudit();
   TwppWpp Local;
   TwppWpp &Out = Wpp ? *Wpp : Local;
 
   ArchiveReader Reader;
-  if (!Reader.open(Path))
+  if (!Reader.open(Path)) {
+    if (Error)
+      *Error = Reader.lastError();
     return false;
+  }
 
   // Decode with tracking force-enabled, capturing the instrumented
   // decoders' records into a private account (the decode entry points
@@ -61,8 +64,11 @@ bool verify::auditArchiveMemory(const std::string &Path, MemoryAudit &Audit,
     Decoded = Reader.readAll(Out);
   }
   obs::setMemTrackingEnabled(WasEnabled);
-  if (!Decoded)
+  if (!Decoded) {
+    if (Error)
+      *Error = Reader.lastError();
     return false;
+  }
 
   int64_t Live = Capture.liveBytes();
   Audit.TrackedBytes = Live > 0 ? static_cast<uint64_t>(Live) : 0;

@@ -57,9 +57,10 @@ inline uint64_t memReconcileToleranceBytes(uint64_t DeepBytes) {
 /// The audit figures are the same whether the reader mapped the file or
 /// fell back to reading it: mapped bytes land on the fixed archive.mmap
 /// tag and the fallback buffer is not ledgered, so neither reaches the
-/// scoped capture. Returns Audit.Decoded.
+/// scoped capture. Returns Audit.Decoded; when false, \p Error (when
+/// given) is the reader's diagnostic.
 bool auditArchiveMemory(const std::string &Path, MemoryAudit &Audit,
-                        TwppWpp *Wpp = nullptr);
+                        TwppWpp *Wpp = nullptr, Diagnostic *Error = nullptr);
 
 /// Runs the twpp-mem-* family over \p Path, honouring \p Engine's check
 /// glob. No-op diagnostics-wise when the archive is unreadable (the

@@ -7,6 +7,7 @@
 #include "verify/ThreadChecks.h"
 
 #include "races/HappensBefore.h"
+#include "verify/ArchiveChecks.h"
 #include "verify/Checks.h"
 
 #include <string>
@@ -15,23 +16,6 @@ using namespace twpp;
 using namespace twpp::verify;
 
 namespace {
-
-/// Uncompacted length of unique trace \p T (timestamp count times chain
-/// length per block) — the thread partition check's unit of account.
-uint64_t expandedTraceLength(const TwppFunctionTable &Table, uint32_t T) {
-  auto [StringIdx, DictIdx] = Table.Traces[T];
-  if (StringIdx >= Table.TraceStrings.size() ||
-      DictIdx >= Table.Dictionaries.size())
-    return 0;
-  const TwppTrace &Trace = Table.TraceStrings[StringIdx];
-  const DbbDictionary &Dict = Table.Dictionaries[DictIdx];
-  uint64_t Length = 0;
-  for (const auto &[Block, Set] : Trace.Blocks) {
-    const std::vector<BlockId> *Chain = Dict.findChain(Block);
-    Length += Set.count() * (Chain ? Chain->size() : 1);
-  }
-  return Length;
-}
 
 void checkThreadPartition(const ConcurrencyInfo &Conc, const TwppWpp *Body,
                           DiagnosticEngine &Engine) {

@@ -10,6 +10,7 @@
 #include "obs/Names.h"
 #include "obs/PhaseSpan.h"
 #include "support/FileIO.h"
+#include "wpp/Archive.h"
 #include "wpp/Twpp.h"
 #include "wpp/VerifyHooks.h"
 
@@ -20,10 +21,14 @@ using namespace twpp;
 using namespace twpp::verify;
 
 bool verify::verifyArchiveFile(const std::string &Path,
-                               DiagnosticEngine &Engine) {
+                               DiagnosticEngine &Engine,
+                               Diagnostic *ReadError) {
   std::vector<uint8_t> Bytes;
-  if (!readFileBytes(Path, Bytes))
+  if (IoError Read = readFileBytes(Path, Bytes); !Read) {
+    if (ReadError)
+      *ReadError = archiveReadFailure(Read);
     return false;
+  }
   runArchiveBytesChecks(Bytes, Engine);
   return true;
 }

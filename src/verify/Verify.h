@@ -27,9 +27,11 @@
 namespace twpp::verify {
 
 /// Reads \p Path and runs the full archive family over it. \returns false
-/// only when the file cannot be read at all (an IO error, not a
-/// diagnostic); malformed bytes produce diagnostics and return true.
-bool verifyArchiveFile(const std::string &Path, DiagnosticEngine &Engine);
+/// only when the file cannot be read at all, with the reason in
+/// \p ReadError (when given) rather than in \p Engine; malformed bytes
+/// produce diagnostics and return true.
+bool verifyArchiveFile(const std::string &Path, DiagnosticEngine &Engine,
+                       Diagnostic *ReadError = nullptr);
 
 /// Installs the archive-family checks as TWPP_VERIFY post-stage
 /// assertions: with the environment variable set, compactWpp, the

@@ -570,6 +570,16 @@ bool ArchiveReader::fail(std::string CheckId, std::string Message,
   return false;
 }
 
+verify::Diagnostic twpp::archiveReadFailure(const IoError &Read) {
+  verify::Diagnostic D;
+  D.CheckId = verify::checks::ArchiveHeader;
+  D.Sev = verify::Severity::Error;
+  D.Message = "cannot read the archive: " + Read.message();
+  D.Location = "header";
+  D.ByteOffset = 0;
+  return D;
+}
+
 bool ArchiveReader::open(const std::string &Path) {
   obs::PhaseSpan Span("archive_open");
   static obs::Counter &IndexReads =
@@ -586,9 +596,10 @@ bool ArchiveReader::open(const std::string &Path) {
     obs::metrics().counter(obs::names::ArchiveMmapFallbacks).add();
     IoError Read = readFileBytes(Path, Buffer);
     File = ByteSpan(Buffer);
-    if (!Read)
-      return fail(verify::checks::ArchiveHeader,
-                  "cannot read the archive: " + Read.message(), "header", 0);
+    if (!Read) {
+      LastError = archiveReadFailure(Read);
+      return false;
+    }
   }
   if (decodeArchiveLayout(File, Layout))
     return true;

@@ -189,6 +189,10 @@ bool writeConcurrentArchiveFile(const std::string &Path,
                                 const ConcurrentWpp &Wpp,
                                 IoError *Err = nullptr);
 
+/// The diagnostic for an archive file that cannot be read at all: the
+/// header check, at byte 0, with \p Read's message ("open-failed: ...").
+verify::Diagnostic archiveReadFailure(const IoError &Read);
+
 /// Random-access reader over an archive file. open() maps the file (or,
 /// where mapping fails, reads it into one buffer) and decodes its layout;
 /// extractFunction() then decodes only that function's block.

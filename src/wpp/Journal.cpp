@@ -45,22 +45,6 @@ bool syncJournalStream(std::FILE *File) {
 #endif
 }
 
-/// Reads a little-endian fixed-width value at \p Pos (caller checks
-/// bounds).
-uint32_t le32At(const std::vector<uint8_t> &Bytes, size_t Pos) {
-  uint32_t V = 0;
-  for (int I = 0; I < 4; ++I)
-    V |= static_cast<uint32_t>(Bytes[Pos + I]) << (8 * I);
-  return V;
-}
-
-uint64_t le64At(const std::vector<uint8_t> &Bytes, size_t Pos) {
-  uint64_t V = 0;
-  for (int I = 0; I < 8; ++I)
-    V |= static_cast<uint64_t>(Bytes[Pos + I]) << (8 * I);
-  return V;
-}
-
 } // namespace
 
 void twpp::appendJournalRecord(std::vector<uint8_t> &Out,

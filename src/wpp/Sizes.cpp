@@ -44,38 +44,51 @@ uint64_t twpp::twppTraceBytes(const TwppTrace &Trace) {
   return Bytes;
 }
 
+PartitionTraceBytes twpp::partitionTraceBytes(const PartitionedWpp &Wpp) {
+  PartitionTraceBytes Sizes;
+  for (const FunctionTraceTable &Table : Wpp.Functions)
+    for (size_t T = 0; T < Table.UniqueTraces.size(); ++T) {
+      uint64_t Bytes = pathTraceBytes(Table.UniqueTraces[T]);
+      Sizes.Owpp += Bytes * Table.UseCounts[T];
+      Sizes.Deduped += Bytes;
+    }
+  return Sizes;
+}
+
+uint64_t twpp::dbbTraceBytes(const DbbWpp &Wpp) {
+  uint64_t Bytes = 0;
+  for (const DbbFunctionTable &Table : Wpp.Functions)
+    for (const std::vector<BlockId> &TraceString : Table.TraceStrings)
+      Bytes += pathTraceBytes(TraceString);
+  return Bytes;
+}
+
+uint64_t twpp::twppTraceBytes(const TwppWpp &Wpp) {
+  uint64_t Bytes = 0;
+  for (const TwppFunctionTable &Table : Wpp.Functions)
+    for (const TwppTrace &TraceString : Table.TraceStrings)
+      Bytes += twppTraceBytes(TraceString);
+  return Bytes;
+}
+
 OwppSizes twpp::measureOwpp(const PartitionedWpp &Wpp) {
   OwppSizes Sizes;
   Sizes.DcgBytes = encodeDcg(Wpp.Dcg).size();
-  for (const FunctionTraceTable &Table : Wpp.Functions)
-    for (size_t T = 0; T < Table.UniqueTraces.size(); ++T)
-      Sizes.TraceBytes +=
-          pathTraceBytes(Table.UniqueTraces[T]) * Table.UseCounts[T];
+  Sizes.TraceBytes = partitionTraceBytes(Wpp).Owpp;
   return Sizes;
 }
 
 StageSizes twpp::measureStages(const PartitionedWpp &Partitioned,
                                const DbbWpp &Dbb, const TwppWpp &Twpp) {
   StageSizes Sizes;
-
-  for (const FunctionTraceTable &Table : Partitioned.Functions) {
-    for (size_t T = 0; T < Table.UniqueTraces.size(); ++T) {
-      uint64_t Bytes = pathTraceBytes(Table.UniqueTraces[T]);
-      Sizes.OwppTraceBytes += Bytes * Table.UseCounts[T];
-      Sizes.DedupedTraceBytes += Bytes;
-    }
-  }
-
-  for (const DbbFunctionTable &Table : Dbb.Functions) {
-    for (const auto &TraceString : Table.TraceStrings)
-      Sizes.DbbTraceBytes += pathTraceBytes(TraceString);
+  PartitionTraceBytes Pool = partitionTraceBytes(Partitioned);
+  Sizes.OwppTraceBytes = Pool.Owpp;
+  Sizes.DedupedTraceBytes = Pool.Deduped;
+  Sizes.DbbTraceBytes = dbbTraceBytes(Dbb);
+  for (const DbbFunctionTable &Table : Dbb.Functions)
     for (const DbbDictionary &Dict : Table.Dictionaries)
       Sizes.DictionaryBytes += dictionaryBytes(Dict);
-  }
-
-  for (const TwppFunctionTable &Table : Twpp.Functions)
-    for (const TwppTrace &TraceString : Table.TraceStrings)
-      Sizes.TwppTraceBytes += twppTraceBytes(TraceString);
+  Sizes.TwppTraceBytes = twppTraceBytes(Twpp);
 
   Sizes.CompactedDcgBytes = lzwCompress(encodeDcg(Twpp.Dcg)).size();
   return Sizes;

@@ -48,6 +48,21 @@ uint64_t dictionaryBytes(const DbbDictionary &Dict);
 /// varints).
 uint64_t twppTraceBytes(const TwppTrace &Trace);
 
+/// Trace bytes of the partitioned WPP: every call's path trace with
+/// duplicates kept (the OWPP baseline), and the deduplicated pool (after
+/// redundant trace removal).
+struct PartitionTraceBytes {
+  uint64_t Owpp = 0;
+  uint64_t Deduped = 0;
+};
+PartitionTraceBytes partitionTraceBytes(const PartitionedWpp &Wpp);
+
+/// Bytes of the dictionary-compacted trace strings (dictionaries apart).
+uint64_t dbbTraceBytes(const DbbWpp &Wpp);
+
+/// Bytes of the TWPP-form trace strings.
+uint64_t twppTraceBytes(const TwppWpp &Wpp);
+
 /// Sizes of the original (uncompacted) WPP, split as Table 1 reports them.
 struct OwppSizes {
   uint64_t DcgBytes = 0;    ///< Serialized DCG, uncompressed.

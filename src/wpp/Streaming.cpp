@@ -525,21 +525,15 @@ PartitionedWpp StreamingCompactor::takePartitioned() {
   PartitionedWpp Out = std::move(P->Wpp);
   P->resetStream(FunctionCount);
   if (obs::enabled()) {
-    // Stage 2 size accounting (mirrors measureStages so live factors match
-    // Table 2): bytes_in keeps every duplicate, bytes_out deduplicates.
-    uint64_t BytesIn = 0, BytesOut = 0;
-    for (const FunctionTraceTable &Table : Out.Functions) {
-      for (size_t T = 0; T < Table.UniqueTraces.size(); ++T) {
-        uint64_t Bytes = pathTraceBytes(Table.UniqueTraces[T]);
-        BytesIn += Bytes * Table.UseCounts[T];
-        BytesOut += Bytes;
-      }
-    }
+    // Stage 2 size accounting: bytes_in keeps every duplicate,
+    // bytes_out deduplicates.
+    PartitionTraceBytes Bytes = partitionTraceBytes(Out);
     obs::MetricsRegistry &M = obs::metrics();
-    M.gauge(obs::names::PartitionBytesIn).set(static_cast<int64_t>(BytesIn));
-    M.gauge(obs::names::PartitionBytesOut).set(static_cast<int64_t>(BytesOut));
+    M.gauge(obs::names::PartitionBytesIn).set(static_cast<int64_t>(Bytes.Owpp));
+    M.gauge(obs::names::PartitionBytesOut)
+        .set(static_cast<int64_t>(Bytes.Deduped));
     obs::traceCounter(obs::names::PartitionBytesOut,
-                      static_cast<int64_t>(BytesOut));
+                      static_cast<int64_t>(Bytes.Deduped));
   }
   return Out;
 }

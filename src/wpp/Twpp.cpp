@@ -101,8 +101,8 @@ DbbWpp twpp::applyDbbCompaction(const PartitionedWpp &Wpp,
   // writes only its pre-allocated slot, so any job count produces the
   // same tables as the serial walk.
   parallelFor(Config, Wpp.Functions.size(), [&Wpp, &Out](size_t F) {
-    // Leaf span per function table; the function id arg makes a trace of
-    // a --jobs N run show which function each worker slice compacted.
+    // Leaf span per function table; the function id arg makes a trace
+    // show which function each slice compacted.
     obs::PhaseSpan FnSpan("dbb_function", "function",
                           static_cast<int64_t>(F));
     const FunctionTraceTable &In = Wpp.Functions[F];
@@ -130,16 +130,11 @@ DbbWpp twpp::applyDbbCompaction(const PartitionedWpp &Wpp,
       obs::memAlloc(obs::memtags::DbbTables, obs::deepSize(Table));
   });
   if (obs::enabled()) {
-    // Stage 3 size accounting, same formulas as measureStages: bytes_in is
-    // the deduplicated trace pool, bytes_out the dictionary-compacted
-    // trace strings (dictionaries themselves are a Table 3 column).
-    uint64_t BytesIn = 0, BytesOut = 0;
-    for (const FunctionTraceTable &Table : Wpp.Functions)
-      for (const PathTrace &Trace : Table.UniqueTraces)
-        BytesIn += pathTraceBytes(Trace);
-    for (const DbbFunctionTable &Table : Out.Functions)
-      for (const auto &TraceString : Table.TraceStrings)
-        BytesOut += pathTraceBytes(TraceString);
+    // Stage 3 size accounting: bytes_in is the deduplicated trace pool,
+    // bytes_out the dictionary-compacted trace strings (dictionaries
+    // themselves are a Table 3 column).
+    uint64_t BytesIn = partitionTraceBytes(Wpp).Deduped;
+    uint64_t BytesOut = dbbTraceBytes(Out);
     obs::MetricsRegistry &M = obs::metrics();
     M.gauge(obs::names::DbbBytesIn).set(static_cast<int64_t>(BytesIn));
     M.gauge(obs::names::DbbBytesOut).set(static_cast<int64_t>(BytesOut));
@@ -171,14 +166,9 @@ TwppWpp twpp::convertToTwpp(const DbbWpp &Wpp, const ParallelConfig &Config) {
   });
   if (obs::enabled()) {
     // Stage 4+5 size accounting: the same trace strings before and after
-    // the timestamped-form conversion (measureStages' Dbb/Twpp columns).
-    uint64_t BytesIn = 0, BytesOut = 0;
-    for (const DbbFunctionTable &Table : Wpp.Functions)
-      for (const auto &TraceString : Table.TraceStrings)
-        BytesIn += pathTraceBytes(TraceString);
-    for (const TwppFunctionTable &Table : Out.Functions)
-      for (const TwppTrace &TraceString : Table.TraceStrings)
-        BytesOut += twppTraceBytes(TraceString);
+    // the timestamped-form conversion.
+    uint64_t BytesIn = dbbTraceBytes(Wpp);
+    uint64_t BytesOut = twppTraceBytes(Out);
     obs::MetricsRegistry &M = obs::metrics();
     M.gauge(obs::names::TwppBytesIn).set(static_cast<int64_t>(BytesIn));
     M.gauge(obs::names::TwppBytesOut).set(static_cast<int64_t>(BytesOut));

@@ -10,6 +10,8 @@
 //
 // `twpp races` gives no verdict on a thread-aware archive that breaks
 // the invariants its engine assumes: it names the failed check, exit 2.
+// An archive that cannot be read at all is named the same way by races,
+// memstat and verify, on stderr and in the --format=json diagnostics.
 //
 // The report verbs print archive paths whole: a path of any length comes
 // back intact in the text report and in a --format=json document that
@@ -151,6 +153,39 @@ TEST(CliMalformedConcurrency, RacesNamesTheCheckAndGivesNoVerdict) {
       << Doc.str();
   EXPECT_EQ(Doc.str().find("\"verdict\""), std::string::npos) << Doc.str();
   std::remove(Path.c_str());
+  std::remove(Report.c_str());
+}
+
+TEST(CliUnreadableArchive, ReportVerbsNameTheReadFailure) {
+  std::string Missing = ::testing::TempDir() + "/twpp_missing.twppa";
+  std::remove(Missing.c_str());
+  std::string Report = ::testing::TempDir() + "/twpp_missing_report.json";
+  for (const std::string Verb : {"races", "memstat", "verify"}) {
+    CommandRun Text = runTwpp(Verb + " " + Missing);
+    ASSERT_TRUE(WIFEXITED(Text.Status)) << Text.Output;
+    EXPECT_EQ(WEXITSTATUS(Text.Status), 2) << Text.Output;
+    EXPECT_NE(Text.Output.find("twpp " + Verb + ": " + Missing +
+                               ": [twpp-archive-header] "),
+              std::string::npos)
+        << Text.Output;
+
+    CommandRun Json = runCommand("{ " + std::string(TWPP_BINARY) + " " +
+                                 Verb + " --format=json " + Missing +
+                                 " 2>/dev/null; } > '" + Report + "'");
+    ASSERT_TRUE(WIFEXITED(Json.Status)) << Json.Output;
+    EXPECT_EQ(WEXITSTATUS(Json.Status), 2) << Json.Output;
+    CommandRun Check =
+        runCommand(std::string("python3 ") + TWPP_CHECK_REPORT + " '" +
+                   Report + "' --verb " + Verb + " --exit 2");
+    EXPECT_EQ(Check.Status, 0) << Check.Output;
+    std::stringstream Doc;
+    Doc << std::ifstream(Report).rdbuf();
+    EXPECT_NE(Doc.str().find("\"check\": \"twpp-archive-header\""),
+              std::string::npos)
+        << Verb << ": " << Doc.str();
+    EXPECT_NE(Doc.str().find("open-failed"), std::string::npos)
+        << Verb << ": " << Doc.str();
+  }
   std::remove(Report.c_str());
 }
 

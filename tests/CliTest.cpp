@@ -57,9 +57,9 @@ TEST(CliNumbers, UnsignedIsPlainBoundedDecimal) {
   for (const char *Bad : {"", "18446744073709551616", "-1", "+1", "12x",
                           " 1", "1 ", "0x10", "1.0"})
     EXPECT_FALSE(cli::parseUnsigned(Bad, V)) << Bad;
-  unsigned Jobs = 0;
-  EXPECT_TRUE(cli::parseUnsigned("1024", Jobs, 0, cli::MaxJobs));
-  EXPECT_FALSE(cli::parseUnsigned("1025", Jobs, 0, cli::MaxJobs));
+  unsigned Bounded = 0;
+  EXPECT_TRUE(cli::parseUnsigned("1024", Bounded, 0, 1024));
+  EXPECT_FALSE(cli::parseUnsigned("1025", Bounded, 0, 1024));
   uint32_t Narrow = 0;
   EXPECT_TRUE(cli::parseUnsigned("4294967295", Narrow));
   EXPECT_FALSE(cli::parseUnsigned("4294967296", Narrow));

@@ -202,7 +202,6 @@ struct ExportedEvent {
   char Ph = 0;
   long Tid = -1;
   double Ts = -1;
-  uint64_t FlowId = 0;
   bool HasPid = false;
   std::string Line;
 };
@@ -226,8 +225,6 @@ std::vector<ExportedEvent> exportedEvents(const std::string &Json) {
       E.Tid = std::strtol(Line.c_str() + P + 7, nullptr, 10);
     if (size_t P = Line.find("\"ts\": "); P != std::string::npos)
       E.Ts = std::strtod(Line.c_str() + P + 6, nullptr);
-    if (size_t P = Line.find("\"id\": "); P != std::string::npos)
-      E.FlowId = std::strtoull(Line.c_str() + P + 6, nullptr, 10);
     E.HasPid = Line.find("\"pid\": ") != std::string::npos;
     Out.push_back(std::move(E));
   }
@@ -241,7 +238,7 @@ std::vector<ExportedEvent> exportedEvents(const std::string &Json) {
 TEST_F(ObsTraceTest, RingWraparoundKeepsNewestEvents) {
   obs::TraceRing Ring(7, "wrap", 4);
   for (int I = 0; I < 10; ++I)
-    Ring.push(obs::TraceRecord::Kind::Instant, "e" + std::to_string(I), 0,
+    Ring.push(obs::TraceRecord::Kind::Instant, "e" + std::to_string(I),
               nullptr, I, true);
   EXPECT_EQ(Ring.pushCount(), 10u);
 
@@ -259,8 +256,8 @@ TEST_F(ObsTraceTest, RingWraparoundKeepsNewestEvents) {
 TEST_F(ObsTraceTest, RingTruncatesLongNamesWithoutAllocating) {
   obs::TraceRing Ring(0, "trunc", 8);
   std::string Long(200, 'x');
-  Ring.push(obs::TraceRecord::Kind::Begin, Long, 0, "long_arg_name_beyond",
-            1, true);
+  Ring.push(obs::TraceRecord::Kind::Begin, Long, "long_arg_name_beyond", 1,
+            true);
   std::vector<obs::TraceRecord> Window = Ring.drainOrdered();
   ASSERT_EQ(Window.size(), 1u);
   EXPECT_EQ(std::string(Window[0].Name).size(),
@@ -293,7 +290,7 @@ TEST_F(ObsTraceTest, DrainFromReturnsOnlyNewRecords) {
   obs::TraceRing Ring(9, "drain", 8);
   uint64_t Cursor = 0, Lost = 0;
   for (int I = 0; I < 3; ++I)
-    Ring.push(obs::TraceRecord::Kind::Instant, "a" + std::to_string(I), 0,
+    Ring.push(obs::TraceRecord::Kind::Instant, "a" + std::to_string(I),
               nullptr, I, true);
   std::vector<obs::TraceRecord> First = Ring.drainFrom(Cursor, Lost);
   ASSERT_EQ(First.size(), 3u);
@@ -305,7 +302,7 @@ TEST_F(ObsTraceTest, DrainFromReturnsOnlyNewRecords) {
   EXPECT_EQ(Cursor, 3u);
 
   for (int I = 3; I < 5; ++I)
-    Ring.push(obs::TraceRecord::Kind::Instant, "a" + std::to_string(I), 0,
+    Ring.push(obs::TraceRecord::Kind::Instant, "a" + std::to_string(I),
               nullptr, I, true);
   std::vector<obs::TraceRecord> Second = Ring.drainFrom(Cursor, Lost);
   ASSERT_EQ(Second.size(), 2u);
@@ -319,7 +316,7 @@ TEST_F(ObsTraceTest, DrainFromCountsRecordsLostToWraparound) {
   uint64_t Cursor = 0, Lost = 0;
   // 10 pushes through a 4-slot ring: the first 6 are gone by drain time.
   for (int I = 0; I < 10; ++I)
-    Ring.push(obs::TraceRecord::Kind::Instant, "e" + std::to_string(I), 0,
+    Ring.push(obs::TraceRecord::Kind::Instant, "e" + std::to_string(I),
               nullptr, I, true);
   std::vector<obs::TraceRecord> Window = Ring.drainFrom(Cursor, Lost);
   ASSERT_EQ(Window.size(), 4u);
@@ -330,7 +327,7 @@ TEST_F(ObsTraceTest, DrainFromCountsRecordsLostToWraparound) {
 
   // A second overflow between drains is charged to Lost as well.
   for (int I = 10; I < 19; ++I)
-    Ring.push(obs::TraceRecord::Kind::Instant, "e" + std::to_string(I), 0,
+    Ring.push(obs::TraceRecord::Kind::Instant, "e" + std::to_string(I),
               nullptr, I, true);
   Window = Ring.drainFrom(Cursor, Lost);
   ASSERT_EQ(Window.size(), 4u);
@@ -372,10 +369,6 @@ TEST_F(ObsTraceTest, DisabledTracingRecordsNothing) {
   obs::traceEnd();
   obs::traceInstant("off");
   obs::traceCounter("off", 42);
-  uint64_t Flow = obs::traceNextFlowId();
-  EXPECT_EQ(Flow, 0u); // 0 = "no flow" at call sites
-  obs::traceFlowStart("off", Flow);
-  obs::traceFlowFinish("off", Flow);
   { obs::PhaseSpan Span("off_span"); }
   EXPECT_EQ(totalRecords(), 0u);
 }
@@ -460,51 +453,8 @@ TEST_F(ObsTraceTest, ExportEscapesHostileNames) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cross-thread flows and span attribution through parallelFor
+// Span attribution through parallelFor
 //===----------------------------------------------------------------------===//
-
-TEST_F(ObsTraceTest, PoolFlowIdsMatchAcrossEnqueueAndExecute) {
-  constexpr size_t Workers = 2;
-  {
-    obs::PhaseSpan Caller("compact");
-    parallelFor(ParallelConfig::withJobs(Workers), 8, [](size_t) {});
-  }
-
-  std::multiset<uint64_t> Started, Finished;
-  std::set<long> StartTids, FinishTids;
-  for (const auto &T : obs::traceRecorder().snapshot())
-    for (const obs::TraceRecord &R : T.Records) {
-      if (R.K == obs::TraceRecord::Kind::FlowStart) {
-        Started.insert(R.FlowId);
-        StartTids.insert(T.Tid);
-      } else if (R.K == obs::TraceRecord::Kind::FlowFinish) {
-        Finished.insert(R.FlowId);
-        FinishTids.insert(T.Tid);
-      }
-    }
-  EXPECT_EQ(Started.size(), Workers); // one arrow per worker
-  EXPECT_EQ(Started, Finished);        // every arrow lands exactly once
-  for (uint64_t Id : Started)
-    EXPECT_NE(Id, 0u);
-  // Execution happens on worker threads, never on the calling thread.
-  for (long Tid : FinishTids)
-    EXPECT_FALSE(StartTids.count(Tid));
-
-  // The export renders them as s/f pairs with matching ids, f closing
-  // the arrow with bp:"e".
-  std::string Json = obs::exportTraceJson(obs::traceRecorder());
-  std::multiset<uint64_t> ExportedS, ExportedF;
-  for (const ExportedEvent &E : exportedEvents(Json)) {
-    if (E.Ph == 's')
-      ExportedS.insert(E.FlowId);
-    if (E.Ph == 'f') {
-      ExportedF.insert(E.FlowId);
-      EXPECT_NE(E.Line.find("\"bp\": \"e\""), std::string::npos) << E.Line;
-    }
-  }
-  EXPECT_EQ(ExportedS, Started);
-  EXPECT_EQ(ExportedF, Finished);
-}
 
 TEST_F(ObsTraceTest, PoolTaskSpansNestUnderEnqueuingPhase) {
   obs::setMetricsEnabled(true);

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace twpp;
@@ -73,11 +74,15 @@ TEST(ParallelFor, MatchesSerialResult) {
   EXPECT_EQ(Serial, Parallel);
 }
 
-TEST(ParallelConfigTest, EffectiveJobs) {
-  EXPECT_EQ(ParallelConfig::withJobs(1).effectiveJobs(), 1u);
-  EXPECT_EQ(ParallelConfig::withJobs(6).effectiveJobs(), 6u);
-  // Jobs = 0 resolves to the hardware concurrency, never to zero.
-  EXPECT_GE(ParallelConfig::withJobs(0).effectiveJobs(), 1u);
+TEST(ParallelFor, AtMostOneJobRunsInline) {
+  // Jobs is a plain count: 0 and 1 both run every index on the caller.
+  for (unsigned Jobs : {0u, 1u}) {
+    std::vector<std::thread::id> Ran;
+    parallelFor(ParallelConfig::withJobs(Jobs), 3,
+                [&Ran](size_t) { Ran.push_back(std::this_thread::get_id()); });
+    EXPECT_EQ(Ran, std::vector<std::thread::id>(3, std::this_thread::get_id()))
+        << "jobs " << Jobs;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -127,7 +132,7 @@ TEST(ParallelDeterminism, TestProfileWorkloads) {
 
 TEST(ParallelDeterminism, ArchiveFilesAreByteIdentical) {
   // cmp-level check through the file layer, the satellite's exact claim:
-  // `--jobs 1` and `--jobs 8` archives compare equal byte for byte.
+  // One-job and eight-job archives compare equal byte for byte.
   RawTrace Trace = generateWorkloadTrace(testProfiles().front());
   TwppWpp Wpp = compactWpp(Trace);
 

@@ -3,10 +3,10 @@
 // Part of the TWPP reproduction of Zhang & Gupta, PLDI 2001.
 //
 // Covers the B/E -> Enter/Exit lowering (obs/SelfProfile.h
-// adaptSpanRecords) including span-path interning, flow-id
-// grafting of parallelFor worker streams and ring-wraparound truncation, the
-// sidecar round trip, and the end-to-end SelfProfiler run whose archive
-// must satisfy the full verifier.
+// adaptSpanRecords) including span-path interning, the merge of several
+// threads' roots and ring-wraparound truncation, the sidecar round trip,
+// and the end-to-end SelfProfiler run whose archive must satisfy the full
+// verifier.
 //
 //===----------------------------------------------------------------------===//
 
@@ -62,11 +62,10 @@ TEST(GapBuckets, MonotonicWithBoundedError) {
 //===----------------------------------------------------------------------===//
 
 obs::TraceRecord record(obs::TraceRecord::Kind K, const char *Name,
-                        uint64_t TsNs, uint64_t FlowId = 0) {
+                        uint64_t TsNs) {
   obs::TraceRecord R;
   R.K = K;
   R.TsNs = TsNs;
-  R.FlowId = FlowId;
   std::snprintf(R.Name, sizeof(R.Name), "%s", Name);
   R.ArgName[0] = '\0';
   return R;
@@ -166,48 +165,41 @@ TEST(AdaptSpanRecords, TruncatedAndUnclosedSpansDegradeGracefully) {
   EXPECT_GE(functionOf(Stream, "outer/inner"), 0);
 }
 
-TEST(AdaptSpanRecords, FlowGraftsWorkerRootsUnderOrigin) {
-  // Thread 0 enqueues two tasks inside compact/dbb; thread 1 and 2 each
-  // run one task whose wrapper span opens with the FlowFinish.
+TEST(AdaptSpanRecords, WorkerRootsBecomeTopLevelRoots) {
+  // Thread 0 runs compact/dbb; threads 1 and 2 each run one pool slice.
+  // Every thread's root spans are roots of the profile, in begin order.
   std::vector<std::vector<obs::TraceRecord>> PerThread(3);
   PerThread[0] = {
       record(Kind::Begin, "compact", 1000),
       record(Kind::Begin, "dbb", 2000),
-      record(Kind::FlowStart, "pool.task", 2100, 7),
-      record(Kind::FlowStart, "pool.task", 2200, 8),
       record(Kind::End, "", 9000),
       record(Kind::End, "", 9500),
   };
   PerThread[1] = {
       record(Kind::Begin, "pool", 3000),
-      record(Kind::FlowFinish, "pool.task", 3001, 7),
       record(Kind::Begin, "dbb_function", 3100),
       record(Kind::End, "", 4000),
       record(Kind::End, "", 4100),
   };
   PerThread[2] = {
       record(Kind::Begin, "pool", 3500),
-      record(Kind::FlowFinish, "pool.task", 3501, 8),
       record(Kind::End, "", 4600),
   };
   obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
 
   EXPECT_TRUE(Stream.Trace.isWellFormed());
-  EXPECT_EQ(Stream.Stats.OrphanFlows, 0u);
-  // Worker spans inherited the enqueuing span's path — the ScopedRoot
-  // aggregation, reproduced from raw records.
-  EXPECT_GE(functionOf(Stream, "compact/dbb/pool"), 0);
-  EXPECT_GE(functionOf(Stream, "compact/dbb/pool/dbb_function"), 0);
-  EXPECT_EQ(functionOf(Stream, "pool"), -1) << "ungrafted worker root";
+  EXPECT_EQ(Stream.FunctionPaths,
+            (std::vector<std::string>{"compact", "compact/dbb", "pool",
+                                      "pool/dbb_function"}));
   EXPECT_EQ(Stream.Stats.Spans, 5u); // compact, dbb, 2x pool, dbb_function
+  EXPECT_EQ(Stream.Trace.callCount(), 5u);
 }
 
 TEST(AdaptSpanRecords, MainStreamSurvivesLosingTidZeroToPollerThread) {
   // Ring indices are creation order, not "main first": a background
   // metrics poller can push a counter before main's first span and
-  // claim tid 0. The enqueuing stream must still root at top level and
-  // receive its worker grafts — only streams that recorded a flow
-  // finish are pool slices.
+  // claim tid 0. Main's spans must still root at top level, and the
+  // poller's counter-only stream adds no span.
   std::vector<std::vector<obs::TraceRecord>> PerThread(3);
   PerThread[0] = {
       record(Kind::Counter, "mem.rss_bytes", 500),
@@ -215,68 +207,20 @@ TEST(AdaptSpanRecords, MainStreamSurvivesLosingTidZeroToPollerThread) {
   };
   PerThread[1] = {
       record(Kind::Begin, "compact", 1000),
-      record(Kind::FlowStart, "pool.task", 1100, 3),
       record(Kind::End, "", 9000),
       record(Kind::Begin, "archive_encode", 9100),
       record(Kind::End, "", 9900),
   };
   PerThread[2] = {
       record(Kind::Begin, "pool", 2000),
-      record(Kind::FlowFinish, "pool.task", 2001, 3),
       record(Kind::End, "", 3000),
   };
   obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
 
   EXPECT_TRUE(Stream.Trace.isWellFormed());
-  EXPECT_EQ(Stream.Stats.OrphanFlows, 0u);
-  EXPECT_GE(functionOf(Stream, "compact"), 0);
-  EXPECT_GE(functionOf(Stream, "archive_encode"), 0);
-  EXPECT_GE(functionOf(Stream, "compact/pool"), 0);
-  for (const std::string &Path : Stream.FunctionPaths)
-    EXPECT_EQ(Path.find("(detached)"), std::string::npos) << Path;
-}
-
-TEST(AdaptSpanRecords, SameThreadFlowDoesNotGraftRootIntoOwnSubtree) {
-  // A flow started and finished on one thread (inline task execution)
-  // must not reparent that thread's own roots — the origin has to be
-  // on another thread.
-  std::vector<std::vector<obs::TraceRecord>> PerThread(1);
-  PerThread[0] = {
-      record(Kind::Begin, "compact", 1000),
-      record(Kind::FlowStart, "pool.task", 1100, 5),
-      record(Kind::End, "", 2000),
-      record(Kind::Begin, "pool", 2100),
-      record(Kind::FlowFinish, "pool.task", 2101, 5),
-      record(Kind::End, "", 3000),
-  };
-  obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
-
-  EXPECT_TRUE(Stream.Trace.isWellFormed());
-  // No cross-thread origin: the slice surfaces as detached rather than
-  // cycling into compact's subtree.
-  EXPECT_EQ(Stream.Stats.OrphanFlows, 1u);
-  EXPECT_GE(functionOf(Stream, "compact"), 0);
-  EXPECT_GE(functionOf(Stream, "(detached)/pool"), 0);
-}
-
-TEST(AdaptSpanRecords, UnmatchedFlowBecomesDetachedRoot) {
-  std::vector<std::vector<obs::TraceRecord>> PerThread(2);
-  PerThread[0] = {
-      record(Kind::Begin, "compact", 1000),
-      record(Kind::End, "", 2000),
-  };
-  // The FlowStart for id 9 was lost to wraparound: the worker root has
-  // no origin and must surface as a detached root, not vanish.
-  PerThread[1] = {
-      record(Kind::Begin, "pool", 3000),
-      record(Kind::FlowFinish, "pool.task", 3001, 9),
-      record(Kind::End, "", 4000),
-  };
-  obs::SpanEventStream Stream = obs::adaptSpanRecords(PerThread);
-  EXPECT_TRUE(Stream.Trace.isWellFormed());
-  EXPECT_EQ(Stream.Stats.OrphanFlows, 1u);
-  EXPECT_GE(functionOf(Stream, "(detached)/pool"), 0);
-  EXPECT_EQ(Stream.Stats.Spans, 2u);
+  EXPECT_EQ(Stream.FunctionPaths,
+            (std::vector<std::string>{"compact", "pool", "archive_encode"}));
+  EXPECT_EQ(Stream.Stats.Spans, 3u);
 }
 
 TEST(AdaptSpanRecords, RegistryOverflowCountsButStaysWellFormed) {
@@ -306,22 +250,17 @@ TEST(AdaptSpanRecords, RegistryOverflowCountsButStaysWellFormed) {
 //===----------------------------------------------------------------------===//
 
 TEST(AdaptSpanRecords, AnySuffixOfStreamStaysWellFormedProperty) {
-  // A deterministic, deeply nested two-thread script with flows.
+  // A deterministic, deeply nested two-thread script.
   std::vector<obs::TraceRecord> Main, Worker;
   uint64_t Ts = 1000;
-  uint64_t Flow = 1;
   for (int Outer = 0; Outer < 4; ++Outer) {
     Main.push_back(record(Kind::Begin, "compact", Ts += 100));
     for (int Inner = 0; Inner < 3; ++Inner) {
       Main.push_back(record(Kind::Begin, "dbb", Ts += 100));
-      Main.push_back(record(Kind::FlowStart, "pool.task", Ts += 10, Flow));
-      Worker.push_back(record(Kind::Begin, "pool", Ts += 50));
-      Worker.push_back(
-          record(Kind::FlowFinish, "pool.task", Ts += 1, Flow));
+      Worker.push_back(record(Kind::Begin, "pool", Ts += 60));
       Worker.push_back(record(Kind::Begin, "work", Ts += 100));
       Worker.push_back(record(Kind::End, "", Ts += 2000));
       Worker.push_back(record(Kind::End, "", Ts += 100));
-      ++Flow;
       Main.push_back(record(Kind::End, "", Ts += 100));
     }
     Main.push_back(record(Kind::End, "", Ts += 100));
@@ -480,11 +419,10 @@ TEST_F(SelfProfilerEndToEnd, ArchiveVerifiesCleanAndMatchesSidecar) {
   EXPECT_EQ(Meta.FunctionPaths.size(), Wpp.Functions.size());
   EXPECT_EQ(Meta.Stats.Spans, Stats.Spans);
 
-  // The worker spans were grafted under the calling stage.
-  bool SawGraft = false;
-  for (const std::string &Path : Meta.FunctionPaths)
-    SawGraft |= Path == "compact/dbb/pool/dbb_function";
-  EXPECT_TRUE(SawGraft) << "flow grafting missing in end-to-end run";
+  // Each worker's spans are roots of their own.
+  EXPECT_NE(std::find(Meta.FunctionPaths.begin(), Meta.FunctionPaths.end(),
+                      "pool/dbb_function"),
+            Meta.FunctionPaths.end());
 }
 
 TEST_F(SelfProfilerEndToEnd, DrainSurvivesRingWraparound) {

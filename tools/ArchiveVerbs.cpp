@@ -62,10 +62,9 @@ bool readArchive(const std::string &Path, TwppWpp &Wpp) {
 
 /// Writes what \p Sink compacted to \p Path, saying why on stderr if it
 /// cannot.
-bool writeCompacted(StreamingCompactor &Sink, const char *Path,
-                    const ParallelConfig &Jobs) {
+bool writeCompacted(StreamingCompactor &Sink, const char *Path) {
   IoError WriteError;
-  if (writeArchiveFile(Path, Sink.takeCompacted(Jobs), Jobs, &WriteError))
+  if (writeArchiveFile(Path, Sink.takeCompacted(), {}, &WriteError))
     return true;
   std::fprintf(stderr, "cannot write %s: %s\n", Path,
                WriteError.message().c_str());
@@ -157,7 +156,7 @@ int tool::runTrace(const Invocation &Inv) {
     uint64_t Events = Sink->eventsConsumed();
     while (!Sink->balanced())
       Sink->onExit();
-    if (!writeCompacted(*Sink, ArchivePath, Inv.Jobs))
+    if (!writeCompacted(*Sink, ArchivePath))
       return 1;
     std::fprintf(stderr,
                  "wrote %s from %s (%llu checkpointed events recovered)\n",
@@ -196,7 +195,7 @@ int tool::runTrace(const Invocation &Inv) {
                  "open frames\n",
                  (unsigned long long)Sink.degradedFrames());
 
-  if (!writeCompacted(Sink, ArchivePath, Inv.Jobs))
+  if (!writeCompacted(Sink, ArchivePath))
     return 1;
   std::fprintf(stderr, "wrote %s (%llu blocks executed, %zu functions)\n",
                ArchivePath, (unsigned long long)Result.BlocksExecuted,

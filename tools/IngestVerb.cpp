@@ -234,7 +234,6 @@ int tool::runIngest(const Invocation &Inv) {
   std::string Error;
   if (!Opts.Fault.empty() && !fault::setFaultSpec(Opts.Fault, &Error))
     return Inv.usage("bad --fault spec: " + Error);
-  Opts.Config.Parallel = Inv.Jobs;
   Opts.Config.CrashHook = [] { raise(SIGKILL); };
 
   if (Mode == "produce")

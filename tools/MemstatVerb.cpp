@@ -69,15 +69,19 @@ uint64_t modelBytes(const TwppFunctionTable &Table) {
   return Bytes;
 }
 
-bool collect(const std::string &Path, ArchiveStat &Stat) {
+/// Fills \p Stat; when \p Path cannot be decoded, \p Why says why.
+bool collect(const std::string &Path, ArchiveStat &Stat,
+             verify::Diagnostic &Why) {
   Stat.Path = Path;
   TwppWpp Wpp;
-  if (!verify::auditArchiveMemory(Path, Stat.Audit, &Wpp))
+  if (!verify::auditArchiveMemory(Path, Stat.Audit, &Wpp, &Why))
     return false;
 
   ArchiveReader Reader;
-  if (!Reader.open(Path))
+  if (!Reader.open(Path)) {
+    Why = Reader.lastError();
     return false;
+  }
 
   std::error_code Ec;
   Stat.FileBytes = std::filesystem::file_size(Path, Ec);
@@ -199,10 +203,9 @@ int tool::runMemstat(const Invocation &Inv) {
   std::vector<ArchiveStat> Stats;
   for (const std::string &Path : Archives) {
     ArchiveStat Stat;
-    if (!collect(Path, Stat)) {
-      std::fprintf(stderr, "twpp memstat: cannot read %s\n", Path.c_str());
-      return cli::ExitUsage;
-    }
+    verify::Diagnostic Why;
+    if (!collect(Path, Stat, Why))
+      return Inv.unusable(Path, {Why});
     Stats.push_back(std::move(Stat));
   }
 

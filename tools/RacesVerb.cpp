@@ -78,26 +78,15 @@ int tool::runRaces(const Invocation &Inv) {
   for (const std::string &Path : Inv.Args) {
     ArchiveReader Reader;
     ConcurrencyInfo Conc;
-    if (!Reader.open(Path) || !Reader.readConcurrency(Conc)) {
-      const verify::Diagnostic &D = Reader.lastError();
-      std::fprintf(stderr, "twpp races: %s: [%s] %s (%s)\n", Path.c_str(),
-                   D.CheckId.c_str(), D.Message.c_str(), D.Location.c_str());
-      return cli::ExitUsage;
-    }
+    if (!Reader.open(Path) || !Reader.readConcurrency(Conc))
+      return Inv.unusable(Path, {Reader.lastError()});
 
     // The engine assumes the thread and race invariants; on an archive
     // that breaks them its verdict could drop a race, so it gives none.
     verify::DiagnosticEngine Engine;
     verify::runConcurrencyChecks(Conc, nullptr, Engine);
-    if (!Engine.clean()) {
-      for (const verify::Diagnostic &D : Engine.diagnostics())
-        std::fprintf(stderr, "twpp races: %s: [%s] %s (%s)\n", Path.c_str(),
-                     D.CheckId.c_str(), D.Message.c_str(),
-                     D.Location.c_str());
-      if (Inv.Json)
-        Inv.Json->Diagnostics = Engine.diagnostics();
-      return cli::ExitUsage;
-    }
+    if (!Engine.clean())
+      return Inv.unusable(Path, Engine.diagnostics());
 
     RaceReport Report = detectRacesCompacted(Conc);
     AnyRaces |= Report.racy();

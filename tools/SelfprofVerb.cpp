@@ -56,7 +56,7 @@ struct RankedPath {
 };
 
 struct StageReport {
-  std::string Name; ///< First path component ("compact", "(detached)").
+  std::string Name; ///< First path component ("compact", "archive_encode").
   uint64_t ExclusiveNs = 0;
   uint64_t Calls = 0;
   std::vector<RankedPath> Hot; ///< Use-count ranked across the stage.
@@ -127,10 +127,9 @@ void renderText(const std::string &ArchivePath, const obs::SelfProfileMeta &M,
           (unsigned long long)M.Stats.Functions,
           (unsigned long long)M.Stats.Spans, (unsigned long long)M.Stats.Events,
           (unsigned long long)M.Stats.RecordsDropped);
-  appendf(Out, "  truncated %llu, unclosed %llu, orphan flows %llu\n",
+  appendf(Out, "  truncated %llu, unclosed %llu\n",
           (unsigned long long)M.Stats.TruncatedSpans,
-          (unsigned long long)M.Stats.UnclosedSpans,
-          (unsigned long long)M.Stats.OrphanFlows);
+          (unsigned long long)M.Stats.UnclosedSpans);
   if (M.Stats.TraceJsonBytes != 0 && M.Stats.ArchiveBytes != 0) {
     appendf(Out,
             "  archive %llu bytes vs chrome-trace json %llu bytes "
@@ -202,7 +201,6 @@ void reportJson(const std::string &ArchivePath, const obs::SelfProfileMeta &M,
       .field("records_dropped", M.Stats.RecordsDropped)
       .field("truncated_spans", M.Stats.TruncatedSpans)
       .field("unclosed_spans", M.Stats.UnclosedSpans)
-      .field("orphan_flows", M.Stats.OrphanFlows)
       .field("archive_bytes", M.Stats.ArchiveBytes)
       .field("trace_json_bytes", M.Stats.TraceJsonBytes)
       .end()

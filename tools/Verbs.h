@@ -29,7 +29,6 @@
 
 #include "obs/Json.h"
 #include "support/CliCommon.h"
-#include "support/Parallel.h"
 #include "verify/Diagnostics.h"
 
 #include <cstddef>
@@ -45,26 +44,33 @@ namespace tool {
 
 struct VerbSpec;
 
-/// What a verb reports under `--format=json`: the fields of its body and,
-/// for verify and recover, its diagnostics. The driver adds the schema,
-/// the verb's name and its exit code.
+/// What a verb reports under `--format=json`: the fields of its body and
+/// its diagnostics (verify's and recover's findings, or why an input was
+/// unusable). The driver adds the schema, the verb's name and its exit
+/// code.
 struct Report {
   obs::JsonWriter Body; ///< Already inside the body object.
   std::vector<verify::Diagnostic> Diagnostics;
 };
 
 /// What the driver hands a verb: the positional words after the verb's
-/// name, their count already checked against the table, the global
-/// `--jobs` setting and the report format.
+/// name, their count already checked against the table, and the report
+/// format.
 struct Invocation {
   const VerbSpec *Verb = nullptr;
   std::vector<std::string> Args;
-  ParallelConfig Jobs;
   std::string Format = "text"; ///< One of the verb's Formats.
   Report *Json = nullptr;      ///< Set under `--format=json` only.
 
   /// Prints \p Why and the verb's usage to stderr. \returns cli::ExitUsage.
   int usage(const std::string &Why) const;
+
+  /// Says on stderr why the input \p Path is unusable, one
+  /// `twpp <verb>: <path>: [check] message (location)` line per
+  /// diagnostic, and puts \p Why in the JSON report. \returns
+  /// cli::ExitUsage.
+  int unusable(const std::string &Path,
+               const std::vector<verify::Diagnostic> &Why) const;
 };
 
 /// Appends printf-style formatted text, of any length, to \p Out.

@@ -143,10 +143,9 @@ int tool::runVerify(const Invocation &Inv) {
   DiagnosticEngine Engine(Opts.Glob);
 
   for (const std::string &Path : Archives) {
-    if (!verifyArchiveFile(Path, Engine)) {
-      std::fprintf(stderr, "twpp verify: cannot read %s\n", Path.c_str());
-      return cli::ExitUsage;
-    }
+    Diagnostic ReadError;
+    if (!verifyArchiveFile(Path, Engine, &ReadError))
+      return Inv.unusable(Path, {ReadError});
     if (anyCheckEnabled(Engine, "twpp-dataflow-"))
       runAnnotationChecks(Path, Engine);
     if (anyCheckEnabled(Engine, "twpp-mem-"))

@@ -76,18 +76,11 @@ const VerbSpec Verbs[] = {
      metricsDiffFlags, runMetricsDiff},
 };
 
-/// The flags every verb accepts: `--jobs` and the telemetry sinks.
-ParallelConfig Jobs;
+/// The flags every verb accepts: the telemetry sinks.
 obs::TelemetrySession Telemetry;
 
 /// The value of the verb's `--format` flag.
 std::string ReportFormat = "text";
-
-cli::FlagTable globalFlags() {
-  cli::FlagTable Flags = Telemetry.flags();
-  Flags.insert(Flags.begin(), cli::jobsFlag(Jobs.Jobs));
-  return Flags;
-}
 
 /// The verb's own flags, and `--format` when it has report formats.
 cli::FlagTable verbFlags(const VerbSpec &V) {
@@ -142,9 +135,21 @@ int tool::Invocation::usage(const std::string &Why) const {
               V.Summary + "\n";
   }
   Text += "global flags, before or after the verb:\n" +
-          cli::renderFlags(globalFlags()) +
+          cli::renderFlags(Telemetry.flags()) +
           "exit codes: 0 clean, 1 findings or failure, 2 usage or fatal IO\n";
   std::fputs(Text.c_str(), stderr);
+  return cli::ExitUsage;
+}
+
+int tool::Invocation::unusable(
+    const std::string &Path,
+    const std::vector<verify::Diagnostic> &Why) const {
+  for (const verify::Diagnostic &D : Why)
+    std::fprintf(stderr, "twpp %s: %s: [%s] %s (%s)\n", Verb->Name,
+                 Path.c_str(), D.CheckId.c_str(), D.Message.c_str(),
+                 D.Location.c_str());
+  if (Json)
+    Json->Diagnostics = Why;
   return cli::ExitUsage;
 }
 
@@ -166,7 +171,7 @@ int main(int Argc, char **Argv) {
   // environment variable is set.
   verify::installPipelineVerifier();
   std::vector<std::string> Args(Argv + 1, Argv + Argc);
-  cli::FlagTable GlobalFlags = globalFlags();
+  cli::FlagTable GlobalFlags = Telemetry.flags();
   Invocation Inv;
   Inv.Verb = findVerb(Args, GlobalFlags);
   if (!Inv.Verb) {
@@ -182,7 +187,6 @@ int main(int Argc, char **Argv) {
   Inv.Args.erase(Inv.Args.begin()); // the verb's own name
   if (Inv.Args.size() < Verb->MinArgs || Inv.Args.size() > Verb->MaxArgs)
     return Inv.usage("wrong number of arguments");
-  Inv.Jobs = Jobs;
   Inv.Format = ReportFormat;
   Report Json;
   if (ReportFormat == "json") {
