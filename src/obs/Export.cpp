@@ -60,7 +60,7 @@ void names::registerCanonicalMetrics(MetricsRegistry &Registry) {
         TraceDroppedEvents, SelfprofSpans, SelfprofEvents,
         SelfprofRecordsDropped, SelfprofTruncatedSpans,
         SelfprofUnclosedSpans, RacesRuns, RacesThreadsCompacted,
-        RacesEdgesDerived, RacesSegments, RacesSegmentPairs,
+        RacesEdgesDerived, RacesEdgeRuns, RacesSegments, RacesSegmentPairs,
         RacesPairsCovered, RacesFound, RacesRacyPairs, IngestProducers,
         IngestFrames, IngestFrameBytes, IngestEvents, IngestFramesCorrupt,
         IngestResyncBytes, IngestFramesInvalid, IngestFramesDuplicate,

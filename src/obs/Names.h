@@ -141,6 +141,7 @@ inline constexpr const char *RacesRuns = "races.runs";
 inline constexpr const char *RacesThreadsCompacted =
     "races.threads_compacted";
 inline constexpr const char *RacesEdgesDerived = "races.edges_derived";
+inline constexpr const char *RacesEdgeRuns = "races.edge_runs";
 inline constexpr const char *RacesSegments = "races.segments";
 inline constexpr const char *RacesSegmentPairs = "races.segment_pairs";
 inline constexpr const char *RacesPairsCovered = "races.pairs_covered";

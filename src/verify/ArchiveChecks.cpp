@@ -506,10 +506,10 @@ void checkDcg(const TwppWpp &Wpp, DiagnosticEngine &Engine) {
 }
 
 //===----------------------------------------------------------------------===//
-// Version-2 section trailer.
+// Version-3 section trailer.
 //===----------------------------------------------------------------------===//
 
-/// Decodes the three thread sections of an intact version-2 trailer into
+/// Decodes the three thread sections of an intact version-3 trailer into
 /// \p Conc, reporting a missing HBEG or ACCS section (the layout reports
 /// a missing THRD) and each section that does not decode. \returns true
 /// when every section decoded (only then are the thread/race checks
@@ -527,7 +527,7 @@ bool checkSections(ByteSpan File, const ArchiveLayout &Layout,
     if (!Sec) {
       if (Tag != ArchiveSectionThreads)
         Engine.report(checks::ArchiveSection, Severity::Error,
-                      "version 2 archive is missing the " + Name +
+                      "version 3 archive is missing the " + Name +
                           " section",
                       "section directory",
                       Layout.DcgOffset + Layout.DcgLength);
@@ -707,7 +707,7 @@ void verify::runArchiveBytesChecks(const std::vector<uint8_t> &Bytes,
   if (AllDecoded)
     runWppChecks(Wpp, Engine);
 
-  // Version 2: the thread trailer, then the thread/race families over it.
+  // Version 3: the thread trailer, then the thread/race families over it.
   ConcurrencyInfo Conc;
   if (Layout.TrailerIntact && checkSections(File, Layout, Conc, Engine))
     runConcurrencyChecks(Conc, AllDecoded ? &Wpp : nullptr, Engine);

@@ -122,9 +122,9 @@ const std::vector<CheckInfo> &verify::checkCatalog() {
        "annotated-CFG node timestamps equal the owning trace's set for "
        "that block"},
 
-      // Thread family (version-2 thread-aware archives).
+      // Thread family (version-3 thread-aware archives).
       {checks::ArchiveSection, "archive", Severity::Error,
-       "version-2 section trailer well-formed: known tags only, no "
+       "version-3 section trailer well-formed: known tags only, no "
        "duplicates, extents inside the file, thread table present, every "
        "section decodes"},
       {checks::ThreadPartition, "thread", Severity::Error,

@@ -48,7 +48,7 @@ inline constexpr const char *DcgConsistency = "twpp-dcg-consistency";
 inline constexpr const char *DcgCallCounts = "twpp-dcg-call-counts";
 inline constexpr const char *ArchiveSection = "twpp-archive-section";
 
-// Thread family: the version-2 thread-aware trailer (thread table,
+// Thread family: the version-3 thread-aware trailer (thread table,
 // happens-before edges, access sets) against the merged body.
 inline constexpr const char *ThreadPartition = "twpp-thread-partition";
 inline constexpr const char *ThreadSyncEdges = "twpp-thread-sync-edges";

@@ -38,16 +38,21 @@ std::string bytesStr(uint64_t Bytes) {
 
 bool verify::auditArchiveMemory(const std::string &Path, MemoryAudit &Audit,
                                 TwppWpp *Wpp, Diagnostic *Error) {
+  ArchiveReader Reader;
+  if (Reader.open(Path))
+    return auditArchiveMemory(Reader, Audit, Wpp, Error);
+  Audit = MemoryAudit();
+  if (Error)
+    *Error = Reader.lastError();
+  return false;
+}
+
+bool verify::auditArchiveMemory(const ArchiveReader &Reader,
+                                MemoryAudit &Audit, TwppWpp *Wpp,
+                                Diagnostic *Error) {
   Audit = MemoryAudit();
   TwppWpp Local;
   TwppWpp &Out = Wpp ? *Wpp : Local;
-
-  ArchiveReader Reader;
-  if (!Reader.open(Path)) {
-    if (Error)
-      *Error = Reader.lastError();
-    return false;
-  }
 
   // Decode with tracking force-enabled, capturing the instrumented
   // decoders' records into a private account (the decode entry points

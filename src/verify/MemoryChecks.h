@@ -31,6 +31,8 @@
 #include <string>
 
 namespace twpp {
+class ArchiveReader;
+
 namespace verify {
 
 /// Result of decoding one archive under the allocation tracker.
@@ -60,6 +62,11 @@ inline uint64_t memReconcileToleranceBytes(uint64_t DeepBytes) {
 /// scoped capture. Returns Audit.Decoded; when false, \p Error (when
 /// given) is the reader's diagnostic.
 bool auditArchiveMemory(const std::string &Path, MemoryAudit &Audit,
+                        TwppWpp *Wpp = nullptr, Diagnostic *Error = nullptr);
+
+/// auditArchiveMemory over an archive \p Reader has already opened, for
+/// callers that go on to read the same archive's layout.
+bool auditArchiveMemory(const ArchiveReader &Reader, MemoryAudit &Audit,
                         TwppWpp *Wpp = nullptr, Diagnostic *Error = nullptr);
 
 /// Runs the twpp-mem-* family over \p Path, honouring \p Engine's check

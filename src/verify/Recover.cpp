@@ -127,7 +127,7 @@ bool salvageImpl(const std::vector<uint8_t> &Bytes, std::vector<uint8_t> &Out,
   using Part = ArchiveLayout::Part;
   Report.InputBytes = Bytes.size();
   const ByteSpan File(Bytes);
-  // Salvage rebuilds single-threaded archives only, so version 2 counts
+  // Salvage rebuilds single-threaded archives only, so version 3 counts
   // as unsupported here.
   ArchiveLayout Layout;
   decodeArchiveLayout(File, Layout, /*MaxVersion=*/1);

@@ -95,6 +95,7 @@ ConcurrentWpp twpp::compactConcurrentWpp(const ConcurrentTrace &Trace) {
     obs::MetricsRegistry &M = obs::metrics();
     M.counter(obs::names::RacesThreadsCompacted).add(ThreadCount);
     M.counter(obs::names::RacesEdgesDerived).add(Out.Conc.Edges.size());
+    M.counter(obs::names::RacesEdgeRuns).add(Out.Conc.Edges.runs().size());
   }
   return Out;
 }

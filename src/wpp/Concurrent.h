@@ -15,10 +15,11 @@
 /// verify) applies unchanged.
 ///
 /// Alongside the merged body, a ConcurrencyInfo records what the merge
-/// cannot express: the thread table, the derived happens-before edges,
-/// and per-thread per-address access timestamp sets (the same
-/// run-compressed TimestampSet the path traces use — reads and writes of
-/// one address become two series over the thread's 1..N block clock).
+/// cannot express: the thread table, the derived happens-before edges
+/// (as runs whose indices and times step by constants), and per-thread
+/// per-address access timestamp sets (the same run-compressed
+/// TimestampSet the path traces use — reads and writes of one address
+/// become two series over the thread's 1..N block clock).
 /// This is the archive's thread trailer and the race detector's entire
 /// input: races are found without touching the control-flow blocks.
 ///
@@ -62,7 +63,7 @@ struct ThreadAccessTable {
 struct ConcurrencyInfo {
   uint32_t FunctionCount = 0; ///< Real (per-thread) function-id space.
   std::vector<ThreadInfo> Threads;
-  std::vector<HbEdge> Edges; ///< In derivation order (see deriveHbEdges).
+  HbEdgeRuns Edges; ///< In derivation order (see deriveHbEdges).
   std::vector<ThreadAccessTable> Accesses; ///< Parallel to Threads.
 
   bool operator==(const ConcurrencyInfo &Other) const = default;

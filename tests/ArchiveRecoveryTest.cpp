@@ -142,7 +142,7 @@ TEST_F(ArchiveRecovery, BadMagicAndVersionAreFatal) {
 }
 
 TEST_F(ArchiveRecovery, ThreadAwareArchivesAreRefused) {
-  // Salvage rebuilds single-threaded archives only: a version-2 input is
+  // Salvage rebuilds single-threaded archives only: a version-3 input is
   // refused at the version field, not half-salvaged without its trailer.
   ConcurrentWpp Wpp = compactConcurrentWpp(
       generateConcurrentTrace(testConcurrentProfiles()[0]));

@@ -10,6 +10,9 @@
 //
 // `twpp races` gives no verdict on a thread-aware archive that breaks
 // the invariants its engine assumes: it names the failed check, exit 2.
+// An HBEG section whose runs do not tile the edge list, and a version-2
+// archive, are named by verify and races at the section's or the
+// version field's byte.
 // An archive that cannot be read at all is named the same way by races,
 // memstat and verify, on stderr and in the --format=json diagnostics.
 //
@@ -19,6 +22,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HbegFixtures.h"
+
+#include "support/FileIO.h"
 #include "workloads/Concurrent.h"
 #include "wpp/Archive.h"
 #include "wpp/Concurrent.h"
@@ -154,6 +160,49 @@ TEST(CliMalformedConcurrency, RacesNamesTheCheckAndGivesNoVerdict) {
   EXPECT_EQ(Doc.str().find("\"verdict\""), std::string::npos) << Doc.str();
   std::remove(Path.c_str());
   std::remove(Report.c_str());
+}
+
+TEST(CliMalformedHbeg, VerifyAndRacesNameTheSectionAtItsOffset) {
+  // Two runs that both claim edge 2.
+  uint64_t At = 0;
+  std::vector<uint8_t> Bytes = fixtures::withHbegPayload(
+      fixtures::contendedArchiveBytes(),
+      fixtures::hbegPayload(
+          {{0, 0, 1, 4, 5, 2, 2, 1, 1}, {0, 2, 1, 4, 5, 2, 1, 1, 1}}),
+      At);
+  std::string Path = ::testing::TempDir() + "/twpp_overlapping_hbeg.twpp";
+  ASSERT_TRUE(writeFileBytes(Path, Bytes).ok());
+  CommandRun Verify = runTwpp("verify " + Path);
+  ASSERT_TRUE(WIFEXITED(Verify.Status)) << Verify.Output;
+  EXPECT_EQ(WEXITSTATUS(Verify.Status), 1) << Verify.Output;
+  EXPECT_NE(Verify.Output.find("error: [twpp-archive-section] HBEG section: "
+                               "HBEG section does not decode (byte " +
+                               std::to_string(At) + ")"),
+            std::string::npos)
+      << Verify.Output;
+  CommandRun Races = runTwpp("races " + Path);
+  ASSERT_TRUE(WIFEXITED(Races.Status)) << Races.Output;
+  EXPECT_EQ(WEXITSTATUS(Races.Status), 2) << Races.Output;
+  EXPECT_NE(Races.Output.find("[twpp-archive-section] HBEG section does not "
+                              "decode"),
+            std::string::npos)
+      << Races.Output;
+
+  Bytes = fixtures::contendedArchiveBytes();
+  Bytes[4] = 2; // the version field
+  ASSERT_TRUE(writeFileBytes(Path, Bytes).ok());
+  for (const std::string Verb : {"verify", "races"}) {
+    CommandRun Run = runTwpp(Verb + " " + Path);
+    ASSERT_TRUE(WIFEXITED(Run.Status)) << Run.Output;
+    EXPECT_EQ(WEXITSTATUS(Run.Status), Verb == "verify" ? 1 : 2) << Run.Output;
+    EXPECT_NE(Run.Output.find("[twpp-archive-header] "),
+              std::string::npos)
+        << Run.Output;
+    EXPECT_NE(Run.Output.find("unsupported archive version 2"),
+              std::string::npos)
+        << Run.Output;
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(CliUnreadableArchive, ReportVerbsNameTheReadFailure) {

@@ -49,7 +49,7 @@ TEST(ConcurrentArchiveTest, RoundTrip) {
 
   ArchiveReader Reader;
   ASSERT_TRUE(Reader.open(Path));
-  EXPECT_EQ(Reader.version(), 2u);
+  EXPECT_EQ(Reader.version(), 3u);
   EXPECT_TRUE(Reader.threadAware());
 
   ConcurrencyInfo Conc;
@@ -221,9 +221,10 @@ TEST(ConcurrentArchiveTest, ClockDiagnosticsArePinned) {
     // time 40 inherits the claim on its own future, and the first fork
     // edge now lands behind thread 1's checkpoint at 1.
     ConcurrentWpp Bad = Wpp;
-    Bad.Conc.Edges.insert(Bad.Conc.Edges.begin(),
-                          {{HbEdge::Kind::Lock, 0, 40, 1, 1},
-                           {HbEdge::Kind::Lock, 1, 1, 0, 2}});
+    std::vector<HbEdge> Edges = Bad.Conc.Edges.expand();
+    Edges.insert(Edges.begin(), {{HbEdge::Kind::Lock, 0, 40, 1, 1},
+                                 {HbEdge::Kind::Lock, 1, 1, 0, 2}});
+    Bad.Conc.Edges = Edges;
     std::string Expected = "edge 2: edge 2 targets a time before an "
                            "already-applied edge (clocks would run "
                            "backwards)\n";

@@ -58,14 +58,15 @@ const std::vector<Golden> ArchiveGolden = {
 };
 
 // encodeConcurrentArchive(compactConcurrentWpp(...)) per
-// testConcurrentProfiles().
+// testConcurrentProfiles(): version-3 archives, whose HBEG holds edge
+// runs (the parallel profiles' edges are all runs of one).
 const std::vector<Golden> ConcurrentGolden = {
-    {"contended", 3561, 0xEBB85383u},
-    {"contended-racy", 3576, 0x9C63249Eu},
-    {"pipelined", 26979, 0xCC8073C7u},
-    {"pipelined-racy", 27011, 0x05078675u},
-    {"parallel", 4448, 0x18706F03u},
-    {"parallel-racy", 4512, 0xB9D418B8u},
+    {"contended", 1982, 0x8754244Bu},
+    {"contended-racy", 1997, 0x414F1D61u},
+    {"pipelined", 6403, 0x9D050E43u},
+    {"pipelined-racy", 6435, 0x55F5A6F5u},
+    {"parallel", 4462, 0x5C425B88u},
+    {"parallel-racy", 4526, 0xDA327321u},
 };
 
 class WritePathGolden : public ::testing::TestWithParam<unsigned> {};

@@ -73,15 +73,14 @@ uint64_t modelBytes(const TwppFunctionTable &Table) {
 bool collect(const std::string &Path, ArchiveStat &Stat,
              verify::Diagnostic &Why) {
   Stat.Path = Path;
-  TwppWpp Wpp;
-  if (!verify::auditArchiveMemory(Path, Stat.Audit, &Wpp, &Why))
-    return false;
-
   ArchiveReader Reader;
   if (!Reader.open(Path)) {
     Why = Reader.lastError();
     return false;
   }
+  TwppWpp Wpp;
+  if (!verify::auditArchiveMemory(Reader, Stat.Audit, &Wpp, &Why))
+    return false;
 
   std::error_code Ec;
   Stat.FileBytes = std::filesystem::file_size(Path, Ec);

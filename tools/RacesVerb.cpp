@@ -2,7 +2,7 @@
 //
 // Part of the TWPP reproduction of Zhang & Gupta, PLDI 2001.
 //
-// Detects data races in thread-aware (version 2) TWPP archives by
+// Detects data races in thread-aware (version 3) TWPP archives by
 // analyzing the compacted representation directly — the happens-before
 // engine walks run-compressed access sets against constant-clock
 // segments and never expands the trace:
