@@ -4,9 +4,9 @@
 //
 // Measures the ingestion frontend end to end: N in-process replay
 // producers streaming twpp-wire-v1 frames over loopback sockets into one
-// IngestServer (framed decode, per-producer sequencing, bounded queue,
-// streaming compaction), reported as aggregate events/second. Three
-// configurations bound the design space:
+// IngestServer (framed decode, per-producer sequencing, streaming
+// compaction on each connection's reader), reported as aggregate
+// events/second. Three configurations bound the design space:
 //
 //   p1          one producer, pure pipeline rate
 //   p4          four producers, the CI contract configuration
@@ -58,8 +58,6 @@ struct RunResult {
   double EventsPerSec = 0;
   uint64_t Events = 0;
   double ElapsedMs = 0;
-  uint64_t QueuePeak = 0;
-  uint64_t Waits = 0;
   bool Lossless = false;
 };
 
@@ -81,8 +79,6 @@ RunResult runConfig(const std::vector<RawTrace> &Traces, bool Journal,
     Result.EventsPerSec =
         Report.ElapsedUs > 0 ? Report.EventsApplied * 1e6 / Report.ElapsedUs
                              : 0;
-    Result.QueuePeak = Report.QueueDepthPeak;
-    Result.Waits = Report.BackpressureWaits;
     Result.Lossless = Report.clean();
     if (Rep == 0 || Result.EventsPerSec > Best.EventsPerSec) {
       Best = Result;
@@ -116,7 +112,7 @@ int main(int Argc, char **Argv) {
   TablePrinter Table("Ingestion throughput: wire decode + sequencing + "
                      "streaming compaction (loopback)");
   Table.addRow({"Config", "Producers", "Events", "Elapsed (ms)",
-                "Aggregate rate", "Queue peak", "Waits", "Lossless"});
+                "Aggregate rate", "Lossless"});
 
   struct ConfigSpec {
     const char *Label;
@@ -146,8 +142,6 @@ int main(int Argc, char **Argv) {
                   std::to_string(Result.Events),
                   formatDouble(Result.ElapsedMs, 1),
                   formatRate(Result.EventsPerSec),
-                  std::to_string(Result.QueuePeak),
-                  std::to_string(Result.Waits),
                   Result.Lossless ? "yes" : "NO"});
     Telemetry.checkpoint(Spec.Label);
   }

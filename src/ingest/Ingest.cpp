@@ -4,18 +4,20 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Threading model: one reader thread per connection plus one dispatcher.
-// Readers own the fd, the frame decoder and the per-producer sequencer
-// (under that producer's SeqMutex); they hand in-order frames — already
-// payload-decoded — to the bounded queue. The dispatcher owns every
-// compactor and journal writer, so all mutation of recoverable state is
-// single-threaded and checkpoints are consistent by construction.
+// Threading model: one reader thread per connection and no other. A
+// reader owns its fd and frame decoder. Each producer has one mutex that
+// guards its sequencer, compactor, journal and ledger; the reader that
+// releases a producer's next in-order frame applies it (and writes any
+// checkpoint it triggers) under that lock, so a producer's recoverable
+// state changes one frame at a time even when its frames arrive on two
+// connections, and checkpoints are consistent by construction.
+// Backpressure is the socket's: a reader busy compacting does not read.
 //
 // Accounting model: sequence-window outcomes (duplicate, reordered,
-// replayed, shed) are counted where they are decided, on the reader.
+// replayed) are counted where they are decided, in the sequencer.
 // Everything that must survive a crash (frames/events applied, gaps,
-// invalid payloads, handshake flags) is counted on the dispatcher from
-// the in-order stream itself — a gap is a jump in applied sequence
+// invalid payloads, handshake flags) is counted as frames are applied,
+// from the in-order stream itself — a gap is a jump in applied sequence
 // numbers — and rides inside every checkpoint record.
 //
 //===----------------------------------------------------------------------===//
@@ -34,9 +36,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <new>
@@ -132,9 +132,9 @@ bool decodeCheckpoint(const std::vector<uint8_t> &Payload,
   return R.valid() && R.atEnd();
 }
 
-/// Per-producer reorder window. Owned by the reader side, guarded by the
-/// producer's SeqMutex. Frames leave in strict sequence order; everything
-/// the window decides (duplicate, reordered, replayed) is counted here.
+/// Per-producer reorder window, guarded by the producer's mutex. Frames
+/// leave in strict sequence order; everything the window decides
+/// (duplicate, reordered, replayed) is counted here.
 struct SequenceTracker {
   uint64_t Expected = 0;
   size_t Window = 16;
@@ -173,8 +173,8 @@ struct SequenceTracker {
     }
     ++Reordered;
     // Window overflow: the hole is not going to fill in time. Jump the
-    // cursor to the oldest buffered frame; the dispatcher sees the
-    // sequence jump and accounts the gap.
+    // cursor to the oldest buffered frame; applying it sees the sequence
+    // jump and accounts the gap.
     while (Pending.size() > Window) {
       auto First = Pending.begin();
       Expected = First->first + 1;
@@ -208,18 +208,12 @@ private:
 };
 
 /// Everything known about one producer id. Reader threads create it (and
-/// run the journal-resume scan) on first contact; the sequencing side is
-/// guarded by SeqMutex, the dispatcher side is dispatcher-only.
+/// run the journal-resume scan) on first contact; while the readers run,
+/// every field but Id is touched only under Mutex.
 struct ProducerState {
   uint32_t Id = 0;
-
-  // --- Reader side (guarded by SeqMutex) ---
-  std::mutex SeqMutex;
+  std::mutex Mutex;
   SequenceTracker Sequencer;
-  uint64_t ShedFrames = 0;
-  uint64_t ShedBytes = 0;
-
-  // --- Dispatcher side ---
   std::unique_ptr<StreamingCompactor> Compactor;
   JournalWriter Journal;
   bool JournalOpen = false;
@@ -227,14 +221,6 @@ struct ProducerState {
   ProducerLedger Ledger;
   uint64_t FramesSinceCheckpoint = 0;
   uint64_t CheckpointFailures = 0;
-};
-
-/// One in-order frame travelling from a reader to the dispatcher.
-struct QueueItem {
-  ProducerState *State = nullptr;
-  uint64_t Seq = 0;
-  bool Invalid = false; ///< CRC-valid but the payload would not decode.
-  WirePayload Payload;
 };
 
 struct Connection {
@@ -255,16 +241,12 @@ struct IngestServer::Impl {
   std::mutex RegistryMutex;
   std::map<uint32_t, std::unique_ptr<ProducerState>> Producers;
 
-  // Bounded queue between readers and the dispatcher.
-  std::mutex QueueMutex;
-  std::condition_variable NotFull;
-  std::condition_variable NotEmpty;
-  std::deque<QueueItem> Queue;
-  bool DrainComplete = false; ///< Readers joined, sequencers flushed.
+  /// Set once the crash hook has run, by whichever thread ran it: the
+  /// run is aborted and no frame is applied after it.
   std::atomic<bool> Stop{false};
 
   // Checkpoints appended across producers, for the crash drill.
-  uint64_t TotalCheckpoints = 0;
+  std::atomic<uint64_t> TotalCheckpoints{0};
 
   // Global accounting.
   std::atomic<uint64_t> Frames{0};
@@ -273,11 +255,7 @@ struct IngestServer::Impl {
   std::atomic<uint64_t> ResyncBytes{0};
   std::atomic<uint64_t> ReadRetries{0};
   std::atomic<uint64_t> IdleTimeouts{0};
-  std::atomic<uint64_t> BackpressureWaits{0};
-  std::atomic<uint64_t> QueueDepthPeak{0};
   std::atomic<uint64_t> Resumes{0};
-
-  bool Aborted = false; ///< Set by the dispatcher when the crash hook ran.
 
   ~Impl() {
 #if !defined(_WIN32)
@@ -366,59 +344,33 @@ struct IngestServer::Impl {
     Resumes.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Enqueues one in-order frame, honouring the backpressure policy.
-  /// Called with the producer's SeqMutex held (keeps per-producer order
-  /// atomic even with several connections for one id).
-  void enqueue(ProducerState &State, uint64_t Seq,
-               std::vector<uint8_t> PayloadBytes) {
-    QueueItem Item;
-    Item.State = &State;
-    Item.Seq = Seq;
-    if (!decodeWirePayload(ByteSpan(PayloadBytes), Item.Payload))
-      Item.Invalid = true;
-
-    std::unique_lock<std::mutex> Lock(QueueMutex);
-    if (Queue.size() >= Config.QueueCapacity) {
-      if (Config.Policy == BackpressurePolicy::Shed) {
-        State.ShedFrames += 1;
-        State.ShedBytes += PayloadBytes.size() + WireHeaderSize;
-        return;
-      }
-      BackpressureWaits.fetch_add(1, std::memory_order_relaxed);
-      NotFull.wait(Lock, [&] {
-        return Queue.size() < Config.QueueCapacity ||
-               Stop.load(std::memory_order_relaxed);
-      });
-      if (Stop.load(std::memory_order_relaxed))
-        return;
-    }
-    Queue.push_back(std::move(Item));
-    uint64_t Depth = Queue.size();
-    uint64_t Peak = QueueDepthPeak.load(std::memory_order_relaxed);
-    while (Depth > Peak &&
-           !QueueDepthPeak.compare_exchange_weak(Peak, Depth,
-                                                 std::memory_order_relaxed))
-      ;
-    Lock.unlock();
-    NotEmpty.notify_one();
-  }
-
-  /// Pulls every decodable frame out of \p Decoder, sequences it, and
-  /// queues whatever became deliverable.
-  void drainDecoder(FrameDecoder &Decoder) {
+  /// Sequences every frame decodable from \p Decoder and applies the
+  /// ones that became deliverable, under their producer's lock.
+  void drainDecoder(FrameDecoder &Decoder, WirePayload &Scratch) {
     WireFrame Frame;
     std::vector<std::pair<uint64_t, std::vector<uint8_t>>> Ready;
     while (Decoder.next(Frame)) {
       ProducerState *State = producer(Frame.ProducerId);
       Ready.clear();
-      std::lock_guard<std::mutex> Lock(State->SeqMutex);
+      std::lock_guard<std::mutex> Lock(State->Mutex);
       State->Sequencer.push(Frame.Sequence, std::move(Frame.Payload),
                             Ready);
-      for (auto &Entry : Ready)
-        enqueue(*State, Entry.first, std::move(Entry.second));
-      if (Stop.load(std::memory_order_relaxed))
+      if (!applyReady(*State, Ready, Scratch))
         return;
     }
+  }
+
+  /// Applies \p Ready in order; the caller holds \p P's lock. \returns
+  /// false, having applied nothing further, once the crash hook has run.
+  bool applyReady(ProducerState &P,
+                  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> &Ready,
+                  WirePayload &Scratch) {
+    for (auto &Entry : Ready) {
+      if (Stop.load(std::memory_order_relaxed))
+        return false;
+      apply(P, Entry.first, Entry.second, Scratch);
+    }
+    return !Stop.load(std::memory_order_relaxed);
   }
 
   /// Reader thread body: poll/read/decode until EOF, idle timeout,
@@ -426,6 +378,7 @@ struct IngestServer::Impl {
   void readerLoop(Connection &C) {
 #if !defined(_WIN32)
     FrameDecoder Decoder;
+    WirePayload Scratch;
     std::vector<uint8_t> Chunk(ReadChunkBytes);
     unsigned Retries = 0;
     while (!Stop.load(std::memory_order_relaxed)) {
@@ -454,7 +407,7 @@ struct IngestServer::Impl {
       if (N > 0) {
         Retries = 0;
         Decoder.feed(Chunk.data(), static_cast<size_t>(N));
-        drainDecoder(Decoder);
+        drainDecoder(Decoder, Scratch);
         continue;
       }
       if (N == 0)
@@ -473,7 +426,7 @@ struct IngestServer::Impl {
       break; // Persistent failure: treat as disconnect.
     }
     Decoder.finish();
-    drainDecoder(Decoder);
+    drainDecoder(Decoder, Scratch);
     Frames.fetch_add(Decoder.stats().Frames, std::memory_order_relaxed);
     FrameBytes.fetch_add(Decoder.stats().FrameBytes,
                          std::memory_order_relaxed);
@@ -488,37 +441,39 @@ struct IngestServer::Impl {
 #endif
   }
 
-  /// Applies one in-order frame to its producer. Dispatcher thread only.
-  void applyItem(QueueItem &Item) {
-    ProducerState &P = *Item.State;
-    if (Item.Seq > P.Ledger.NextSeq)
-      P.Ledger.SeqGaps += Item.Seq - P.Ledger.NextSeq;
+  /// Applies one in-order frame to its producer; the caller holds its
+  /// lock. \p Payload is the decode buffer, reused across frames.
+  void apply(ProducerState &P, uint64_t Seq,
+             const std::vector<uint8_t> &PayloadBytes, WirePayload &Payload) {
+    if (Seq > P.Ledger.NextSeq)
+      P.Ledger.SeqGaps += Seq - P.Ledger.NextSeq;
     // Below-cursor can only happen on a resumed run whose journal was
     // behind the sequencer flush; drop, the state already covers it.
-    if (Item.Seq < P.Ledger.NextSeq)
+    if (Seq < P.Ledger.NextSeq)
       return;
-    P.Ledger.NextSeq = Item.Seq + 1;
+    P.Ledger.NextSeq = Seq + 1;
     P.Ledger.FramesApplied += 1;
     P.FramesSinceCheckpoint += 1;
 
-    if (Item.Invalid) {
+    if (!decodeWirePayload(ByteSpan(PayloadBytes), Payload)) {
+      // CRC-valid but the payload would not decode.
       P.Ledger.FramesInvalid += 1;
       return;
     }
     try {
-      switch (Item.Payload.Kind) {
+      switch (Payload.Kind) {
       case WireFrameKind::Hello:
         if (P.Compactor) {
           // A second Hello (or one disagreeing with the resumed state)
           // cannot be honoured without discarding data; count it.
-          if (Item.Payload.FunctionCount != P.Ledger.FunctionCount)
+          if (Payload.FunctionCount != P.Ledger.FunctionCount)
             P.Ledger.FramesInvalid += 1;
-        } else if (Item.Payload.FunctionCount > MaxFunctionCount) {
+        } else if (Payload.FunctionCount > MaxFunctionCount) {
           P.Ledger.FramesInvalid += 1;
         } else {
           P.Compactor = std::make_unique<StreamingCompactor>(
-              Item.Payload.FunctionCount, compactorConfig());
-          P.Ledger.FunctionCount = Item.Payload.FunctionCount;
+              Payload.FunctionCount, compactorConfig());
+          P.Ledger.FunctionCount = Payload.FunctionCount;
           P.Ledger.SawHello = true;
         }
         break;
@@ -526,10 +481,10 @@ struct IngestServer::Impl {
         if (!P.Compactor) {
           // The Hello fell into a gap; without the function universe the
           // events cannot be folded in. Count, don't crash.
-          P.Ledger.EventsDropped += Item.Payload.Events.size();
+          P.Ledger.EventsDropped += Payload.Events.size();
           break;
         }
-        for (const TraceEvent &E : Item.Payload.Events) {
+        for (const TraceEvent &E : Payload.Events) {
           // The compactor's preconditions are asserts (compiled out in
           // release); the wire is untrusted, so guard here and account.
           switch (E.EventKind) {
@@ -559,7 +514,7 @@ struct IngestServer::Impl {
         }
         break;
       case WireFrameKind::Bye:
-        P.Ledger.EventsDeclared = Item.Payload.TotalEvents;
+        P.Ledger.EventsDeclared = Payload.TotalEvents;
         P.Ledger.SawBye = true;
         break;
       }
@@ -601,48 +556,21 @@ struct IngestServer::Impl {
       return;
     }
     P.Ledger.CheckpointsWritten += 1;
-    ++TotalCheckpoints;
-    if (Config.CrashAfterCheckpoints != 0 &&
-        TotalCheckpoints == Config.CrashAfterCheckpoints &&
+    // Exactly one checkpoint, on whichever reader appends it, is the K-th.
+    if (TotalCheckpoints.fetch_add(1) + 1 == Config.CrashAfterCheckpoints &&
         Config.CrashHook) {
-      // The hook usually never returns (raise(SIGKILL)). If it does —
-      // in-process durability tests — stop as a crash would: no drain,
-      // no finalize, journals as they are.
+      // It runs under the producer's lock, so this producer's journal
+      // ends at this checkpoint. The hook usually never returns
+      // (raise(SIGKILL)). If it does — in-process durability tests —
+      // stop as a crash would: no drain, no finalize, journals as they
+      // are.
       Config.CrashHook();
-      Aborted = true;
-      Stop.store(true, std::memory_order_relaxed);
-      NotFull.notify_all();
-      NotEmpty.notify_all();
+      Stop.store(true);
     }
   }
 
-  void dispatcherLoop() {
-    for (;;) {
-      QueueItem Item;
-      {
-        std::unique_lock<std::mutex> Lock(QueueMutex);
-        NotEmpty.wait(Lock, [&] {
-          return !Queue.empty() || DrainComplete ||
-                 Stop.load(std::memory_order_relaxed);
-        });
-        if (Stop.load(std::memory_order_relaxed))
-          return;
-        if (Queue.empty()) {
-          if (DrainComplete)
-            return;
-          continue;
-        }
-        Item = std::move(Queue.front());
-        Queue.pop_front();
-      }
-      NotFull.notify_one();
-      applyItem(Item);
-    }
-  }
-
-  /// After readers joined: flush every sequencer's reorder window into
-  /// the queue (holes become sequence jumps), then let the dispatcher
-  /// drain to empty.
+  /// After the readers joined: flush every sequencer's reorder window
+  /// (holes become sequence jumps) and apply what it held.
   void flushSequencers() {
     std::vector<ProducerState *> States;
     {
@@ -650,13 +578,14 @@ struct IngestServer::Impl {
       for (auto &Entry : Producers)
         States.push_back(Entry.second.get());
     }
+    WirePayload Scratch;
     std::vector<std::pair<uint64_t, std::vector<uint8_t>>> Ready;
     for (ProducerState *State : States) {
       Ready.clear();
-      std::lock_guard<std::mutex> Lock(State->SeqMutex);
+      std::lock_guard<std::mutex> Lock(State->Mutex);
       State->Sequencer.finish(Ready);
-      for (auto &Entry : Ready)
-        enqueue(*State, Entry.first, std::move(Entry.second));
+      if (!applyReady(*State, Ready, Scratch))
+        return;
     }
   }
 
@@ -667,8 +596,6 @@ struct IngestServer::Impl {
     Report.FramesDuplicate = P.Sequencer.Duplicates;
     Report.FramesReordered = P.Sequencer.Reordered;
     Report.FramesReplayed = P.Sequencer.Replayed;
-    Report.ShedFrames = P.ShedFrames;
-    Report.ShedBytes = P.ShedBytes;
     Report.CheckpointFailures = P.CheckpointFailures;
     Report.Disconnected = !P.Ledger.SawBye;
 
@@ -713,8 +640,6 @@ struct IngestServer::Impl {
 IngestServer::IngestServer(const IngestConfig &Config)
     : P(std::make_unique<Impl>()) {
   P->Config = Config;
-  if (P->Config.QueueCapacity == 0)
-    P->Config.QueueCapacity = 1;
 }
 
 IngestServer::~IngestServer() = default;
@@ -797,20 +722,12 @@ IngestReport IngestServer::run() {
 
   for (Connection &C : P->Connections)
     C.Thread = std::thread([this, &C] { P->readerLoop(C); });
-  std::thread Dispatcher([this] { P->dispatcherLoop(); });
-
   for (Connection &C : P->Connections)
     C.Thread.join();
   if (!P->Stop.load(std::memory_order_relaxed))
     P->flushSequencers();
-  {
-    std::lock_guard<std::mutex> Lock(P->QueueMutex);
-    P->DrainComplete = true;
-  }
-  P->NotEmpty.notify_all();
-  Dispatcher.join();
 
-  Report.Aborted = P->Aborted;
+  Report.Aborted = P->Stop.load();
   if (!Report.Aborted) {
     std::lock_guard<std::mutex> Lock(P->RegistryMutex);
     for (auto &Entry : P->Producers) {
@@ -826,8 +743,6 @@ IngestReport IngestServer::run() {
   Report.ResyncBytes = P->ResyncBytes.load();
   Report.ReadRetries = P->ReadRetries.load();
   Report.IdleTimeouts = P->IdleTimeouts.load();
-  Report.BackpressureWaits = P->BackpressureWaits.load();
-  Report.QueueDepthPeak = P->QueueDepthPeak.load();
   for (const ProducerReport &PR : Report.Producers)
     Report.EventsApplied += PR.EventsApplied;
   Report.ElapsedUs =
@@ -889,9 +804,6 @@ void ingest::publishIngestMetrics(const IngestReport &Report) {
   M.counter(names::IngestResyncBytes).add(Report.ResyncBytes);
   M.counter(names::IngestReadRetries).add(Report.ReadRetries);
   M.counter(names::IngestIdleTimeouts).add(Report.IdleTimeouts);
-  M.counter(names::IngestBackpressureWaits).add(Report.BackpressureWaits);
-  M.gauge(names::IngestQueueDepthPeak)
-      .set(static_cast<int64_t>(Report.QueueDepthPeak));
   if (Report.ElapsedUs > 0)
     M.gauge(names::IngestEventsPerSec)
         .set(static_cast<int64_t>(Report.EventsApplied * 1e6 /
@@ -899,7 +811,7 @@ void ingest::publishIngestMetrics(const IngestReport &Report) {
 
   uint64_t Events = 0, EventsDropped = 0, EventsLost = 0, Invalid = 0;
   uint64_t Duplicates = 0, Reordered = 0, Replayed = 0, Gaps = 0;
-  uint64_t ShedFrames = 0, ShedBytes = 0, SynthExits = 0, Disconnects = 0;
+  uint64_t SynthExits = 0, Disconnects = 0;
   uint64_t Resumes = 0, Checkpoints = 0, CheckpointFailures = 0;
   for (const ProducerReport &PR : Report.Producers) {
     Events += PR.EventsApplied;
@@ -910,8 +822,6 @@ void ingest::publishIngestMetrics(const IngestReport &Report) {
     Reordered += PR.FramesReordered;
     Replayed += PR.FramesReplayed;
     Gaps += PR.SeqGaps;
-    ShedFrames += PR.ShedFrames;
-    ShedBytes += PR.ShedBytes;
     SynthExits += PR.SynthesizedExits;
     Disconnects += PR.Disconnected ? 1 : 0;
     Resumes += PR.Resumed ? 1 : 0;
@@ -926,8 +836,6 @@ void ingest::publishIngestMetrics(const IngestReport &Report) {
   M.counter(names::IngestFramesReordered).add(Reordered);
   M.counter(names::IngestFramesReplayed).add(Replayed);
   M.counter(names::IngestSeqGaps).add(Gaps);
-  M.counter(names::IngestShedFrames).add(ShedFrames);
-  M.counter(names::IngestShedBytes).add(ShedBytes);
   M.counter(names::IngestSynthesizedExits).add(SynthExits);
   M.counter(names::IngestDisconnects).add(Disconnects);
   M.counter(names::IngestResumes).add(Resumes);

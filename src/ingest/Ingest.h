@@ -10,15 +10,17 @@
 /// feeds per-producer StreamingCompactors, writing one verifier-clean
 /// archive per producer on drain.
 ///
-/// Pipeline per connection:
+/// Pipeline per connection, all on the connection's reader thread:
 ///
 ///   fd --read--> FrameDecoder --resync--> SequenceTracker --in order-->
-///     bounded queue --dispatcher--> StreamingCompactor --drain-->
-///       takeCompacted --> <out>.p<ID>.twppa
+///     StreamingCompactor --drain--> takeCompacted --> <out>.p<ID>.twppa
+///
+/// The reader that releases a producer's next in-order frame applies it
+/// under that producer's lock; backpressure is the socket's.
 ///
 /// Robustness is the contract, not a feature: every wire-level failure
 /// (corrupt/truncated frames, duplicates, reordering, stalls, idle or
-/// vanished producers, full queues, memory pressure, journal IO errors)
+/// vanished producers, memory pressure, journal IO errors)
 /// degrades into typed, counted outcomes — never a crash, a hang, or a
 /// silent drop. A run either ends losslessly (archives byte-identical to
 /// an in-process compaction of the same streams) or reports exactly what
@@ -57,11 +59,12 @@
 
 namespace twpp::ingest {
 
-/// What a reader does when the bounded queue is full.
-enum class BackpressurePolicy : uint8_t {
-  Block, ///< Wait: the socket buffer fills and the producer slows down.
-  Shed,  ///< Drop the frame, count it, keep reading (lossy, accounted).
-};
+// BackpressurePolicy, IngestConfig::Policy, IngestReport::QueueDepthPeak
+// and IngestReport::BackpressureWaits exist only because
+// bench/pipeline_e2e/Ingest.cpp names them. Nothing reads the policy and
+// both report fields are always 0; ROADMAP item 1 deletes them together
+// with those bench lines.
+enum class BackpressurePolicy : uint8_t { Block };
 
 /// Everything the ingestion frontend can be told.
 struct IngestConfig {
@@ -78,10 +81,7 @@ struct IngestConfig {
   /// exceeding it drops the oldest open frame's block detail). 0 =
   /// unbounded.
   uint64_t MemoryBudgetBytes = 0;
-  /// Bounded queue capacity between readers and the dispatcher, in
-  /// frames.
-  size_t QueueCapacity = 1024;
-  BackpressurePolicy Policy = BackpressurePolicy::Block;
+  BackpressurePolicy Policy = BackpressurePolicy::Block; ///< Unread.
   /// Out-of-order frames buffered per producer before the hole is
   /// declared a gap.
   size_t ReorderWindow = 16;
@@ -95,21 +95,23 @@ struct IngestConfig {
   bool Resume = false;
   /// Crash drill for durability tests and `twpp ingest
   /// --crash-after-checkpoints`: once this many checkpoint records have
-  /// been appended (across producers), CrashHook runs on the dispatcher
-  /// thread (e.g. raise(SIGKILL)); if it returns, ingestion stops without
-  /// finalizing, as a crash would. 0 disables the drill.
+  /// been appended (across producers), CrashHook runs once, on the thread
+  /// that appended the K-th: the reader that applied the frame, or run()'s
+  /// own thread at drain (e.g. raise(SIGKILL)). If it returns, no further
+  /// frame is applied and ingestion stops without finalizing, as a crash
+  /// would. 0 disables the drill.
   uint64_t CrashAfterCheckpoints = 0;
   std::function<void()> CrashHook;
 };
 
-/// The durable slice of one producer's accounting: what the dispatcher
-/// keeps, what each checkpoint record carries besides the compactor
-/// snapshot, and the first fields of the producer's report.
+/// The durable slice of one producer's accounting: what applying its
+/// frames keeps, what each checkpoint record carries besides the
+/// compactor snapshot, and the first fields of the producer's report.
 struct ProducerLedger {
   uint32_t FunctionCount = 0;
   bool SawHello = false;
   bool SawBye = false;
-  uint64_t NextSeq = 0;          ///< Sequence the dispatcher expects next.
+  uint64_t NextSeq = 0;          ///< Sequence the next applied frame carries.
   uint64_t FramesApplied = 0;    ///< In-order frames consumed (incl. replays skipped).
   uint64_t EventsApplied = 0;    ///< Events folded into the compactor.
   uint64_t EventsDropped = 0;    ///< Events rejected by structural guards.
@@ -127,8 +129,6 @@ struct ProducerReport : ProducerLedger {
   uint64_t FramesDuplicate = 0;  ///< Below-cursor or in-window repeats.
   uint64_t FramesReordered = 0;  ///< Arrived early, windowed back in order.
   uint64_t FramesReplayed = 0;   ///< Pre-checkpoint frames re-sent after resume.
-  uint64_t ShedFrames = 0;       ///< Dropped by the Shed backpressure policy.
-  uint64_t ShedBytes = 0;
   uint64_t SynthesizedExits = 0; ///< Exits injected to balance the stream.
   uint64_t DegradedFrames = 0;   ///< Open frames degraded under memory budget.
   uint64_t CheckpointFailures = 0;
@@ -136,20 +136,20 @@ struct ProducerReport : ProducerLedger {
   std::string ArchivePath;       ///< Empty when no archive was requested.
   IoError ArchiveError;          ///< Why the archive write failed, if it did.
 
-  /// Declared-but-never-applied events (0 until the Bye arrived; shed
-  /// and gap losses surface here because their events never applied).
+  /// Declared-but-never-applied events (0 until the Bye arrived; gap
+  /// losses surface here because their events never applied).
   uint64_t eventsLost() const {
     uint64_t Accounted = EventsApplied + EventsDropped;
     return EventsDeclared > Accounted ? EventsDeclared - Accounted : 0;
   }
 
   /// True when every event the producer declared made it into the
-  /// archive at full detail: complete handshake, no gaps, no sheds, no
-  /// invalid or dropped data, no memory-budget degradation, declared ==
-  /// applied, archive written (when asked).
+  /// archive at full detail: complete handshake, no gaps, no invalid or
+  /// dropped data, no memory-budget degradation, declared == applied,
+  /// archive written (when asked).
   bool lossless() const {
     return SawHello && SawBye && !Disconnected && SeqGaps == 0 &&
-           FramesInvalid == 0 && EventsDropped == 0 && ShedFrames == 0 &&
+           FramesInvalid == 0 && EventsDropped == 0 &&
            SynthesizedExits == 0 && DegradedFrames == 0 &&
            EventsApplied == EventsDeclared && ArchiveError.ok();
   }
@@ -164,8 +164,8 @@ struct IngestReport {
   uint64_t ResyncBytes = 0;  ///< Bytes skipped scanning for a magic.
   uint64_t ReadRetries = 0;
   uint64_t IdleTimeouts = 0;
-  uint64_t BackpressureWaits = 0;
-  uint64_t QueueDepthPeak = 0;
+  uint64_t BackpressureWaits = 0; ///< Always 0 (see BackpressurePolicy).
+  uint64_t QueueDepthPeak = 0;    ///< Always 0 (see BackpressurePolicy).
   uint64_t EventsApplied = 0;
   double ElapsedUs = 0;
   bool Aborted = false;      ///< Stopped by the crash hook before drain.
@@ -191,10 +191,10 @@ struct IngestReport {
 ///   Server.addConnection(Fd2);
 ///   IngestReport Report = Server.run();
 ///
-/// run() spawns one reader thread per connection plus a dispatcher,
-/// consumes every stream to EOF (or idle timeout), drains the queue,
-/// compacts each producer and writes the archives. The server owns the
-/// fds.
+/// run() spawns one reader thread per connection and no other, consumes
+/// every stream to EOF (or idle timeout), applies what the reorder
+/// windows still hold, compacts each producer and writes the archives.
+/// The server owns the fds.
 class IngestServer {
 public:
   explicit IngestServer(const IngestConfig &Config);

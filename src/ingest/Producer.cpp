@@ -37,8 +37,8 @@ bool writeAll(int Fd, const uint8_t *Data, size_t Size) {
 #else
   bool IsSocket = true;
   while (Size > 0) {
-    // MSG_NOSIGNAL: a receiver that closed (idle timeout, shed-and-die
-    // chaos) must surface as EPIPE, not kill the producer with SIGPIPE.
+    // MSG_NOSIGNAL: a receiver that closed (idle timeout, crash drill)
+    // must surface as EPIPE, not kill the producer with SIGPIPE.
     // Plain pipes reject send() with ENOTSOCK; fall back to write() for
     // them.
     ssize_t N = IsSocket ? ::send(Fd, Data, Size, MSG_NOSIGNAL)

@@ -65,8 +65,7 @@ void names::registerCanonicalMetrics(MetricsRegistry &Registry) {
         IngestFrames, IngestFrameBytes, IngestEvents, IngestFramesCorrupt,
         IngestResyncBytes, IngestFramesInvalid, IngestFramesDuplicate,
         IngestFramesReordered, IngestFramesReplayed, IngestSeqGaps,
-        IngestEventsDropped, IngestEventsLost, IngestShedFrames,
-        IngestShedBytes, IngestBackpressureWaits, IngestReadRetries,
+        IngestEventsDropped, IngestEventsLost, IngestReadRetries,
         IngestIdleTimeouts, IngestDisconnects, IngestSynthesizedExits,
         IngestResumes, IngestCheckpoints, IngestCheckpointFailures})
     Registry.counter(Name);
@@ -76,7 +75,7 @@ void names::registerCanonicalMetrics(MetricsRegistry &Registry) {
         ArenaDecodeReservedBytes, MemRssBytes, MemPeakBytes,
         MemTrackedLiveBytes, MemTrackedPeakBytes, MemAllocs,
         SelfprofFunctions, SelfprofArchiveBytes, SelfprofTraceJsonBytes,
-        IngestQueueDepthPeak, IngestEventsPerSec})
+        IngestEventsPerSec})
     Registry.gauge(Name);
   Registry.histogram(PartitionTraceLength, powerOfTwoBounds(1u << 20));
   Registry.histogram(ArchiveBlockBytes, powerOfTwoBounds(1u << 24));

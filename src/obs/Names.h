@@ -149,7 +149,7 @@ inline constexpr const char *RacesFound = "races.found";
 inline constexpr const char *RacesRacyPairs = "races.racy_pairs";
 
 // ingest/ — the multi-producer ingestion frontend (twpp-wire-v1 framing,
-// sequencing, backpressure, degrade-never-abort; src/ingest/,
+// sequencing, degrade-never-abort; src/ingest/,
 // twpp ingest). Wire-damage counters split by where the damage was
 // caught: frames_corrupt failed the CRC (decoder), frames_invalid passed
 // the CRC but would not decode (producer bug), seq_gaps are sequence
@@ -170,10 +170,6 @@ inline constexpr const char *IngestFramesReplayed =
 inline constexpr const char *IngestSeqGaps = "ingest.seq_gaps";
 inline constexpr const char *IngestEventsDropped = "ingest.events_dropped";
 inline constexpr const char *IngestEventsLost = "ingest.events_lost";
-inline constexpr const char *IngestShedFrames = "ingest.shed_frames";
-inline constexpr const char *IngestShedBytes = "ingest.shed_bytes";
-inline constexpr const char *IngestBackpressureWaits =
-    "ingest.backpressure_waits";
 inline constexpr const char *IngestReadRetries = "ingest.read_retries";
 inline constexpr const char *IngestIdleTimeouts = "ingest.idle_timeouts";
 inline constexpr const char *IngestDisconnects = "ingest.disconnects";
@@ -183,10 +179,7 @@ inline constexpr const char *IngestResumes = "ingest.resumes";
 inline constexpr const char *IngestCheckpoints = "ingest.checkpoints";
 inline constexpr const char *IngestCheckpointFailures =
     "ingest.checkpoint_failures";
-// Gauges: high-water of the bounded frame queue, and the last run's
-// aggregate applied-events rate.
-inline constexpr const char *IngestQueueDepthPeak =
-    "ingest.queue_depth_peak";
+// Gauge: the last run's aggregate applied-events rate.
 inline constexpr const char *IngestEventsPerSec = "ingest.events_per_sec";
 
 // dataflow/ — demand-driven queries over the compacted form.

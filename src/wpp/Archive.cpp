@@ -187,7 +187,7 @@ bool decodeThreadSection(ByteSpan Bytes, ConcurrencyInfo &Out) {
   ByteReader Reader(Bytes);
   uint64_t ThreadCount = Reader.readVarUint();
   Out.FunctionCount = static_cast<uint32_t>(Reader.readVarUint());
-  if (Reader.hasError() || ThreadCount > Bytes.size())
+  if (Reader.hasError() || ThreadCount > ConcurrencyInfo::MaxThreads)
     return false;
   Out.Threads.resize(ThreadCount);
   for (ThreadInfo &T : Out.Threads) {
@@ -495,6 +495,20 @@ std::vector<uint8_t> encodeArchiveImpl(const TwppWpp &Wpp,
   return Out;
 }
 
+/// Why no reader would accept \p Conc's thread trailer (the HBEG or THRD
+/// section past its limit), or empty when it fits.
+std::string trailerOverLimit(const ConcurrencyInfo &Conc) {
+  if (Conc.Edges.size() > HbEdgeRuns::MaxEdges)
+    return std::to_string(Conc.Edges.size()) +
+           " happens-before edges exceed the archive's limit of " +
+           std::to_string(HbEdgeRuns::MaxEdges);
+  if (Conc.Threads.size() > ConcurrencyInfo::MaxThreads)
+    return std::to_string(Conc.Threads.size()) +
+           " threads exceed the archive's limit of " +
+           std::to_string(ConcurrencyInfo::MaxThreads);
+  return {};
+}
+
 } // namespace
 
 std::vector<uint8_t> twpp::encodeArchive(const TwppWpp &Wpp,
@@ -504,8 +518,8 @@ std::vector<uint8_t> twpp::encodeArchive(const TwppWpp &Wpp,
 
 std::vector<uint8_t>
 twpp::encodeConcurrentArchive(const ConcurrentWpp &Wpp) {
-  if (Wpp.Conc.Edges.size() > HbEdgeRuns::MaxEdges)
-    return {}; // no reader would accept the HBEG section
+  if (!trailerOverLimit(Wpp.Conc).empty())
+    return {};
   return encodeArchiveImpl(Wpp.Body, ParallelConfig{}, &Wpp.Conc);
 }
 
@@ -521,11 +535,9 @@ bool twpp::writeConcurrentArchiveFile(const std::string &Path,
                                       const ConcurrentWpp &Wpp,
                                       IoError *Err) {
   IoError Result;
-  if (Wpp.Conc.Edges.size() > HbEdgeRuns::MaxEdges)
-    Result = {IoStatus::WriteFailed, 0,
-              Path + ": " + std::to_string(Wpp.Conc.Edges.size()) +
-                  " happens-before edges exceed the archive's limit of " +
-                  std::to_string(HbEdgeRuns::MaxEdges)};
+  const std::string OverLimit = trailerOverLimit(Wpp.Conc);
+  if (!OverLimit.empty())
+    Result = {IoStatus::WriteFailed, 0, Path + ": " + OverLimit};
   else
     Result = writeFileBytesAtomic(Path, encodeConcurrentArchive(Wpp));
   if (Err)

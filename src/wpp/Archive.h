@@ -186,12 +186,14 @@ bool decodeArchiveLayout(ByteSpan File, ArchiveLayout &Out,
 
 /// Serializes a thread-aware concurrent WPP: the merged body in the
 /// version-3 layout plus the THRD/HBEG/ACCS section trailer. \returns no
-/// bytes when the edge list holds more than HbEdgeRuns::MaxEdges edges,
-/// which the reader would refuse: every archive it writes reads back.
+/// bytes when the edge list holds more than HbEdgeRuns::MaxEdges edges or
+/// the thread table more than ConcurrencyInfo::MaxThreads threads, which
+/// the reader would refuse: every archive it writes reads back.
 std::vector<uint8_t> encodeConcurrentArchive(const ConcurrentWpp &Wpp);
 
 /// writeArchiveFile for concurrent WPPs (version-3 bytes). An edge list
-/// past HbEdgeRuns::MaxEdges fails with IoStatus::WriteFailed, and
+/// past HbEdgeRuns::MaxEdges or a thread table past
+/// ConcurrencyInfo::MaxThreads fails with IoStatus::WriteFailed, and
 /// nothing is written.
 bool writeConcurrentArchiveFile(const std::string &Path,
                                 const ConcurrentWpp &Wpp,

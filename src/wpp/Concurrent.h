@@ -61,6 +61,14 @@ struct ThreadAccessTable {
 /// The cross-thread metadata of a compacted concurrent WPP: everything
 /// the race detector needs, none of the control flow.
 struct ConcurrencyInfo {
+  /// Upper bound on the threads an archive may hold. The happens-before
+  /// build gives each of N timelines an N-wide clock row, so the reader
+  /// rejects a THRD section that claims more (a few bytes cannot demand
+  /// memory quadratic in their length; at the cap the first rows take
+  /// 4 MiB), and the writer refuses more threads rather than write an
+  /// archive that would not read back.
+  static constexpr uint32_t MaxThreads = 1024;
+
   uint32_t FunctionCount = 0; ///< Real (per-thread) function-id space.
   std::vector<ThreadInfo> Threads;
   HbEdgeRuns Edges; ///< In derivation order (see deriveHbEdges).

@@ -165,8 +165,8 @@ TEST(CliMalformedConcurrency, RacesNamesTheCheckAndGivesNoVerdict) {
 TEST(CliMalformedHbeg, VerifyAndRacesNameTheSectionAtItsOffset) {
   // Two runs that both claim edge 2.
   uint64_t At = 0;
-  std::vector<uint8_t> Bytes = fixtures::withHbegPayload(
-      fixtures::contendedArchiveBytes(),
+  std::vector<uint8_t> Bytes = fixtures::withSectionPayload(
+      fixtures::contendedArchiveBytes(), ArchiveSectionHbEdges,
       fixtures::hbegPayload(
           {{0, 0, 1, 4, 5, 2, 2, 1, 1}, {0, 2, 1, 4, 5, 2, 1, 1, 1}}),
       At);

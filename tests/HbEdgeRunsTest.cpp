@@ -7,8 +7,9 @@
 // (lossless, and never more than one byte per stored run over five plain
 // varints per edge), crafted HBEG payloads that every reader must
 // refuse at the section's offset, crafted runs of millions of faulty
-// edges that must verify with a bounded number of diagnostics, and the
-// writer's refusal of an edge list the reader would reject.
+// edges that must verify with a bounded number of diagnostics, the
+// writer's refusal of an edge list the reader would reject, and the same
+// limit pair for the THRD thread table.
 //
 //===----------------------------------------------------------------------===//
 
@@ -267,7 +268,8 @@ TEST(HbegCorruption, CraftedSectionsFailAtTheHbegOffset) {
   for (const CraftedCase &Case : craftedCases()) {
     SCOPED_TRACE(Case.Name);
     uint64_t At = 0;
-    std::vector<uint8_t> Bytes = withHbegPayload(Healthy, Case.Payload, At);
+    std::vector<uint8_t> Bytes =
+        withSectionPayload(Healthy, ArchiveSectionHbEdges, Case.Payload, At);
     ASSERT_TRUE(writeFileBytes(Path, Bytes).ok());
 
     ArchiveReader Reader;
@@ -293,8 +295,8 @@ TEST(HbegCorruption, AValidCraftedSectionDecodes) {
   // The same splice with well-formed runs: the failures above are the
   // payloads', not the splice's.
   uint64_t At = 0;
-  std::vector<uint8_t> Bytes = withHbegPayload(
-      contendedArchiveBytes(),
+  std::vector<uint8_t> Bytes = withSectionPayload(
+      contendedArchiveBytes(), ArchiveSectionHbEdges,
       hbegPayload({{0, 0, 1, 4, 5, 2, 2, 1, 1}, {0, 2, 1, 4, 5, 1}}), At);
   const std::string Path = ::testing::TempDir() + "/twpp_crafted_ok.twpp";
   ASSERT_TRUE(writeFileBytes(Path, Bytes).ok());
@@ -365,8 +367,8 @@ TEST(HbegLimits, MillionFoldFaultyRunsFileBoundedDiagnostics) {
     SCOPED_TRACE(C.Name);
     uint64_t At = 0;
     ASSERT_TRUE(
-        writeFileBytes(Path, withHbegPayload(Healthy, hbegPayload({C.Run}),
-                                             At))
+        writeFileBytes(Path, withSectionPayload(Healthy, ArchiveSectionHbEdges,
+                                                hbegPayload({C.Run}), At))
             .ok());
     verify::DiagnosticEngine Engine;
     ASSERT_TRUE(verify::verifyArchiveFile(Path, Engine));
@@ -442,6 +444,76 @@ TEST(HbegLimits, TheWriterRefusesWhatTheReaderWouldReject) {
   EXPECT_FALSE(writeConcurrentArchiveFile(Path, Wpp, &Err));
   EXPECT_EQ(Err.Status, IoStatus::WriteFailed);
   EXPECT_NE(Err.message().find("exceed the archive's limit"),
+            std::string::npos)
+      << Err.message();
+  std::vector<uint8_t> Written;
+  EXPECT_FALSE(readFileBytes(Path, Written).ok()); // nothing was written
+}
+
+/// The contended profile with its thread table widened to \p Threads
+/// (the added threads have no blocks and no accesses).
+ConcurrentWpp contendedWithThreads(uint32_t Threads) {
+  ConcurrentWpp Wpp = compactConcurrentWpp(
+      generateConcurrentTrace(testConcurrentProfiles()[0]));
+  for (uint32_t T = Wpp.Conc.Threads.size(); T != Threads; ++T)
+    Wpp.Conc.Threads.push_back({T, 0});
+  Wpp.Conc.Accesses.resize(Threads);
+  return Wpp;
+}
+
+TEST(ThreadTableLimits, ThreadsPastTheCapFailAtTheThrdOffset) {
+  // Every timeline of the happens-before build is as wide as the thread
+  // table, so THRD is capped: MaxThreads threads read back, one more
+  // fails at the section's offset in the reader and in the verifier.
+  const uint32_t Cap = ConcurrencyInfo::MaxThreads;
+  const ConcurrentWpp Wpp = contendedWithThreads(Cap);
+  const std::vector<uint8_t> AtCap = encodeConcurrentArchive(Wpp);
+  ASSERT_FALSE(AtCap.empty());
+  const std::string Path = ::testing::TempDir() + "/twpp_thread_cap.twpp";
+  {
+    ASSERT_TRUE(writeFileBytes(Path, AtCap).ok());
+    ArchiveReader Reader;
+    ConcurrencyInfo Conc;
+    ASSERT_TRUE(Reader.open(Path));
+    ASSERT_TRUE(Reader.readConcurrency(Conc)) << Reader.lastError().Message;
+    EXPECT_EQ(Conc.Threads.size(), size_t{Cap});
+  }
+
+  uint64_t At = 0;
+  ASSERT_TRUE(writeFileBytes(
+                  Path, withSectionPayload(
+                            AtCap, ArchiveSectionThreads,
+                            thrdPayload(Cap + 1, Wpp.Conc.FunctionCount), At))
+                  .ok());
+  ArchiveReader Reader;
+  ASSERT_TRUE(Reader.open(Path)); // the layout itself is intact
+  ConcurrencyInfo Conc;
+  EXPECT_FALSE(Reader.readConcurrency(Conc));
+  EXPECT_EQ(Reader.lastError().CheckId, "twpp-archive-section");
+  EXPECT_EQ(Reader.lastError().Message, "THRD section does not decode");
+  EXPECT_EQ(Reader.lastError().Location, "THRD section");
+  EXPECT_EQ(Reader.lastError().ByteOffset, At);
+
+  verify::DiagnosticEngine Engine;
+  ASSERT_TRUE(verify::verifyArchiveFile(Path, Engine));
+  size_t AtThrd = 0;
+  for (const verify::Diagnostic &D : Engine.diagnostics())
+    AtThrd += D.CheckId == "twpp-archive-section" &&
+              D.Location == "THRD section" && D.ByteOffset == At;
+  EXPECT_EQ(AtThrd, 1u) << verify::renderDiagnosticsText(Engine);
+  std::remove(Path.c_str());
+}
+
+TEST(ThreadTableLimits, TheWriterRefusesMoreThreadsThanTheCap) {
+  ConcurrentWpp Wpp = contendedWithThreads(ConcurrencyInfo::MaxThreads + 1);
+  EXPECT_TRUE(encodeConcurrentArchive(Wpp).empty());
+  const std::string Path = ::testing::TempDir() + "/twpp_too_many_threads.twpp";
+  std::remove(Path.c_str());
+  IoError Err;
+  EXPECT_FALSE(writeConcurrentArchiveFile(Path, Wpp, &Err));
+  EXPECT_EQ(Err.Status, IoStatus::WriteFailed);
+  EXPECT_NE(Err.message().find("1025 threads exceed the archive's limit of "
+                               "1024"),
             std::string::npos)
       << Err.message();
   std::vector<uint8_t> Written;

@@ -8,7 +8,7 @@
 /// Builders for hand-written HBEG payloads (docs/FORMATS.md: a run count,
 /// then per run kind, from thread, to thread, from time, to time, count,
 /// and for a count of two or more the zigzag index, from and to steps)
-/// spliced into a healthy thread-aware archive.
+/// and THRD payloads, spliced into a healthy thread-aware archive.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,28 +53,41 @@ inline std::vector<uint8_t> hbegPayload(const std::vector<HbegRun> &Runs) {
   return Writer.take();
 }
 
+/// A THRD payload of \p ThreadCount threads over \p FunctionCount
+/// functions: thread I has id I and no blocks.
+inline std::vector<uint8_t> thrdPayload(uint64_t ThreadCount,
+                                        uint64_t FunctionCount) {
+  ByteWriter Writer;
+  Writer.writeVarUint(ThreadCount);
+  Writer.writeVarUint(FunctionCount);
+  for (uint64_t I = 0; I != ThreadCount; ++I) {
+    Writer.writeVarUint(I);
+    Writer.writeVarUint(0);
+  }
+  return Writer.take();
+}
+
 /// The contended test profile as thread-aware archive bytes.
 inline std::vector<uint8_t> contendedArchiveBytes() {
   return encodeConcurrentArchive(
       compactConcurrentWpp(generateConcurrentTrace(testConcurrentProfiles()[0])));
 }
 
-/// \p Archive with its HBEG payload replaced by \p Payload (the record
-/// length is rewritten; every other byte is kept). \p At receives the
-/// payload's file offset, which does not move.
-inline std::vector<uint8_t> withHbegPayload(const std::vector<uint8_t> &Archive,
-                                            const std::vector<uint8_t> &Payload,
-                                            uint64_t &At) {
+/// \p Archive with the payload of its \p Tag section replaced by
+/// \p Payload (the record length is rewritten; every other byte is kept).
+/// \p At receives the payload's file offset, which does not move.
+inline std::vector<uint8_t>
+withSectionPayload(const std::vector<uint8_t> &Archive, uint32_t Tag,
+                   const std::vector<uint8_t> &Payload, uint64_t &At) {
   ArchiveLayout Layout;
   decodeArchiveLayout(ByteSpan(Archive), Layout);
-  const ArchiveLayout::Section *Hbeg =
-      Layout.findSection(ArchiveSectionHbEdges);
-  At = Hbeg->Offset;
+  const ArchiveLayout::Section *Sec = Layout.findSection(Tag);
+  At = Sec->Offset;
   ByteWriter Writer;
-  Writer.writeBytes(Archive.data(), Hbeg->Offset - 8); // through the tag
+  Writer.writeBytes(Archive.data(), Sec->Offset - 8); // through the tag
   Writer.writeFixed64(Payload.size());
   Writer.writeBytes(Payload.data(), Payload.size());
-  const uint64_t End = Hbeg->Offset + Hbeg->Length;
+  const uint64_t End = Sec->Offset + Sec->Length;
   Writer.writeBytes(Archive.data() + End, Archive.size() - End);
   return Writer.take();
 }

@@ -5,8 +5,8 @@
 // The degrade-never-abort contract, end to end: a clean multi-producer
 // run produces archives byte-identical to an in-process compaction of
 // the same traces; every injected failure (wire damage, duplicates,
-// reordering, stalls, vanished producers, idle connections, tiny queues,
-// memory pressure, a crash between checkpoints) ends in a returned
+// reordering, stalls, vanished producers, idle connections, memory
+// pressure, a crash between checkpoints) ends in a returned
 // report whose counters account for exactly what was lost — never a
 // crash, a hang, or a silent drop.
 //
@@ -21,6 +21,8 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -105,46 +107,16 @@ TEST(IngestServerTest, LoopbackMatchesDirectCompactionByteForByte) {
   EXPECT_EQ(Report.ResyncBytes, 0u);
 }
 
-TEST(IngestServerTest, TinyQueueUnderBlockPolicyStaysLossless) {
-  // Capacity 1 forces constant reader/dispatcher handoff; Block means
-  // the producers slow down instead of losing anything.
+TEST(IngestServerTest, ManySmallFramesStayLossless) {
   std::vector<RawTrace> Traces = sampleTraces(2);
   IngestConfig Config;
-  Config.QueueCapacity = 1;
-  Config.Policy = BackpressurePolicy::Block;
   ProducerOptions Small;
-  Small.BatchEvents = 64; // many frames -> many queue handoffs
+  Small.BatchEvents = 64; // many frames, each applied by its reader
   IngestReport Report = runLoopbackIngest(Config, Traces, Small);
 
   ASSERT_TRUE(Report.clean());
   for (size_t I = 0; I < Traces.size(); ++I)
     EXPECT_EQ(Report.Producers[I].EventsApplied, Traces[I].Events.size());
-}
-
-TEST(IngestServerTest, ShedPolicyNeverHangsAndAccountsEveryDrop) {
-  // Capacity 1 + a journal fsync per frame makes the dispatcher far
-  // slower than the readers: overflow is near-certain. Whether or not
-  // sheds actually happen on this machine, the run must terminate and
-  // the books must balance.
-  std::vector<RawTrace> Traces = sampleTraces(2);
-  IngestConfig Config;
-  Config.QueueCapacity = 1;
-  Config.Policy = BackpressurePolicy::Shed;
-  Config.JournalPrefix = tempPath("shed");
-  Config.CheckpointIntervalFrames = 1;
-  ProducerOptions Small;
-  Small.BatchEvents = 64;
-  IngestReport Report = runLoopbackIngest(Config, Traces, Small);
-
-  EXPECT_TRUE(Report.FatalError.empty());
-  expectAccountingIdentity(Report);
-  for (const ProducerReport &P : Report.Producers) {
-    if (P.ShedFrames > 0) {
-      EXPECT_FALSE(P.lossless());
-      EXPECT_GT(P.ShedBytes, 0u);
-    }
-    EXPECT_FALSE(Report.clean() && P.ShedFrames > 0);
-  }
 }
 
 struct ChaosCase {
@@ -210,7 +182,7 @@ std::string describeCounts(const IngestReport &Report) {
          {uint64_t(P.ProducerId), uint64_t(P.SawHello), uint64_t(P.SawBye),
           uint64_t(P.Disconnected), P.FramesApplied, P.EventsApplied,
           P.EventsDropped, P.EventsDeclared, P.FramesInvalid,
-          P.FramesDuplicate, P.FramesReordered, P.SeqGaps, P.ShedFrames,
+          P.FramesDuplicate, P.FramesReordered, P.SeqGaps,
           P.SynthesizedExits, P.DegradedFrames, P.eventsLost()})
       Out += std::to_string(V) + " ";
     Out += "\n";
@@ -278,6 +250,82 @@ IngestReport ingestRawBytes(const IngestConfig &Config,
   IngestReport Report = Server.run();
   Producer.join();
   return Report;
+}
+
+/// \p Trace as one producer's wire frames (Hello, Events batches of
+/// \p BatchEvents, Bye), one byte vector per frame.
+std::vector<std::vector<uint8_t>> wireFrames(const RawTrace &Trace,
+                                             uint32_t ProducerId,
+                                             size_t BatchEvents) {
+  std::vector<std::vector<uint8_t>> Frames(1);
+  uint64_t Seq = 0;
+  appendWireFrame(Frames.back(), ProducerId, Seq++,
+                  encodeHelloPayload(Trace.FunctionCount));
+  for (size_t At = 0; At < Trace.Events.size(); At += BatchEvents) {
+    const TraceEvent *Begin = Trace.Events.data() + At;
+    const size_t Count = std::min(BatchEvents, Trace.Events.size() - At);
+    Frames.emplace_back();
+    appendWireFrame(Frames.back(), ProducerId, Seq++,
+                    encodeEventsPayload(Begin, Begin + Count));
+  }
+  Frames.emplace_back();
+  appendWireFrame(Frames.back(), ProducerId, Seq++,
+                  encodeByePayload(Trace.Events.size()));
+  return Frames;
+}
+
+TEST(IngestServerTest, OneProducerOverTwoConnectionsMatchesDirectCompaction) {
+  // A reconnect: producer 0 sends the first half of its frames on one
+  // connection and the rest on a second. Both halves are already in
+  // their socket buffers when run() starts, so the two readers apply the
+  // one producer's frames concurrently; its lock keeps them in order.
+  // The reorder window spans the whole stream, so which reader gets
+  // ahead costs no gap.
+  const RawTrace Trace = sizableTrace(7);
+  const std::vector<std::vector<uint8_t>> Frames = wireFrames(Trace, 0, 64);
+  IngestConfig Config;
+  Config.OutPrefix = tempPath("reconnect");
+  Config.ReorderWindow = Frames.size();
+  IngestServer Server(Config);
+  for (size_t Half = 0; Half != 2; ++Half) {
+    std::vector<uint8_t> Bytes;
+    const size_t Mid = Frames.size() / 2;
+    for (size_t I = Half ? Mid : 0; I != (Half ? Frames.size() : Mid); ++I)
+      Bytes.insert(Bytes.end(), Frames[I].begin(), Frames[I].end());
+    int Sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv), 0);
+    ASSERT_EQ(::send(Sv[1], Bytes.data(), Bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(Bytes.size()));
+    ::close(Sv[1]);
+    Server.addConnection(Sv[0]);
+  }
+  IngestReport Report = Server.run();
+
+  ASSERT_TRUE(Report.clean()) << Report.FatalError;
+  ASSERT_EQ(Report.Producers.size(), 1u);
+  const ProducerReport &P = Report.Producers[0];
+  EXPECT_EQ(P.FramesApplied, Frames.size());
+  EXPECT_EQ(P.SeqGaps, 0u);
+  EXPECT_EQ(readAll(P.ArchivePath), goldenArchiveBytes(Trace));
+}
+
+TEST(IngestServerTest, CrashHookRunsOnceAcrossConcurrentReaders) {
+  // Two producers checkpoint on every frame, so their readers append
+  // checkpoints at the same moments; exactly one of them appends the
+  // third and runs the hook.
+  std::atomic<unsigned> Calls{0};
+  IngestConfig Config;
+  Config.JournalPrefix = tempPath("crashonce");
+  Config.CheckpointIntervalFrames = 1;
+  Config.CrashAfterCheckpoints = 3;
+  Config.CrashHook = [&Calls] { Calls.fetch_add(1); };
+  ProducerOptions Small;
+  Small.BatchEvents = 64;
+  IngestReport Report = runLoopbackIngest(Config, sampleTraces(2), Small);
+
+  EXPECT_EQ(Calls.load(), 1u);
+  EXPECT_TRUE(Report.Aborted);
+  EXPECT_FALSE(Report.clean());
 }
 
 TEST(IngestServerTest, DisconnectWithoutByeSynthesizesExitsAndReports) {

@@ -76,17 +76,15 @@ std::string renderReportText(const IngestReport &Report) {
           Report.ElapsedUs / 1000.0, Report.clean() ? "" : " [LOSSY]");
   appendf(Out,
           "  wire: %llu corrupt, %llu resync bytes, %llu retries, "
-          "%llu idle timeouts, queue peak %llu, %llu waits\n",
+          "%llu idle timeouts\n",
           static_cast<unsigned long long>(Report.CorruptFrames),
           static_cast<unsigned long long>(Report.ResyncBytes),
           static_cast<unsigned long long>(Report.ReadRetries),
-          static_cast<unsigned long long>(Report.IdleTimeouts),
-          static_cast<unsigned long long>(Report.QueueDepthPeak),
-          static_cast<unsigned long long>(Report.BackpressureWaits));
+          static_cast<unsigned long long>(Report.IdleTimeouts));
   for (const ProducerReport &P : Report.Producers) {
     appendf(Out,
             "  p%u: %llu/%llu events, %llu dropped, %llu lost, %llu gaps, "
-            "%llu dup, %llu reordered, %llu shed, %llu synth exits%s%s%s%s\n",
+            "%llu dup, %llu reordered, %llu synth exits%s%s%s%s\n",
             P.ProducerId, static_cast<unsigned long long>(P.EventsApplied),
             static_cast<unsigned long long>(P.EventsDeclared),
             static_cast<unsigned long long>(P.EventsDropped),
@@ -94,7 +92,6 @@ std::string renderReportText(const IngestReport &Report) {
             static_cast<unsigned long long>(P.SeqGaps),
             static_cast<unsigned long long>(P.FramesDuplicate),
             static_cast<unsigned long long>(P.FramesReordered),
-            static_cast<unsigned long long>(P.ShedFrames),
             static_cast<unsigned long long>(P.SynthesizedExits),
             P.Resumed ? ", resumed" : "",
             P.Disconnected ? ", DISCONNECTED" : "",
@@ -116,8 +113,6 @@ void reportJson(const IngestReport &Report, obs::JsonWriter &W) {
       .field("resync_bytes", Report.ResyncBytes)
       .field("read_retries", Report.ReadRetries)
       .field("idle_timeouts", Report.IdleTimeouts)
-      .field("backpressure_waits", Report.BackpressureWaits)
-      .field("queue_depth_peak", Report.QueueDepthPeak)
       .field("elapsed_us", Report.ElapsedUs);
   if (!Report.FatalError.empty())
     W.field("fatal", Report.FatalError);
@@ -141,8 +136,6 @@ void reportJson(const IngestReport &Report, obs::JsonWriter &W) {
         .field("frames_reordered", P.FramesReordered)
         .field("frames_replayed", P.FramesReplayed)
         .field("seq_gaps", P.SeqGaps)
-        .field("shed_frames", P.ShedFrames)
-        .field("shed_bytes", P.ShedBytes)
         .field("synthesized_exits", P.SynthesizedExits)
         .field("degraded_frames", P.DegradedFrames)
         .field("checkpoints", P.CheckpointsWritten)

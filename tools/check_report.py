@@ -48,8 +48,7 @@ MEMSTAT_ARCHIVE_KEYS = ("path", "file_bytes", "header_index_bytes", "dcg",
 SELFPROF_KEYS = ("archive", "stats", "stages", "functions")
 INGEST_KEYS = ("clean", "aborted", "frames", "frame_bytes", "events",
                "corrupt_frames", "resync_bytes", "read_retries",
-               "idle_timeouts", "backpressure_waits", "queue_depth_peak",
-               "elapsed_us", "producers")
+               "idle_timeouts", "elapsed_us", "producers")
 PRODUCER_KEYS = ("id", "lossless", "saw_hello", "saw_bye", "resumed",
                  "disconnected", "events_applied", "events_declared",
                  "events_dropped", "events_lost", "frames_replayed")
