@@ -39,14 +39,13 @@ namespace twpp::detail {
 ///   depth Depth back into node Pred. It resolves what it can and returns
 ///   true to keep Meet, possibly narrowed, pending at (Pred, Depth + 1).
 ///
-/// \returns the number of frontier entries drained (dataflow.nodes_visited).
 /// An empty \p Times or an out-of-range \p NodeIndex drains nothing.
 template <typename EntryFn, typename ResolveFn>
-uint64_t propagateFrontier(const AnnotatedDynamicCfg &Cfg, size_t NodeIndex,
-                           const TimestampSet &Times, QueryResult &Result,
-                           EntryFn &&AtEntry, ResolveFn &&Resolve) {
+void propagateFrontier(const AnnotatedDynamicCfg &Cfg, size_t NodeIndex,
+                       const TimestampSet &Times, QueryResult &Result,
+                       EntryFn &&AtEntry, ResolveFn &&Resolve) {
   if (Times.empty() || NodeIndex >= Cfg.Nodes.size())
-    return 0;
+    return;
   struct Entry {
     uint32_t Node;
     TimestampSet Times;
@@ -60,12 +59,10 @@ uint64_t propagateFrontier(const AnnotatedDynamicCfg &Cfg, size_t NodeIndex,
   TimestampSet Previous, Meet, Merged;
   Current.push_back({static_cast<uint32_t>(NodeIndex), Times});
   Result.QueriesGenerated = 1;
-  uint64_t Visited = 0;
 
   for (uint32_t Depth = 0; CurrentSize != 0; ++Depth) {
     for (size_t I = 0; I != CurrentSize; ++I) {
       const Entry &E = Current[I];
-      ++Visited;
       if (E.Times.min() == 1)
         AtEntry(Depth);
       E.Times.shiftedInto(-1, Previous);
@@ -96,7 +93,6 @@ uint64_t propagateFrontier(const AnnotatedDynamicCfg &Cfg, size_t NodeIndex,
     CurrentSize = NextSize;
     NextSize = 0;
   }
-  return Visited;
 }
 
 } // namespace twpp::detail

@@ -7,8 +7,6 @@
 #include "dataflow/Interprocedural.h"
 
 #include "dataflow/Frontier.h"
-#include "obs/Metrics.h"
-#include "obs/Names.h"
 
 #include <cassert>
 #include <unordered_map>
@@ -23,17 +21,10 @@ CallEffectOracle::CallEffectOracle(const TwppWpp &Wpp, ModuleEffectFn Fn)
   // Expanded unique traces, cached per (function, unique trace index).
   std::unordered_map<uint64_t, PathTrace> TraceCache;
   auto ExpandedTrace = [&](FunctionId F, uint32_t TraceIndex) -> const PathTrace & {
-    static obs::Counter &CacheHits =
-        obs::metrics().counter(obs::names::DataflowCacheHits);
-    static obs::Counter &CacheMisses =
-        obs::metrics().counter(obs::names::DataflowCacheMisses);
     uint64_t Key = (static_cast<uint64_t>(F) << 32) | TraceIndex;
     auto It = TraceCache.find(Key);
-    if (It != TraceCache.end()) {
-      CacheHits.add();
+    if (It != TraceCache.end())
       return It->second;
-    }
-    CacheMisses.add();
     const TwppFunctionTable &Table = Wpp.Functions[F];
     auto [StringIdx, DictIdx] = Table.Traces[TraceIndex];
     std::vector<BlockId> Sequence;

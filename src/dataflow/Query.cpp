@@ -44,7 +44,7 @@ QueryResult twpp::propagateBackward(const AnnotatedDynamicCfg &Cfg,
     std::swap(Into, Merged);
   };
 
-  uint64_t NodesVisited = detail::propagateFrontier(
+  detail::propagateFrontier(
       Cfg, NodeIndex, Times, Result,
       [&](uint32_t Depth) {
         // The instance reached the function entry unresolved.
@@ -67,15 +67,9 @@ QueryResult twpp::propagateBackward(const AnnotatedDynamicCfg &Cfg,
         return false;
       });
   if (obs::enabled()) {
-    obs::MetricsRegistry &M = obs::metrics();
-    static obs::Counter &Queries = M.counter(obs::names::DataflowQueries);
-    static obs::Counter &Subqueries =
-        M.counter(obs::names::DataflowSubqueries);
-    static obs::Counter &Visited =
-        M.counter(obs::names::DataflowNodesVisited);
+    static obs::Counter &Queries =
+        obs::metrics().counter(obs::names::DataflowQueries);
     Queries.add();
-    Subqueries.add(Result.QueriesGenerated);
-    Visited.add(NodesVisited);
   }
   return Result;
 }

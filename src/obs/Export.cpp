@@ -31,54 +31,35 @@ std::string jsonString(const std::string &Raw) {
   return jsonStringLiteral(Raw);
 }
 
-std::string statsJson(const RunningStats &S) {
-  return "{\"count\": " + u64(S.count()) + ", \"min\": " + num(S.min()) +
-         ", \"max\": " + num(S.max()) + ", \"mean\": " + num(S.mean()) +
-         ", \"stddev\": " + num(S.stddev()) + ", \"p50\": " + num(S.p50()) +
-         ", \"p95\": " + num(S.p95()) + "}";
-}
-
 } // namespace
 
 void names::registerCanonicalMetrics(MetricsRegistry &Registry) {
   for (const char *Name :
-       {SequiturSymbols, SequiturRulesCreated, SequiturRulesDeleted,
-        SequiturSubstitutions, PartitionCalls, PartitionBlockEvents,
-        PartitionUniqueTraces, DbbChains, DbbLookups, DbbLookupHits,
-        TimestampSets, TimestampValues, TimestampRuns, LzwCompressCalls,
-        LzwCompressBytesIn, LzwCompressBytesOut, LzwDictEntries,
-        LzwDecompressCalls, LzwDecompressBytesIn, LzwDecompressBytesOut,
-        ArchiveEncodes, ArchiveIndexReads, ArchiveBlockReads,
-        ArchiveBlockBytesRead, ArchiveDcgReads, ArchiveMmapOpens,
-        ArchiveMmapBytes, ArchiveMmapFallbacks, VerifyRuns,
-        VerifyDiagnostics, VerifyErrors, VerifyWarnings, DataflowQueries,
-        DataflowSubqueries, DataflowNodesVisited, DataflowCacheHits,
-        DataflowCacheMisses, IoWrites, IoReads, IoAtomicWrites,
-        IoWriteRetries, IoWriteFailures, IoShortReads, IoFaultsInjected,
-        JournalCheckpoints, JournalCheckpointFailures, JournalBytes,
-        JournalResumes, JournalRecordsDropped, StreamDegraded,
-        TraceDroppedEvents, SelfprofSpans, SelfprofEvents,
-        SelfprofRecordsDropped, SelfprofTruncatedSpans,
-        SelfprofUnclosedSpans, RacesRuns, RacesThreadsCompacted,
-        RacesEdgesDerived, RacesEdgeRuns, RacesSegments, RacesSegmentPairs,
-        RacesPairsCovered, RacesFound, RacesRacyPairs, IngestProducers,
-        IngestFrames, IngestFrameBytes, IngestEvents, IngestFramesCorrupt,
-        IngestResyncBytes, IngestFramesInvalid, IngestFramesDuplicate,
-        IngestFramesReordered, IngestFramesReplayed, IngestSeqGaps,
-        IngestEventsDropped, IngestEventsLost, IngestReadRetries,
-        IngestIdleTimeouts, IngestDisconnects, IngestSynthesizedExits,
-        IngestResumes, IngestCheckpoints, IngestCheckpointFailures})
+       {SequiturSymbols, SequiturRulesCreated, PartitionCalls,
+        PartitionBlockEvents, PartitionUniqueTraces, DbbChains, DbbLookups,
+        TimestampSets, LzwCompressCalls, LzwCompressBytesIn, LzwDictEntries,
+        ArchiveIndexReads, ArchiveBlockReads, ArchiveBlockBytesRead,
+        ArchiveMmapOpens, ArchiveMmapBytes, ArchiveMmapFallbacks,
+        DataflowQueries, IoWriteFailures, IoFaultsInjected,
+        JournalCheckpoints, JournalCheckpointFailures, JournalRecordsDropped,
+        StreamDegraded, TraceDroppedEvents, SelfprofSpans,
+        SelfprofRecordsDropped, SelfprofTruncatedSpans, SelfprofUnclosedSpans,
+        RacesRuns, RacesThreadsCompacted, RacesEdgesDerived, RacesEdgeRuns,
+        RacesSegments, RacesSegmentPairs, RacesPairsCovered, RacesFound,
+        RacesRacyPairs, IngestProducers, IngestFrames, IngestFrameBytes,
+        IngestEvents, IngestFramesCorrupt, IngestResyncBytes,
+        IngestFramesInvalid, IngestFramesDuplicate, IngestFramesReordered,
+        IngestFramesReplayed, IngestSeqGaps, IngestEventsDropped,
+        IngestEventsLost, IngestReadRetries, IngestIdleTimeouts,
+        IngestDisconnects, IngestSynthesizedExits, IngestResumes,
+        IngestCheckpoints, IngestCheckpointFailures})
     Registry.counter(Name);
   for (const char *Name :
        {PartitionBytesIn, PartitionBytesOut, DbbBytesIn, DbbBytesOut,
-        TwppBytesIn, TwppBytesOut, ArchiveBytes, StreamStateBytes,
-        ArenaDecodeReservedBytes, MemRssBytes, MemPeakBytes,
+        TwppBytesOut, ArchiveBytes, MemRssBytes, MemPeakBytes,
         MemTrackedLiveBytes, MemTrackedPeakBytes, MemAllocs,
-        SelfprofFunctions, SelfprofArchiveBytes, SelfprofTraceJsonBytes,
-        IngestEventsPerSec})
+        SelfprofFunctions, IngestEventsPerSec})
     Registry.gauge(Name);
-  Registry.histogram(PartitionTraceLength, powerOfTwoBounds(1u << 20));
-  Registry.histogram(ArchiveBlockBytes, powerOfTwoBounds(1u << 24));
 }
 
 std::string obs::renderMetricsTable(const MetricsRegistry &Registry) {
@@ -96,20 +77,6 @@ std::string obs::renderMetricsTable(const MetricsRegistry &Registry) {
   for (const auto &[Name, Value] : Registry.gaugeSnapshot())
     Gauges.addRow({Name, std::to_string(Value)});
   Out += Gauges.render();
-  Out += "\n";
-
-  TablePrinter Histograms("Histograms");
-  Histograms.addRow(
-      {"name", "count", "min", "mean", "p50", "p95", "max", "stddev"});
-  for (const auto &H : Registry.histogramSnapshot())
-    Histograms.addRow({H.Name, u64(H.Samples.count()),
-                       formatDouble(H.Samples.min(), 1),
-                       formatDouble(H.Samples.mean(), 1),
-                       formatDouble(H.Samples.p50(), 1),
-                       formatDouble(H.Samples.p95(), 1),
-                       formatDouble(H.Samples.max(), 1),
-                       formatDouble(H.Samples.stddev(), 1)});
-  Out += Histograms.render();
   Out += "\n";
 
   TablePrinter Spans("Phase spans");
@@ -139,19 +106,6 @@ std::string obs::exportMetricsJson(const MetricsRegistry &Registry) {
     Out += "    " + jsonString(Name) + ": " + std::to_string(Value);
     First = false;
   }
-  Out += "\n  },\n  \"histograms\": {";
-  First = true;
-  for (const auto &H : Registry.histogramSnapshot()) {
-    Out += First ? "\n" : ",\n";
-    Out += "    " + jsonString(H.Name) + ": {\"bounds\": [";
-    for (size_t I = 0; I < H.Bounds.size(); ++I)
-      Out += (I ? ", " : "") + u64(H.Bounds[I]);
-    Out += "], \"counts\": [";
-    for (size_t I = 0; I < H.Counts.size(); ++I)
-      Out += (I ? ", " : "") + u64(H.Counts[I]);
-    Out += "], \"stats\": " + statsJson(H.Samples) + "}";
-    First = false;
-  }
   Out += "\n  },\n  \"spans\": {";
   First = true;
   for (const auto &S : Registry.spanSnapshot()) {
@@ -177,10 +131,6 @@ std::string obs::exportMetricsJsonLines(const MetricsRegistry &Registry,
   for (const auto &[Name, Value] : Registry.gaugeSnapshot())
     Out += Prefix + "\"kind\": \"gauge\", \"name\": " + jsonString(Name) +
            ", \"value\": " + std::to_string(Value) + "}\n";
-  for (const auto &H : Registry.histogramSnapshot())
-    Out += Prefix + "\"kind\": \"histogram\", \"name\": " +
-           jsonString(H.Name) + ", \"stats\": " + statsJson(H.Samples) +
-           "}\n";
   for (const auto &S : Registry.spanSnapshot())
     Out += Prefix + "\"kind\": \"span\", \"name\": " + jsonString(S.Path) +
            ", \"count\": " + u64(S.Stats.Count) +
@@ -259,25 +209,6 @@ std::string obs::exportMetricsProm(const MetricsRegistry &Registry) {
     Out += "# HELP " + P + " TWPP gauge " + Name + "\n";
     Out += "# TYPE " + P + " gauge\n";
     Out += P + " " + std::to_string(Value) + "\n";
-  }
-  for (const auto &H : Registry.histogramSnapshot()) {
-    // The native histogram convention: cumulative le-labelled buckets
-    // plus _sum and _count series.
-    std::string P = promName(H.Name);
-    Out += "# HELP " + P + " TWPP histogram " + H.Name + "\n";
-    Out += "# TYPE " + P + " histogram\n";
-    uint64_t Cumulative = 0;
-    for (size_t I = 0; I < H.Bounds.size(); ++I) {
-      Cumulative += I < H.Counts.size() ? H.Counts[I] : 0;
-      Out += P + "_bucket{le=\"" + u64(H.Bounds[I]) + "\"} " +
-             u64(Cumulative) + "\n";
-    }
-    Out += P + "_bucket{le=\"+Inf\"} " + u64(H.Samples.count()) + "\n";
-    Out += P + "_sum " +
-           promDouble(H.Samples.mean() *
-                      static_cast<double>(H.Samples.count())) +
-           "\n";
-    Out += P + "_count " + u64(H.Samples.count()) + "\n";
   }
   // Phase spans keyed by hierarchical path — the label-carrying series
   // (and the reason label escaping exists: paths are free-form text).

@@ -27,11 +27,11 @@
 
 namespace twpp::obs {
 
-/// Renders every counter, gauge, histogram and span as aligned tables.
+/// Renders every counter, gauge and span as aligned tables.
 std::string renderMetricsTable(const MetricsRegistry &Registry);
 
 /// One JSON object: {"schema": "twpp-metrics-v1", "counters": {...},
-/// "gauges": {...}, "histograms": {...}, "spans": {...}}.
+/// "gauges": {...}, "spans": {...}}.
 std::string exportMetricsJson(const MetricsRegistry &Registry);
 
 /// JSON-lines form: one {"label", "kind", "name", ...} object per line for
@@ -46,9 +46,8 @@ bool writeMetricsJsonFile(const std::string &Path,
 
 /// Prometheus text-exposition form (`--metrics-format=prom`), groundwork
 /// for the archive-daemon's scrape endpoint: counters/gauges map to
-/// twpp_-prefixed series, histograms to the cumulative le-bucket
-/// convention, and phase spans to path-labelled series with label values
-/// escaped per the exposition spec.
+/// twpp_-prefixed series and phase spans to path-labelled series with
+/// label values escaped per the exposition spec.
 std::string exportMetricsProm(const MetricsRegistry &Registry);
 
 } // namespace twpp::obs

@@ -18,9 +18,8 @@
 /// Tracking is off by default. It is enabled per process with
 /// setMemTrackingEnabled(true) (what --metrics-out and the benches do);
 /// when disabled every hook costs one relaxed atomic load. MemAccount
-/// itself works either way: StreamingCompactor uses a private instance to
-/// drive its memory budget, which must behave identically whether or not
-/// observability is on.
+/// itself works either way: the memory audit binds a MemScope to a private
+/// instance so its tallies stay out of the process-wide ones.
 ///
 /// Attribution model: instrumented sites either record against a fixed tag
 /// (memAlloc/memFree with a memtags:: constant) when the stage owns the

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Always-compiled, cheap-when-disabled telemetry for the compaction
-/// pipeline: Counter, Gauge and fixed-bucket Histogram primitives in a
+/// pipeline: Counter and Gauge primitives plus per-path span timings in a
 /// process-global MetricsRegistry. Collection is off by default (library
 /// consumers pay one relaxed atomic load per instrumentation site) and is
 /// toggled by setMetricsEnabled() (which every metrics sink calls).
@@ -28,7 +28,6 @@
 
 #include "support/Stats.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -95,60 +94,6 @@ private:
   std::atomic<int64_t> Value{0};
 };
 
-/// Fixed-bucket histogram: one count per upper bound plus an overflow
-/// bucket, with a RunningStats over the raw samples for the moments and
-/// the streaming p50/p95 estimates.
-class Histogram {
-public:
-  /// \p UpperBounds must be strictly increasing; samples <= bound land in
-  /// that bucket, larger samples in the implicit overflow bucket.
-  explicit Histogram(std::vector<uint64_t> UpperBounds)
-      : Bounds(std::move(UpperBounds)),
-        Buckets(std::make_unique<std::atomic<uint64_t>[]>(Bounds.size() + 1)) {
-    for (size_t I = 0; I <= Bounds.size(); ++I)
-      Buckets[I].store(0, std::memory_order_relaxed);
-  }
-
-  void record(uint64_t Sample) {
-    if (!enabled())
-      return;
-    size_t B = std::upper_bound(Bounds.begin(), Bounds.end(), Sample - 1) -
-               Bounds.begin();
-    if (Sample == 0)
-      B = 0;
-    Buckets[B].fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> Lock(M);
-    Samples.add(static_cast<double>(Sample));
-  }
-
-  const std::vector<uint64_t> &bounds() const { return Bounds; }
-
-  std::vector<uint64_t> counts() const {
-    std::vector<uint64_t> Out(Bounds.size() + 1);
-    for (size_t I = 0; I < Out.size(); ++I)
-      Out[I] = Buckets[I].load(std::memory_order_relaxed);
-    return Out;
-  }
-
-  RunningStats stats() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return Samples;
-  }
-
-  void reset() {
-    for (size_t I = 0; I <= Bounds.size(); ++I)
-      Buckets[I].store(0, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> Lock(M);
-    Samples = RunningStats();
-  }
-
-private:
-  std::vector<uint64_t> Bounds;
-  std::unique_ptr<std::atomic<uint64_t>[]> Buckets;
-  mutable std::mutex M;
-  RunningStats Samples;
-};
-
 /// Accumulated timing of one span path (see obs/PhaseSpan.h).
 struct SpanStats {
   uint64_t Count = 0;
@@ -175,16 +120,6 @@ public:
     auto &Slot = Gauges[Name];
     if (!Slot)
       Slot = std::make_unique<Gauge>();
-    return *Slot;
-  }
-
-  /// \p UpperBounds is used on first registration only.
-  Histogram &histogram(const std::string &Name,
-                       std::vector<uint64_t> UpperBounds) {
-    std::lock_guard<std::mutex> Lock(M);
-    auto &Slot = Histograms[Name];
-    if (!Slot)
-      Slot = std::make_unique<Histogram>(std::move(UpperBounds));
     return *Slot;
   }
 
@@ -217,21 +152,6 @@ public:
     return Out;
   }
 
-  struct HistogramSnapshot {
-    std::string Name;
-    std::vector<uint64_t> Bounds;
-    std::vector<uint64_t> Counts;
-    RunningStats Samples;
-  };
-  std::vector<HistogramSnapshot> histogramSnapshot() const {
-    std::lock_guard<std::mutex> Lock(M);
-    std::vector<HistogramSnapshot> Out;
-    Out.reserve(Histograms.size());
-    for (const auto &[Name, H] : Histograms)
-      Out.push_back({Name, H->bounds(), H->counts(), H->stats()});
-    return Out;
-  }
-
   struct SpanSnapshot {
     std::string Path;
     SpanStats Stats;
@@ -253,8 +173,6 @@ public:
       C->reset();
     for (auto &[Name, G] : Gauges)
       G->reset();
-    for (auto &[Name, H] : Histograms)
-      H->reset();
     Spans.clear();
   }
 
@@ -262,7 +180,6 @@ private:
   mutable std::mutex M;
   std::map<std::string, std::unique_ptr<Counter>> Counters;
   std::map<std::string, std::unique_ptr<Gauge>> Gauges;
-  std::map<std::string, std::unique_ptr<Histogram>> Histograms;
   std::map<std::string, SpanStats> Spans;
 };
 

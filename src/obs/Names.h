@@ -23,8 +23,6 @@ namespace twpp::obs::names {
 // sequitur/ — grammar inference (the Larus baseline).
 inline constexpr const char *SequiturSymbols = "sequitur.symbols";
 inline constexpr const char *SequiturRulesCreated = "sequitur.rules_created";
-inline constexpr const char *SequiturRulesDeleted = "sequitur.rules_deleted";
-inline constexpr const char *SequiturSubstitutions = "sequitur.substitutions";
 
 // wpp/Partition + wpp/Streaming — stages 1+2 (partitioning, redundant
 // path trace elimination).
@@ -33,40 +31,26 @@ inline constexpr const char *PartitionBlockEvents = "partition.block_events";
 inline constexpr const char *PartitionUniqueTraces = "partition.unique_traces";
 inline constexpr const char *PartitionBytesIn = "partition.bytes_in";
 inline constexpr const char *PartitionBytesOut = "partition.bytes_out";
-inline constexpr const char *PartitionTraceLength = "partition.trace_length";
 
 // wpp/Dbb — stage 3 (DBB dictionary creation).
 inline constexpr const char *DbbChains = "dbb.chains";
 inline constexpr const char *DbbLookups = "dbb.lookups";
-inline constexpr const char *DbbLookupHits = "dbb.lookup_hits";
 inline constexpr const char *DbbBytesIn = "dbb.bytes_in";
 inline constexpr const char *DbbBytesOut = "dbb.bytes_out";
 
 // wpp/TimestampSet + wpp/Twpp — stages 4+5 (timestamped form, series
 // compaction).
 inline constexpr const char *TimestampSets = "timestamp.sets";
-inline constexpr const char *TimestampValues = "timestamp.values";
-inline constexpr const char *TimestampRuns = "timestamp.runs";
-inline constexpr const char *TwppBytesIn = "twpp.bytes_in";
 inline constexpr const char *TwppBytesOut = "twpp.bytes_out";
 
 // support/LZW — DCG compression.
 inline constexpr const char *LzwCompressCalls = "lzw.compress_calls";
 inline constexpr const char *LzwCompressBytesIn = "lzw.compress_bytes_in";
-inline constexpr const char *LzwCompressBytesOut = "lzw.compress_bytes_out";
 inline constexpr const char *LzwDictEntries = "lzw.dict_entries";
-inline constexpr const char *LzwDecompressCalls = "lzw.decompress_calls";
-inline constexpr const char *LzwDecompressBytesIn = "lzw.decompress_bytes_in";
-inline constexpr const char *LzwDecompressBytesOut =
-    "lzw.decompress_bytes_out";
 
-// support/FileIO — durable file IO (atomic writes, retry, fault seam).
-inline constexpr const char *IoWrites = "io.writes";
-inline constexpr const char *IoReads = "io.reads";
-inline constexpr const char *IoAtomicWrites = "io.atomic_writes";
-inline constexpr const char *IoWriteRetries = "io.write_retries";
+// support/FileIO + support/FaultInjection — durable IO: writes that failed
+// and the failures the TWPP_FAULT seam injected.
 inline constexpr const char *IoWriteFailures = "io.write_failures";
-inline constexpr const char *IoShortReads = "io.short_reads";
 inline constexpr const char *IoFaultsInjected = "io.faults_injected";
 
 // wpp/Journal + wpp/Streaming durability — checkpointing, recovery and
@@ -74,29 +58,20 @@ inline constexpr const char *IoFaultsInjected = "io.faults_injected";
 inline constexpr const char *JournalCheckpoints = "journal.checkpoints";
 inline constexpr const char *JournalCheckpointFailures =
     "journal.checkpoint_failures";
-inline constexpr const char *JournalBytes = "journal.bytes";
-inline constexpr const char *JournalResumes = "journal.resumes";
 inline constexpr const char *JournalRecordsDropped =
     "journal.records_dropped";
 inline constexpr const char *StreamDegraded = "stream.degraded";
-inline constexpr const char *StreamStateBytes = "stream.state_bytes";
 
 // wpp/Archive — the on-disk format and its random-access reader.
-inline constexpr const char *ArchiveEncodes = "archive.encodes";
 inline constexpr const char *ArchiveBytes = "archive.bytes";
 inline constexpr const char *ArchiveIndexReads = "archive.index_reads";
 inline constexpr const char *ArchiveBlockReads = "archive.block_reads";
 inline constexpr const char *ArchiveBlockBytesRead = "archive.block_bytes_read";
-inline constexpr const char *ArchiveDcgReads = "archive.dcg_reads";
-inline constexpr const char *ArchiveBlockBytes = "archive.block_bytes";
 // Zero-copy read path: successful mappings, bytes mapped, and times the
 // reader fell back from mmap to buffered IO.
 inline constexpr const char *ArchiveMmapOpens = "archive.mmap_opens";
 inline constexpr const char *ArchiveMmapBytes = "archive.mmap_bytes";
 inline constexpr const char *ArchiveMmapFallbacks = "archive.mmap_fallbacks";
-// Decode-scratch arena high-water (gauge, bytes reserved across blocks).
-inline constexpr const char *ArenaDecodeReservedBytes =
-    "arena.decode_reserved_bytes";
 
 // obs/Trace — the event-tracing flight recorder. Ring overwrites are
 // published live (satisfying "is the ring big enough?" without exporting
@@ -107,7 +82,6 @@ inline constexpr const char *TraceDroppedEvents = "trace.dropped_events";
 // obs/SelfProfile — continuous self-profiling: the pipeline's own span
 // stream compacted into a TWPP archive ("TWPP-on-TWPP").
 inline constexpr const char *SelfprofSpans = "selfprof.spans";
-inline constexpr const char *SelfprofEvents = "selfprof.events";
 inline constexpr const char *SelfprofRecordsDropped =
     "selfprof.records_dropped";
 inline constexpr const char *SelfprofTruncatedSpans =
@@ -115,16 +89,6 @@ inline constexpr const char *SelfprofTruncatedSpans =
 inline constexpr const char *SelfprofUnclosedSpans =
     "selfprof.unclosed_spans";
 inline constexpr const char *SelfprofFunctions = "selfprof.functions";
-inline constexpr const char *SelfprofArchiveBytes = "selfprof.archive_bytes";
-inline constexpr const char *SelfprofTraceJsonBytes =
-    "selfprof.trace_json_bytes";
-
-// verify/ — static invariant verification (TWPP_VERIFY post-stage
-// assertions and `twpp verify`).
-inline constexpr const char *VerifyRuns = "verify.runs";
-inline constexpr const char *VerifyDiagnostics = "verify.diagnostics";
-inline constexpr const char *VerifyErrors = "verify.errors";
-inline constexpr const char *VerifyWarnings = "verify.warnings";
 
 // obs/Memory — allocation tracking and process RSS sampling. All gauges:
 // RSS figures are set from the poller window at export time, tracked_*
@@ -184,22 +148,9 @@ inline constexpr const char *IngestEventsPerSec = "ingest.events_per_sec";
 
 // dataflow/ — demand-driven queries over the compacted form.
 inline constexpr const char *DataflowQueries = "dataflow.queries";
-inline constexpr const char *DataflowSubqueries = "dataflow.subqueries";
-inline constexpr const char *DataflowNodesVisited = "dataflow.nodes_visited";
-inline constexpr const char *DataflowCacheHits = "dataflow.cache_hits";
-inline constexpr const char *DataflowCacheMisses = "dataflow.cache_misses";
 
-/// Power-of-two bucket bounds shared by the size/length histograms.
-/// Header-only so instrumented libraries need no link against twpp_obs.
-inline std::vector<uint64_t> powerOfTwoBounds(uint64_t MaxBound) {
-  std::vector<uint64_t> Bounds;
-  for (uint64_t B = 1; B <= MaxBound; B *= 2)
-    Bounds.push_back(B);
-  return Bounds;
-}
-
-/// Registers every canonical counter, gauge and histogram in \p Registry so
-/// exports enumerate all stages even when a run exercised only a few.
+/// Registers every canonical counter and gauge in \p Registry so exports
+/// enumerate all stages even when a run exercised only a few.
 void registerCanonicalMetrics(MetricsRegistry &Registry);
 
 } // namespace twpp::obs::names

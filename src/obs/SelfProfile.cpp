@@ -283,16 +283,11 @@ bool SelfProfiler::finish(SelfProfileStats &Stats, std::string *Error) {
   // collection is off, like every other instrumentation site).
   MetricsRegistry &M = metrics();
   M.counter(names::SelfprofSpans).add(Stream.Stats.Spans);
-  M.counter(names::SelfprofEvents).add(Stream.Stats.Events);
   M.counter(names::SelfprofRecordsDropped).add(Stream.Stats.RecordsDropped);
   M.counter(names::SelfprofTruncatedSpans).add(Stream.Stats.TruncatedSpans);
   M.counter(names::SelfprofUnclosedSpans).add(Stream.Stats.UnclosedSpans);
   M.gauge(names::SelfprofFunctions)
       .set(static_cast<int64_t>(Stream.Stats.Functions));
-  M.gauge(names::SelfprofArchiveBytes)
-      .set(static_cast<int64_t>(Stream.Stats.ArchiveBytes));
-  M.gauge(names::SelfprofTraceJsonBytes)
-      .set(static_cast<int64_t>(Stream.Stats.TraceJsonBytes));
 
   Stats = Stream.Stats;
   setTracingEnabled(TracingWasOn);

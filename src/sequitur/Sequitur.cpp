@@ -76,9 +76,6 @@ SequiturBuilder::Rule *SequiturBuilder::newRule() {
 }
 
 void SequiturBuilder::freeRule(Rule *R) {
-  static obs::Counter &RulesDeleted =
-      obs::metrics().counter(obs::names::SequiturRulesDeleted);
-  RulesDeleted.add();
   assert(R != Start && "cannot free the start rule");
   LiveRules.erase(R->Id);
   if (obs::memTrackingEnabled())
@@ -208,9 +205,6 @@ void SequiturBuilder::match(Sym *New, Sym *Found) {
 }
 
 void SequiturBuilder::substitute(Sym *S, Rule *R) {
-  static obs::Counter &Substitutions =
-      obs::metrics().counter(obs::names::SequiturSubstitutions);
-  Substitutions.add();
   Sym *Before = S->Prev;
   removeSymbol(S->Next);
   removeSymbol(S);

@@ -140,7 +140,6 @@ std::string IoError::message() const {
 
 IoError twpp::writeFileBytes(const std::string &Path,
                              const std::vector<uint8_t> &Bytes) {
-  obs::metrics().counter(obs::names::IoWrites).add();
   if (fault::shouldFailIo("open")) {
     obs::metrics().counter(obs::names::IoWriteFailures).add();
     return injected(IoStatus::OpenFailed, Path);
@@ -176,7 +175,6 @@ IoError twpp::writeFileBytes(const std::string &Path,
 IoError twpp::writeFileBytesAtomic(const std::string &Path,
                                    const std::vector<uint8_t> &Bytes,
                                    const RetryPolicy &Retry) {
-  obs::metrics().counter(obs::names::IoAtomicWrites).add();
   std::string TmpPath = Path + ".tmp";
   unsigned Attempts = Retry.MaxAttempts == 0 ? 1 : Retry.MaxAttempts;
   IoError Last;
@@ -186,7 +184,6 @@ IoError twpp::writeFileBytesAtomic(const std::string &Path,
       return Last;
     if (Attempt == Attempts)
       break;
-    obs::metrics().counter(obs::names::IoWriteRetries).add();
     std::this_thread::sleep_for(std::chrono::milliseconds(
         static_cast<uint64_t>(Retry.InitialBackoffMs) << (Attempt - 1)));
   }
@@ -197,7 +194,6 @@ IoError twpp::writeFileBytesAtomic(const std::string &Path,
 IoError twpp::readFileBytes(const std::string &Path,
                             std::vector<uint8_t> &Bytes) {
   Bytes.clear();
-  obs::metrics().counter(obs::names::IoReads).add();
   if (fault::shouldFailIo("open"))
     return injected(IoStatus::OpenFailed, Path);
   std::FILE *File = std::fopen(Path.c_str(), "rb");
@@ -218,7 +214,6 @@ IoError twpp::readFileBytes(const std::string &Path,
                     : std::fread(Bytes.data(), 1, Bytes.size(), File);
   std::fclose(File);
   if (InjectRead || Read != Bytes.size()) {
-    obs::metrics().counter(obs::names::IoShortReads).add();
     size_t Want = Bytes.size();
     Bytes.clear();
     return InjectRead

@@ -120,39 +120,19 @@ std::vector<uint8_t> twpp::lzwCompress(const std::vector<uint8_t> &Input) {
     obs::MetricsRegistry &M = obs::metrics();
     static obs::Counter &Calls = M.counter(obs::names::LzwCompressCalls);
     static obs::Counter &BytesIn = M.counter(obs::names::LzwCompressBytesIn);
-    static obs::Counter &BytesOut = M.counter(obs::names::LzwCompressBytesOut);
     static obs::Counter &DictEntries = M.counter(obs::names::LzwDictEntries);
     Calls.add();
     BytesIn.add(Input.size());
-    BytesOut.add(Out.size());
     DictEntries.add(NextCode - 256);
   }
   return Out;
 }
 
-namespace {
-
-void noteDecompress(size_t BytesInCount, size_t BytesOutCount) {
-  if (!obs::enabled())
-    return;
-  obs::MetricsRegistry &M = obs::metrics();
-  static obs::Counter &Calls = M.counter(obs::names::LzwDecompressCalls);
-  static obs::Counter &BytesIn = M.counter(obs::names::LzwDecompressBytesIn);
-  static obs::Counter &BytesOut = M.counter(obs::names::LzwDecompressBytesOut);
-  Calls.add();
-  BytesIn.add(BytesInCount);
-  BytesOut.add(BytesOutCount);
-}
-
-} // namespace
-
 bool twpp::lzwDecompress(ByteSpan Input, std::vector<uint8_t> &Output) {
   obs::PhaseSpan Span("lzw_decompress");
   Output.clear();
-  if (Input.empty()) {
-    noteDecompress(0, 0);
+  if (Input.empty())
     return true;
-  }
 
   ByteReader Reader(Input);
   std::vector<DecodeEntry> Dict;
@@ -234,6 +214,5 @@ bool twpp::lzwDecompress(ByteSpan Input, std::vector<uint8_t> &Output) {
     }
     Previous = Code;
   }
-  noteDecompress(Input.size(), Output.size());
   return true;
 }

@@ -6,8 +6,6 @@
 
 #include "verify/Verify.h"
 
-#include "obs/Metrics.h"
-#include "obs/Names.h"
 #include "obs/PhaseSpan.h"
 #include "support/FileIO.h"
 #include "wpp/Archive.h"
@@ -35,16 +33,7 @@ bool verify::verifyArchiveFile(const std::string &Path,
 
 namespace {
 
-void recordAndEnforce(const DiagnosticEngine &Engine, const char *Stage) {
-  if (obs::enabled()) {
-    obs::MetricsRegistry &M = obs::metrics();
-    M.counter(obs::names::VerifyRuns).add();
-    M.counter(obs::names::VerifyDiagnostics)
-        .add(Engine.diagnostics().size());
-    M.counter(obs::names::VerifyErrors).add(Engine.count(Severity::Error));
-    M.counter(obs::names::VerifyWarnings)
-        .add(Engine.count(Severity::Warning));
-  }
+void enforce(const DiagnosticEngine &Engine, const char *Stage) {
   if (Engine.empty())
     return;
   std::string Text = renderDiagnosticsText(Engine);
@@ -61,7 +50,7 @@ void verifyWppHook(const TwppWpp &Wpp, const char *Stage) {
   obs::PhaseSpan Span("verify");
   DiagnosticEngine Engine;
   runWppChecks(Wpp, Engine);
-  recordAndEnforce(Engine, Stage);
+  enforce(Engine, Stage);
 }
 
 void verifyArchiveBytesHook(const std::vector<uint8_t> &Bytes,
@@ -69,7 +58,7 @@ void verifyArchiveBytesHook(const std::vector<uint8_t> &Bytes,
   obs::PhaseSpan Span("verify");
   DiagnosticEngine Engine;
   runArchiveBytesChecks(Bytes, Engine);
-  recordAndEnforce(Engine, Stage);
+  enforce(Engine, Stage);
 }
 
 } // namespace

@@ -484,12 +484,10 @@ std::vector<uint8_t> encodeArchiveImpl(const TwppWpp &Wpp,
   obs::memAlloc(obs::memtags::ArchiveEncode, Out.size());
   obs::memFree(obs::memtags::ArchiveEncode, Out.size());
   maybeVerifyArchiveBytes(Out, "archive_encode");
-  if (obs::enabled()) {
-    obs::MetricsRegistry &M = obs::metrics();
-    static obs::Counter &Encodes = M.counter(obs::names::ArchiveEncodes);
-    Encodes.add();
-    M.gauge(obs::names::ArchiveBytes).set(static_cast<int64_t>(Out.size()));
-  }
+  if (obs::enabled())
+    obs::metrics()
+        .gauge(obs::names::ArchiveBytes)
+        .set(static_cast<int64_t>(Out.size()));
   obs::traceInstant("archive_encoded", "bytes",
                     static_cast<int64_t>(Out.size()));
   return Out;
@@ -765,13 +763,8 @@ bool ArchiveReader::extractFunction(FunctionId Function,
         M.counter(obs::names::ArchiveBlockReads);
     static obs::Counter &BytesRead =
         M.counter(obs::names::ArchiveBlockBytesRead);
-    static obs::Histogram &BlockBytes = M.histogram(
-        obs::names::ArchiveBlockBytes, obs::names::powerOfTwoBounds(1u << 24));
     BlockReads.add();
     BytesRead.add(Block.size());
-    BlockBytes.record(Block.size());
-    M.gauge(obs::names::ArenaDecodeReservedBytes)
-        .set(static_cast<int64_t>(decodeArena().bytesReserved()));
   }
   if (!decodeTwppFunctionTable(Block, Table))
     return fail(verify::checks::ArchiveBlockDecode,
@@ -798,9 +791,6 @@ bool ArchiveReader::readDcg(DynamicCallGraph &Dcg) const {
   obs::PhaseSpan Span("archive_read_dcg");
   obs::MemScope MemSpan(obs::memtags::ArchiveDecode,
                         obs::MemScope::Nest::IfUnscoped);
-  static obs::Counter &DcgReads =
-      obs::metrics().counter(obs::names::ArchiveDcgReads);
-  DcgReads.add();
   std::vector<uint8_t> Raw;
   if (!lzwDecompress(File.subspan(Layout.DcgOffset, Layout.DcgLength), Raw))
     return fail(verify::checks::ArchiveDcgDecode,

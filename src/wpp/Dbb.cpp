@@ -154,7 +154,7 @@ CompactedTrace twpp::compactWithDbbs(const PathTrace &Trace) {
   // Rewrite the trace: at each chain-head occurrence the full chain must
   // follow (guaranteed by the degree conditions); emit the head and skip
   // the body.
-  uint64_t Lookups = 0, Hits = 0;
+  uint64_t Lookups = 0;
   size_t Pos = 0;
   while (Pos < Trace.size()) {
     BlockId Head = Trace[Pos];
@@ -165,7 +165,6 @@ CompactedTrace twpp::compactWithDbbs(const PathTrace &Trace) {
       ++Pos;
       continue;
     }
-    ++Hits;
     const std::vector<BlockId> &Chain = Dict.Chains[ChainIndex];
     for (size_t K = 0; K < Chain.size(); ++K) {
       (void)K;
@@ -178,10 +177,8 @@ CompactedTrace twpp::compactWithDbbs(const PathTrace &Trace) {
     obs::MetricsRegistry &M = obs::metrics();
     static obs::Counter &Chains = M.counter(obs::names::DbbChains);
     static obs::Counter &AllLookups = M.counter(obs::names::DbbLookups);
-    static obs::Counter &LookupHits = M.counter(obs::names::DbbLookupHits);
     Chains.add(Dict.Chains.size());
     AllLookups.add(Lookups);
-    LookupHits.add(Hits);
   }
   return Result;
 }

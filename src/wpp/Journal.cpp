@@ -6,8 +6,6 @@
 
 #include "wpp/Journal.h"
 
-#include "obs/Metrics.h"
-#include "obs/Names.h"
 #include "support/ByteStream.h"
 #include "support/Crc32.h"
 #include "support/FaultInjection.h"
@@ -142,9 +140,6 @@ IoError JournalWriter::append(const std::vector<uint8_t> &Payload) {
   // already discarded.
   if (!syncJournalStream(File))
     return journalFail(IoStatus::SyncFailed, JournalPath);
-  obs::metrics()
-      .counter(obs::names::JournalBytes)
-      .add(static_cast<uint64_t>(Frame.size()));
   return IoError::success();
 }
 

@@ -216,8 +216,6 @@ struct StreamingCompactor::Impl {
     if (Result.ok()) {
       ++Checkpoints;
       M.counter(obs::names::JournalCheckpoints).add();
-      M.gauge(obs::names::StreamStateBytes)
-          .set(static_cast<int64_t>(stateBytes()));
     } else {
       LastJournalError = Result;
       M.counter(obs::names::JournalCheckpointFailures).add();
@@ -314,12 +312,8 @@ void StreamingCompactor::onExit() {
     static obs::Counter &Calls = M.counter(obs::names::PartitionCalls);
     static obs::Counter &BlockEvents =
         M.counter(obs::names::PartitionBlockEvents);
-    static obs::Histogram &TraceLength =
-        M.histogram(obs::names::PartitionTraceLength,
-                    obs::names::powerOfTwoBounds(1u << 20));
     Calls.add();
     BlockEvents.add(Top.Blocks.size());
-    TraceLength.record(Top.Blocks.size());
   }
   DcgNode &Node = P->Wpp.Dcg.Nodes[Top.NodeIndex];
   FunctionTraceTable &Table = P->Wpp.Functions[Node.Function];
@@ -511,7 +505,6 @@ StreamingCompactor::resumeFromJournal(const std::string &JournalPath,
     Out->P->LastJournalError = Reopen;
     obs::metrics().counter(obs::names::JournalCheckpointFailures).add();
   }
-  obs::metrics().counter(obs::names::JournalResumes).add();
   obs::traceInstant("journal_resume", "events",
                     static_cast<int64_t>(Out->P->EventCount));
   return Out;

@@ -42,15 +42,9 @@ TimestampSet TimestampSet::fromSorted(const std::vector<Timestamp> &Sorted) {
     }
   }
   if (obs::enabled()) {
-    // Series formation observability: values folded vs runs emitted is the
-    // live view of the stage-5 compression ratio.
-    obs::MetricsRegistry &M = obs::metrics();
-    static obs::Counter &Sets = M.counter(obs::names::TimestampSets);
-    static obs::Counter &Values = M.counter(obs::names::TimestampValues);
-    static obs::Counter &Runs = M.counter(obs::names::TimestampRuns);
+    static obs::Counter &Sets =
+        obs::metrics().counter(obs::names::TimestampSets);
     Sets.add();
-    Values.add(Sorted.size());
-    Runs.add(Set.Runs.size());
   }
   // Scoped memory attribution: the run payload lands in whichever stage
   // opened a MemScope (dropped otherwise, so stage-level deepSize records
@@ -451,6 +445,11 @@ uint64_t entryMagnitude(int64_t V) {
 bool TimestampSet::decodeSigned(const int64_t *Encoded, size_t Count,
                                 TimestampSet &Out) {
   Out = TimestampSet();
+  // Every entry ends in its only negative value, so a stream that decodes
+  // holds exactly that many runs: capacity equals size, and the size-based
+  // memory record below is the heap the runs really take.
+  Out.Runs.reserve(static_cast<size_t>(std::count_if(
+      Encoded, Encoded + Count, [](int64_t V) { return V < 0; })));
   size_t I = 0, N = Count;
   while (I < N) {
     int64_t First = Encoded[I++];

@@ -165,13 +165,12 @@ TwppWpp twpp::convertToTwpp(const DbbWpp &Wpp, const ParallelConfig &Config) {
       obs::memAlloc(obs::memtags::TwppTables, obs::deepSize(Table));
   });
   if (obs::enabled()) {
-    // Stage 4+5 size accounting: the same trace strings before and after
-    // the timestamped-form conversion.
-    uint64_t BytesIn = dbbTraceBytes(Wpp);
+    // Stage 4+5 size accounting: the trace strings after the
+    // timestamped-form conversion.
     uint64_t BytesOut = twppTraceBytes(Out);
-    obs::MetricsRegistry &M = obs::metrics();
-    M.gauge(obs::names::TwppBytesIn).set(static_cast<int64_t>(BytesIn));
-    M.gauge(obs::names::TwppBytesOut).set(static_cast<int64_t>(BytesOut));
+    obs::metrics()
+        .gauge(obs::names::TwppBytesOut)
+        .set(static_cast<int64_t>(BytesOut));
     obs::traceCounter(obs::names::TwppBytesOut,
                       static_cast<int64_t>(BytesOut));
   }

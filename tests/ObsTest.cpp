@@ -223,22 +223,6 @@ TEST_F(ObsTest, GaugeSetAndAdd) {
   EXPECT_EQ(G.value(), 70);
 }
 
-TEST_F(ObsTest, HistogramBucketsAndStats) {
-  obs::Histogram &H = obs::metrics().histogram("test.hist", {10, 100});
-  for (uint64_t Sample : {1u, 10u, 11u, 100u, 1000u})
-    H.record(Sample);
-  std::vector<uint64_t> Counts = H.counts();
-  ASSERT_EQ(Counts.size(), 3u); // <=10, <=100, overflow
-  EXPECT_EQ(Counts[0], 2u);
-  EXPECT_EQ(Counts[1], 2u);
-  EXPECT_EQ(Counts[2], 1u);
-  RunningStats S = H.stats();
-  EXPECT_EQ(S.count(), 5u);
-  EXPECT_DOUBLE_EQ(S.min(), 1.0);
-  EXPECT_DOUBLE_EQ(S.max(), 1000.0);
-  EXPECT_DOUBLE_EQ(S.p50(), 11.0); // exact below five samples
-}
-
 TEST_F(ObsTest, ResetZeroesInPlace) {
   obs::Counter &C = obs::metrics().counter("test.reset");
   C.add(5);
@@ -265,15 +249,12 @@ TEST_F(ObsTest, DisabledCollectionIsANoOp) {
   obs::setMetricsEnabled(false);
   obs::metrics().counter("test.off").add(9);
   obs::metrics().gauge("test.off_gauge").set(9);
-  obs::Histogram &H = obs::metrics().histogram("test.off_hist", {10});
-  H.record(3);
   {
     obs::PhaseSpan Span("test_off_span");
     EXPECT_TRUE(Span.path().empty());
   }
   EXPECT_EQ(counterValue("test.off"), 0u);
   EXPECT_EQ(obs::metrics().gauge("test.off_gauge").value(), 0);
-  EXPECT_EQ(H.stats().count(), 0u);
   EXPECT_TRUE(obs::metrics().spanSnapshot().empty());
 }
 
@@ -459,7 +440,6 @@ TEST(ObsJsonWriter, SplicesARenderedValue) {
 TEST_F(ObsTest, JsonExportIsValidAndRoundTripsValues) {
   obs::metrics().counter("round.trip").add(12345);
   obs::metrics().gauge("round.gauge").set(-7);
-  obs::metrics().histogram("round.hist", {10}).record(4);
   { obs::PhaseSpan Span("round_span"); }
 
   std::string Json = obs::exportMetricsJson(obs::metrics());
@@ -467,7 +447,6 @@ TEST_F(ObsTest, JsonExportIsValidAndRoundTripsValues) {
   EXPECT_TRUE(Checker.valid()) << Json;
   EXPECT_NE(Json.find("\"round.trip\": 12345"), std::string::npos);
   EXPECT_NE(Json.find("\"round.gauge\": -7"), std::string::npos);
-  EXPECT_NE(Json.find("\"round.hist\""), std::string::npos);
   EXPECT_NE(Json.find("\"round_span\""), std::string::npos);
   EXPECT_NE(Json.find("\"schema\": \"twpp-metrics-v1\""), std::string::npos);
 }
@@ -495,12 +474,10 @@ TEST_F(ObsTest, JsonLinesExportIsValidPerLine) {
 TEST_F(ObsTest, TableExportListsEveryKind) {
   obs::metrics().counter("table.counter").add(1);
   obs::metrics().gauge("table.gauge").set(2);
-  obs::metrics().histogram("table.hist", {10}).record(5);
   { obs::PhaseSpan Span("table_span"); }
   std::string Table = obs::renderMetricsTable(obs::metrics());
   EXPECT_NE(Table.find("table.counter"), std::string::npos);
   EXPECT_NE(Table.find("table.gauge"), std::string::npos);
-  EXPECT_NE(Table.find("table.hist"), std::string::npos);
   EXPECT_NE(Table.find("table_span"), std::string::npos);
 }
 
@@ -547,30 +524,6 @@ TEST_F(ObsTest, PromExportEscapesLabelValues) {
     EXPECT_EQ(Prom.find('\n', At), Prom.find('\n', Close))
         << "raw newline inside a label set";
   }
-}
-
-TEST_F(ObsTest, PromExportEmitsCumulativeHistogramBuckets) {
-  obs::Histogram &H = obs::metrics().histogram("prom.hist", {10, 100});
-  for (uint64_t Sample : {1u, 10u, 11u, 100u, 1000u})
-    H.record(Sample);
-  std::string Prom = obs::exportMetricsProm(obs::metrics());
-  // Per-bucket counts 2/2/1 become cumulative 2/4/5 under le labels,
-  // with le="+Inf" equal to _count.
-  EXPECT_NE(Prom.find("# TYPE twpp_prom_hist histogram"), std::string::npos);
-  EXPECT_NE(Prom.find("twpp_prom_hist_bucket{le=\"10\"} 2\n"),
-            std::string::npos)
-      << Prom;
-  EXPECT_NE(Prom.find("twpp_prom_hist_bucket{le=\"100\"} 4\n"),
-            std::string::npos);
-  EXPECT_NE(Prom.find("twpp_prom_hist_bucket{le=\"+Inf\"} 5\n"),
-            std::string::npos);
-  EXPECT_NE(Prom.find("twpp_prom_hist_count 5\n"), std::string::npos);
-  // _sum is the sample total (mean x count): 1+10+11+100+1000 = 1122.
-  // The mean is tracked incrementally, so compare numerically.
-  size_t SumPos = Prom.find("twpp_prom_hist_sum ");
-  ASSERT_NE(SumPos, std::string::npos);
-  EXPECT_NEAR(std::strtod(Prom.c_str() + SumPos + 19, nullptr), 1122.0,
-              1e-6);
 }
 
 TEST_F(ObsTest, PromExportCoversSpansWithPathLabels) {
@@ -782,43 +735,83 @@ TEST_F(ObsTest, SessionExitsTwoWhenASinkCannotBeWritten) {
 TEST(MetricInventory, EveryNameIsDocumented) {
   std::string Names = readSourceFile("src/obs/Names.h");
   std::string Doc = readSourceFile("docs/OBSERVABILITY.md");
+  std::string Baseline = readSourceFile("BENCH_metrics.json");
   ASSERT_FALSE(Names.empty());
   ASSERT_FALSE(Doc.empty());
+  ASSERT_FALSE(Baseline.empty());
+
+  // What registerCanonicalMetrics puts into a fresh registry, by kind.
+  obs::MetricsRegistry Fresh;
+  obs::names::registerCanonicalMetrics(Fresh);
+  std::map<std::string, std::string> KindOf;
+  for (const auto &Entry : Fresh.counterSnapshot())
+    KindOf[Entry.first] = "counter";
+  for (const auto &Entry : Fresh.gaugeSnapshot())
+    KindOf[Entry.first] = "gauge";
+
+  // The names obs/Names.h declares are exactly the registered ones.
   std::regex NameDecl(
       R"re(inline constexpr const char \*\w+ =\s*"([^"]+)")re");
-  std::set<std::string> Declared;
+  std::set<std::string> Declared, Registered;
   for (std::sregex_iterator It(Names.begin(), Names.end(), NameDecl), End;
-       It != End; ++It) {
-    std::string Name = (*It)[1];
-    EXPECT_NE(Doc.find("`" + Name + "`"), std::string::npos)
-        << Name << " is declared in src/obs/Names.h but not documented in "
-        << "docs/OBSERVABILITY.md";
-    Declared.insert(Name);
-  }
-  // Guards the regex itself: a pattern that stopped matching would pass
-  // vacuously.
-  EXPECT_GT(Declared.size(), 100u);
+       It != End; ++It)
+    Declared.insert((*It)[1]);
+  for (const auto &Entry : KindOf)
+    Registered.insert(Entry.first);
+  EXPECT_EQ(Declared, Registered)
+      << "src/obs/Names.h and registerCanonicalMetrics disagree";
 
-  // The reverse: every name in a counter, gauge or histogram row of the
-  // doc's tables ("| `a` / `b` | counter | ...") is declared.
-  std::regex Row(R"re(^\| (.*?) \| (counter|gauge|histogram) \|)re");
+  // Every row of the doc's metric tables ("| `a` / `b` | counter | ...")
+  // names registered metrics of the kind it states, and every registered
+  // name has a row.
+  std::regex Row(R"re(^\| (`[^|]*`) \| (\w+) \|)re");
   std::regex Quoted("`([^`]+)`");
   std::istringstream Lines(Doc);
   std::string Line;
-  size_t Rows = 0;
+  std::set<std::string> Documented;
   while (std::getline(Lines, Line)) {
     std::smatch M;
     if (!std::regex_search(Line, M, Row))
       continue;
-    ++Rows;
-    std::string Cell = M[1];
+    std::string Cell = M[1], Kind = M[2];
     for (std::sregex_iterator It(Cell.begin(), Cell.end(), Quoted), End;
-         It != End; ++It)
-      EXPECT_TRUE(Declared.count((*It)[1]))
-          << (*It)[1] << " is documented in docs/OBSERVABILITY.md but not "
-          << "declared in src/obs/Names.h";
+         It != End; ++It) {
+      std::string Name = (*It)[1];
+      auto Found = KindOf.find(Name);
+      if (Found == KindOf.end())
+        ADD_FAILURE() << Name << " is documented in docs/OBSERVABILITY.md "
+                      << "but not registered";
+      else
+        EXPECT_EQ(Found->second, Kind)
+            << Name << "'s kind in docs/OBSERVABILITY.md";
+      Documented.insert(Name);
+    }
   }
-  EXPECT_GT(Rows, 50u);
+  for (const std::string &Name : Registered)
+    EXPECT_TRUE(Documented.count(Name))
+        << Name << " is registered but has no row in docs/OBSERVABILITY.md";
+
+  // Every counter and gauge row of the committed baseline is a registered
+  // metric of the same kind, so a stale baseline row fails here.
+  std::regex Record(
+      R"re(^\{"label": "[^"]*", "kind": "(\w+)", "name": "([^"]+)")re");
+  std::istringstream Records(Baseline);
+  while (std::getline(Records, Line)) {
+    if (Line.empty())
+      continue;
+    std::smatch M;
+    ASSERT_TRUE(std::regex_search(Line, M, Record))
+        << "BENCH_metrics.json line does not parse: " << Line;
+    std::string Kind = M[1], Name = M[2];
+    if (Kind == "span")
+      continue;
+    auto Found = KindOf.find(Name);
+    if (Found == KindOf.end())
+      ADD_FAILURE() << Name << " is in BENCH_metrics.json but not registered";
+    else
+      EXPECT_EQ(Found->second, Kind)
+          << Name << "'s kind in BENCH_metrics.json";
+  }
 }
 
 TEST(EnvInventory, EveryDocumentedVariableIsRead) {

@@ -86,6 +86,19 @@ TEST(TimestampSetTest, SetOperations) {
   EXPECT_TRUE(A.intersect(TimestampSet()).empty());
 }
 
+TEST(TimestampSetTest, DecodeReservesExactlyItsRuns) {
+  // A singleton, a step-1 range and a stepped range: three entries, three
+  // runs, and no spare capacity for the memory records to miss.
+  TimestampSet Out;
+  ASSERT_TRUE(TimestampSet::decodeSigned({-3, 5, -9, 10, 20, -5}, Out));
+  EXPECT_EQ(Out.runs().size(), 3u);
+  EXPECT_EQ(Out.runs().capacity(), Out.runs().size());
+  TimestampSet Set = TimestampSet::fromSorted({1, 3, 5, 7, 8, 20, 21, 22});
+  ASSERT_TRUE(TimestampSet::decodeSigned(Set.encodeSigned(), Out));
+  EXPECT_EQ(Out, Set);
+  EXPECT_EQ(Out.runs().capacity(), Out.runs().size());
+}
+
 TEST(TimestampSetTest, DecodeRejectsMalformedStreams) {
   TimestampSet Out;
   // Dangling positive value.

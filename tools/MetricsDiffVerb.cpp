@@ -40,8 +40,6 @@ namespace {
 
 struct MetricsDiffOptions {
   std::vector<std::string> Metrics;
-  bool All = false;
-  bool List = false;
   bool ListMetrics = false;
   double ThresholdPct = 5.0;
 } Opts;
@@ -248,7 +246,7 @@ bool loadJsonLines(const std::string &Text, MetricTable &Out) {
       return false;
     Any = true;
     if (Kind->String != "counter" && Kind->String != "gauge")
-      continue; // histograms/spans carry timing noise, not baselines
+      continue; // spans carry timing noise, not baselines
     if (!Value || Value->K != JsonValue::Kind::Number)
       return false;
     Out[{Label ? Label->String : "", Name->String}] = Value->Number;
@@ -288,11 +286,9 @@ cli::FlagTable tool::metricsDiffFlags() {
   return {
       cli::listFlag("metric", "NAME", "enforce NAME (repeatable)",
                     Opts.Metrics),
-      cli::switchFlag("all", "enforce every counter and gauge", Opts.All),
       cli::decimalFlag("threshold-pct", "P",
                        "allowed increase in percent (default 5)",
                        Opts.ThresholdPct),
-      cli::switchFlag("list", "print every matched entry", Opts.List),
       cli::switchFlag("list-metrics", "list the baseline's keys",
                       Opts.ListMetrics),
   };
@@ -302,9 +298,8 @@ int tool::runMetricsDiff(const Invocation &Inv) {
   const std::string &BaselinePath = Inv.Args[0];
   const std::string &CurrentPath = Inv.Args[1];
   std::set<std::string> EnforceNames(Opts.Metrics.begin(), Opts.Metrics.end());
-  if (EnforceNames.empty() && !Opts.All && !Opts.List && !Opts.ListMetrics)
-    return Inv.usage("nothing to do: pass --metric, --all, --list or "
-                     "--list-metrics");
+  if (EnforceNames.empty() && !Opts.ListMetrics)
+    return Inv.usage("nothing to do: pass --metric or --list-metrics");
 
   MetricTable Baseline, Current;
   if (!loadMetricsFile(BaselinePath, Baseline) ||
@@ -339,8 +334,8 @@ int tool::runMetricsDiff(const Invocation &Inv) {
       continue;
     ++Matched;
     double CurValue = It->second;
-    bool Enforced = Opts.All || EnforceNames.count(Key.Name) != 0;
-    if (EnforceNames.count(Key.Name))
+    bool Enforced = EnforceNames.count(Key.Name) != 0;
+    if (Enforced)
       SeenEnforced.insert(Key.Name);
     double Allowed = BaseValue * (1.0 + Opts.ThresholdPct / 100.0);
     bool Regressed = Enforced && CurValue > Allowed &&
@@ -352,7 +347,7 @@ int tool::runMetricsDiff(const Invocation &Inv) {
                   BaseValue != 0
                       ? (CurValue - BaseValue) / BaseValue * 100.0
                       : 100.0);
-    } else if (Opts.List || Enforced) {
+    } else if (Enforced) {
       std::printf("ok          %-40s %.0f -> %.0f\n", keyLabel(Key).c_str(),
                   BaseValue, CurValue);
     }
