@@ -27,13 +27,11 @@ CallEffectOracle::CallEffectOracle(const TwppWpp &Wpp, ModuleEffectFn Fn)
       return It->second;
     const TwppFunctionTable &Table = Wpp.Functions[F];
     auto [StringIdx, DictIdx] = Table.Traces[TraceIndex];
-    std::vector<BlockId> Sequence;
-    bool Ok = blockSequenceFromTwpp(Table.TraceStrings[StringIdx], Sequence);
+    PathTrace Expanded;
+    bool Ok = expandPathTrace(Table.TraceStrings[StringIdx],
+                              Table.Dictionaries[DictIdx], Expanded);
     assert(Ok && "inconsistent TWPP trace");
     (void)Ok;
-    PathTrace Expanded;
-    for (BlockId Head : Sequence)
-      appendExpansion(Table.Dictionaries[DictIdx], Head, Expanded);
     return TraceCache.emplace(Key, std::move(Expanded)).first->second;
   };
 
@@ -72,13 +70,11 @@ CallInstanceView twpp::buildCallInstanceView(const TwppWpp &Wpp,
   const DcgNode &Node = Wpp.Dcg.Nodes[NodeIndex];
   const TwppFunctionTable &Table = Wpp.Functions[Node.Function];
   auto [StringIdx, DictIdx] = Table.Traces[Node.TraceIndex];
-  std::vector<BlockId> Sequence;
-  bool Ok = blockSequenceFromTwpp(Table.TraceStrings[StringIdx], Sequence);
+  PathTrace Expanded;
+  bool Ok = expandPathTrace(Table.TraceStrings[StringIdx],
+                            Table.Dictionaries[DictIdx], Expanded);
   assert(Ok && "inconsistent TWPP trace");
   (void)Ok;
-  PathTrace Expanded;
-  for (BlockId Head : Sequence)
-    appendExpansion(Table.Dictionaries[DictIdx], Head, Expanded);
 
   View.Cfg = buildAnnotatedCfgFromSequence(Expanded);
   // CallsAt[0] holds calls made before any block event; CallsAt[t] the

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// A bump-pointer arena for decode scratch space. The archive read path
-/// decodes each function block through short-lived intermediate buffers
-/// (the sign-delimited series values, expansion scratch); allocating those
+/// decodes each function block into flat arrays (the series runs, block
+/// ids and chain pools); allocating those
 /// from the heap per series was a measurable cost of every query. An Arena
 /// hands out memory by bumping a cursor through pooled blocks and recycles
 /// everything with one reset() — after the first query warms the pool, a
@@ -139,6 +139,39 @@ private:
   size_t UsedBeforeCurrent = 0;
   size_t Reserved = 0;
   size_t Ledgered = 0;
+};
+
+/// A growable array of trivially copyable \p T in an Arena. Growth doubles
+/// the capacity and leaves the old storage to the arena, so the waste is
+/// at most the final size and all of it returns with the arena's next
+/// reset(). Valid until that reset().
+template <typename T> class ArenaVector {
+public:
+  explicit ArenaVector(Arena &Scratch) : Scratch(&Scratch) {}
+
+  void push_back(const T &Value) {
+    if (Size == Capacity)
+      grow();
+    Data[Size++] = Value;
+  }
+
+  size_t size() const { return Size; }
+  const T *data() const { return Data; }
+
+private:
+  void grow() {
+    size_t NewCapacity = Capacity ? Capacity * 2 : 16;
+    T *NewData = Scratch->allocateArray<T>(NewCapacity);
+    for (size_t I = 0; I != Size; ++I)
+      NewData[I] = Data[I];
+    Data = NewData;
+    Capacity = NewCapacity;
+  }
+
+  Arena *Scratch;
+  T *Data = nullptr;
+  size_t Size = 0;
+  size_t Capacity = 0;
 };
 
 } // namespace twpp

@@ -48,6 +48,10 @@ IoError MappedFile::map(const std::string &Path) {
 #ifndef TWPP_HAVE_MMAP
   return ioFail(IoStatus::OpenFailed, Path + " (mmap unavailable)", 0);
 #else
+  static obs::Counter &Opens =
+      obs::metrics().counter(obs::names::ArchiveMmapOpens);
+  static obs::Counter &Bytes =
+      obs::metrics().counter(obs::names::ArchiveMmapBytes);
   if (fault::shouldFailIo("mmap"))
     return ioFail(IoStatus::OpenFailed, Path + " (mmap) [injected]", 0);
   int Fd = ::open(Path.c_str(), O_RDONLY);
@@ -65,7 +69,7 @@ IoError MappedFile::map(const std::string &Path) {
     // successfully "mapped" null span.
     ::close(Fd);
     IsMapped = true;
-    obs::metrics().counter(obs::names::ArchiveMmapOpens).add();
+    Opens.add();
     return IoError::success();
   }
   void *Addr = ::mmap(nullptr, Size, PROT_READ, MAP_PRIVATE, Fd, 0);
@@ -81,8 +85,8 @@ IoError MappedFile::map(const std::string &Path) {
     obs::memAlloc(obs::memtags::ArchiveMmap, Length);
     Ledgered = Length;
   }
-  obs::metrics().counter(obs::names::ArchiveMmapOpens).add();
-  obs::metrics().counter(obs::names::ArchiveMmapBytes).add(Length);
+  Opens.add();
+  Bytes.add(Length);
   return IoError::success();
 #endif
 }

@@ -45,28 +45,36 @@ void encodeSeries(ByteWriter &Writer, const TimestampSet &Set) {
     Writer.writeVarInt(Value);
 }
 
-/// Per-thread scratch for decodeSeries. One reset per series keeps the
-/// footprint at the largest single series while the pooled blocks make
-/// every decode after the first allocation-free.
+/// Per-thread decode scratch: one flat function table, or one access
+/// series. Each decode resets it, so the footprint stays at the largest
+/// single decode, a bounded multiple of that block's bytes, while the
+/// pooled blocks make every decode after the first allocation-free.
 Arena &decodeArena() {
   thread_local Arena Scratch(Arena::DefaultBlockBytes,
                              obs::memtags::ArenaDecode);
   return Scratch;
 }
 
-bool decodeSeries(ByteReader &Reader, TimestampSet &Set) {
+/// Reads one sign-delimited series and hands each run to \p Emit. The one
+/// parser of a stored series, for function blocks and ACCS alike.
+template <typename EmitFn> bool readSeries(ByteReader &Reader, EmitFn &&Emit) {
   uint64_t Count = Reader.readVarUint();
   if (Reader.hasError() || Count > Reader.remaining() * 10)
     return false;
+  return decodeSignedRuns(
+             Count, [&Reader] { return Reader.readVarInt(); }, Emit) &&
+         Reader.valid();
+}
+
+bool decodeSeries(ByteReader &Reader, TimestampSet &Set) {
   Arena &Scratch = decodeArena();
   Scratch.reset();
-  int64_t *Values =
-      Scratch.allocateArray<int64_t>(static_cast<size_t>(Count));
-  for (uint64_t I = 0; I != Count; ++I)
-    Values[I] = Reader.readVarInt();
-  if (Reader.hasError())
+  ArenaVector<SeriesRun> Runs(Scratch);
+  if (!readSeries(Reader,
+                  [&Runs](const SeriesRun &Run) { Runs.push_back(Run); }))
     return false;
-  return TimestampSet::decodeSigned(Values, static_cast<size_t>(Count), Set);
+  Set = TimestampSet::fromDecodedRuns(Runs.data(), Runs.size());
+  return true;
 }
 
 void encodeDictionary(ByteWriter &Writer, const DbbDictionary &Dict) {
@@ -76,22 +84,6 @@ void encodeDictionary(ByteWriter &Writer, const DbbDictionary &Dict) {
     for (BlockId Block : Chain)
       Writer.writeVarUint(Block);
   }
-}
-
-bool decodeDictionary(ByteReader &Reader, DbbDictionary &Dict) {
-  uint64_t ChainCount = Reader.readVarUint();
-  if (Reader.hasError() || ChainCount > Reader.remaining())
-    return false;
-  Dict.Chains.resize(ChainCount);
-  for (auto &Chain : Dict.Chains) {
-    uint64_t Length = Reader.readVarUint();
-    if (Reader.hasError() || Length < 2 || Length > Reader.remaining() + 2)
-      return false;
-    Chain.resize(Length);
-    for (BlockId &Block : Chain)
-      Block = static_cast<BlockId>(Reader.readVarUint());
-  }
-  return Reader.valid();
 }
 
 void encodeThreadSection(ByteWriter &Writer, const ConcurrencyInfo &Conc) {
@@ -321,66 +313,152 @@ twpp::encodeTwppFunctionTable(const TwppFunctionTable &Table) {
   return Writer.take();
 }
 
-bool twpp::decodeTwppFunctionTable(ByteSpan Bytes, TwppFunctionTable &Table) {
-  Table = TwppFunctionTable();
+namespace {
+
+/// The one walker of a function block's bytes (encodeTwppFunctionTable's
+/// format): decodes the whole block into \p Out's flat arrays in
+/// \p Scratch, which it resets first. \returns false on malformed bytes:
+/// a count past what the bytes can hold, a series that does not decode
+/// (decodeSignedRuns), a trace string whose sets do not add up to its
+/// length, a chain shorter than two blocks, a trace naming a string or
+/// dictionary that does not exist, or a read past the end. Tiling is not
+/// checked here; the expansion checks it.
+bool decodeFlatFunctionTable(ByteSpan Bytes, Arena &Scratch,
+                             FlatFunctionTable &Out) {
+  Scratch.reset();
+  Out = FlatFunctionTable();
   ByteReader Reader(Bytes);
-  Table.CallCount = Reader.readVarUint();
+  Out.CallCount = Reader.readVarUint();
 
   uint64_t StringCount = Reader.readVarUint();
   if (Reader.hasError() || StringCount > Bytes.size())
     return false;
-  Table.TraceStrings.resize(StringCount);
-  for (TwppTrace &Trace : Table.TraceStrings) {
-    Trace.Length = static_cast<uint32_t>(Reader.readVarUint());
+  uint32_t *Lengths = Scratch.allocateArray<uint32_t>(StringCount);
+  size_t *StringBlocks = Scratch.allocateArray<size_t>(StringCount + 1);
+  ArenaVector<BlockId> Blocks(Scratch);
+  ArenaVector<size_t> BlockRuns(Scratch);
+  ArenaVector<SeriesRun> Runs(Scratch);
+  StringBlocks[0] = 0;
+  BlockRuns.push_back(0);
+  for (size_t S = 0; S != StringCount; ++S) {
+    uint32_t Length = static_cast<uint32_t>(Reader.readVarUint());
     uint64_t BlockCount = Reader.readVarUint();
-    if (Reader.hasError() || BlockCount > Trace.Length ||
+    if (Reader.hasError() || BlockCount > Length ||
         BlockCount > Reader.remaining())
       return false;
-    Trace.Blocks.resize(BlockCount);
-    BlockId Prev = 0;
+    BlockId Block = 0;
     uint64_t TotalTimestamps = 0;
-    for (auto &[Block, Set] : Trace.Blocks) {
-      Block = Prev + static_cast<BlockId>(Reader.readVarUint());
-      Prev = Block;
-      if (!decodeSeries(Reader, Set))
+    for (uint64_t K = 0; K != BlockCount; ++K) {
+      Block += static_cast<BlockId>(Reader.readVarUint()); // ascending
+      Blocks.push_back(Block);
+      if (!readSeries(Reader, [&](const SeriesRun &Run) {
+            Runs.push_back(Run);
+            TotalTimestamps += Run.count();
+          }))
         return false;
-      TotalTimestamps += Set.count();
+      BlockRuns.push_back(Runs.size());
     }
     // Every time step 1..Length belongs to exactly one block; reject
     // traces whose declared length the series cannot account for, so
     // later expansion never allocates for a phantom length.
-    if (TotalTimestamps != Trace.Length)
+    if (TotalTimestamps != Length)
       return false;
+    Lengths[S] = Length;
+    StringBlocks[S + 1] = Blocks.size();
   }
 
   uint64_t DictCount = Reader.readVarUint();
   if (Reader.hasError() || DictCount > Bytes.size())
     return false;
-  Table.Dictionaries.resize(DictCount);
-  for (DbbDictionary &Dict : Table.Dictionaries)
-    if (!decodeDictionary(Reader, Dict))
+  size_t *DictChains = Scratch.allocateArray<size_t>(DictCount + 1);
+  ArenaVector<size_t> ChainStart(Scratch);
+  ArenaVector<BlockId> ChainPool(Scratch);
+  DictChains[0] = 0;
+  ChainStart.push_back(0);
+  for (size_t D = 0; D != DictCount; ++D) {
+    uint64_t ChainCount = Reader.readVarUint();
+    if (Reader.hasError() || ChainCount > Reader.remaining())
       return false;
+    for (uint64_t C = 0; C != ChainCount; ++C) {
+      uint64_t Length = Reader.readVarUint();
+      if (Reader.hasError() || Length < 2 || Length > Reader.remaining() + 2)
+        return false;
+      for (uint64_t I = 0; I != Length; ++I)
+        ChainPool.push_back(static_cast<BlockId>(Reader.readVarUint()));
+      ChainStart.push_back(ChainPool.size());
+    }
+    if (!Reader.valid())
+      return false;
+    DictChains[D + 1] = ChainStart.size() - 1;
+  }
 
   uint64_t TraceCount = Reader.readVarUint();
   if (Reader.hasError() || TraceCount > Bytes.size())
     return false;
-  Table.Traces.resize(TraceCount);
-  Table.UseCounts.resize(TraceCount);
-  for (size_t I = 0; I < TraceCount; ++I) {
+  auto *Traces =
+      Scratch.allocateArray<std::pair<uint32_t, uint32_t>>(TraceCount);
+  uint64_t *UseCounts = Scratch.allocateArray<uint64_t>(TraceCount);
+  for (size_t I = 0; I != TraceCount; ++I) {
     uint64_t StringIdx = Reader.readVarUint();
     uint64_t DictIdx = Reader.readVarUint();
-    Table.UseCounts[I] = Reader.readVarUint();
-    if (StringIdx >= Table.TraceStrings.size() ||
-        DictIdx >= Table.Dictionaries.size())
+    UseCounts[I] = Reader.readVarUint();
+    if (StringIdx >= StringCount || DictIdx >= DictCount)
       return false;
-    Table.Traces[I] = {static_cast<uint32_t>(StringIdx),
-                       static_cast<uint32_t>(DictIdx)};
+    Traces[I] = {static_cast<uint32_t>(StringIdx),
+                 static_cast<uint32_t>(DictIdx)};
   }
   if (!Reader.valid())
     return false;
+
+  Out.StringCount = StringCount;
+  Out.Lengths = Lengths;
+  Out.StringBlocks = StringBlocks;
+  Out.Blocks = Blocks.data();
+  Out.BlockRuns = BlockRuns.data();
+  Out.Runs = Runs.data();
+  Out.DictCount = DictCount;
+  Out.DictChains = DictChains;
+  Out.ChainStart = ChainStart.data();
+  Out.ChainPool = ChainPool.data();
+  Out.TraceCount = TraceCount;
+  Out.Traces = Traces;
+  Out.UseCounts = UseCounts;
+  return true;
+}
+
+} // namespace
+
+bool twpp::decodeTwppFunctionTable(ByteSpan Bytes, TwppFunctionTable &Table) {
+  Table = TwppFunctionTable();
+  FlatFunctionTable Flat;
+  if (!decodeFlatFunctionTable(Bytes, decodeArena(), Flat))
+    return false;
+  Table.CallCount = Flat.CallCount;
+  Table.TraceStrings.resize(Flat.StringCount);
+  for (size_t S = 0; S != Flat.StringCount; ++S) {
+    TwppTrace &Trace = Table.TraceStrings[S];
+    Trace.Length = Flat.Lengths[S];
+    Trace.Blocks.reserve(Flat.StringBlocks[S + 1] - Flat.StringBlocks[S]);
+    for (size_t K = Flat.StringBlocks[S]; K != Flat.StringBlocks[S + 1]; ++K)
+      Trace.Blocks.emplace_back(
+          Flat.Blocks[K],
+          TimestampSet::fromDecodedRuns(Flat.Runs + Flat.BlockRuns[K],
+                                        Flat.BlockRuns[K + 1] -
+                                            Flat.BlockRuns[K]));
+  }
+  Table.Dictionaries.resize(Flat.DictCount);
+  for (size_t D = 0; D != Flat.DictCount; ++D) {
+    std::vector<std::vector<BlockId>> &Chains = Table.Dictionaries[D].Chains;
+    Chains.reserve(Flat.DictChains[D + 1] - Flat.DictChains[D]);
+    for (size_t C = Flat.DictChains[D]; C != Flat.DictChains[D + 1]; ++C)
+      Chains.emplace_back(Flat.ChainPool + Flat.ChainStart[C],
+                          Flat.ChainPool + Flat.ChainStart[C + 1]);
+  }
+  Table.Traces.assign(Flat.Traces, Flat.Traces + Flat.TraceCount);
+  Table.UseCounts.assign(Flat.UseCounts, Flat.UseCounts + Flat.TraceCount);
   if (obs::memTrackingEnabled()) {
     // Container overheads of the decoded table; the series payloads were
-    // already recorded by TimestampSet::decodeSigned. Kept as an
+    // already recorded by TimestampSet::fromDecodedRuns. Kept as an
     // independent tally of obs::deepSize so the twpp-mem-reconcile check
     // catches the two drifting apart.
     uint64_t Bytes = Table.TraceStrings.size() * sizeof(TwppTrace);
@@ -695,7 +773,9 @@ bool ArchiveReader::open(const std::string &Path) {
   } else {
     // Graceful degradation: any mmap failure (platform, fault injection,
     // IO) becomes one whole-file read, identical in everything but speed.
-    obs::metrics().counter(obs::names::ArchiveMmapFallbacks).add();
+    static obs::Counter &Fallbacks =
+        obs::metrics().counter(obs::names::ArchiveMmapFallbacks);
+    Fallbacks.add();
     IoError Read = readFileBytes(Path, Buffer);
     File = ByteSpan(Buffer);
     if (!Read) {
@@ -742,20 +822,15 @@ bool ArchiveReader::readAllConcurrent(ConcurrentWpp &Out) const {
   return readAll(Out.Body);
 }
 
-bool ArchiveReader::extractFunction(FunctionId Function,
-                                    TwppFunctionTable &Table) const {
+bool ArchiveReader::functionBlock(FunctionId Function, ByteSpan &Block) const {
   if (Function >= Layout.Rows.size())
     return fail(verify::checks::ArchiveIndexBounds,
                 "function " + std::to_string(Function) +
                     " not in the archive (index holds " +
                     std::to_string(Layout.Rows.size()) + " rows)",
                 "index", verify::NoByteOffset);
-  obs::PhaseSpan Span("archive_extract", "function",
-                      static_cast<int64_t>(Function));
-  obs::MemScope MemSpan(obs::memtags::ArchiveDecode,
-                        obs::MemScope::Nest::IfUnscoped);
   const ArchiveLayout::IndexRow &Row = Layout.Rows[Function];
-  ByteSpan Block = File.subspan(Row.Offset, Row.Length);
+  Block = File.subspan(Row.Offset, Row.Length);
   if (obs::enabled()) {
     // The Table 4 access-time story: one index row + one block per query.
     obs::MetricsRegistry &M = obs::metrics();
@@ -766,24 +841,49 @@ bool ArchiveReader::extractFunction(FunctionId Function,
     BlockReads.add();
     BytesRead.add(Block.size());
   }
+  return true;
+}
+
+bool ArchiveReader::failBlock(const char *CheckId, const char *Message,
+                              FunctionId Function) const {
+  return fail(CheckId, Message,
+              "function " + std::to_string(Function) + " block",
+              Layout.Rows[Function].Offset);
+}
+
+bool ArchiveReader::extractFunction(FunctionId Function,
+                                    TwppFunctionTable &Table) const {
+  ByteSpan Block;
+  if (!functionBlock(Function, Block))
+    return false;
+  obs::PhaseSpan Span("archive_extract", "function",
+                      static_cast<int64_t>(Function));
+  obs::MemScope MemSpan(obs::memtags::ArchiveDecode,
+                        obs::MemScope::Nest::IfUnscoped);
   if (!decodeTwppFunctionTable(Block, Table))
-    return fail(verify::checks::ArchiveBlockDecode,
-                "function block does not decode",
-                "function " + std::to_string(Function) + " block",
-                Row.Offset);
+    return failBlock(verify::checks::ArchiveBlockDecode,
+                     "function block does not decode", Function);
   return true;
 }
 
 bool ArchiveReader::extractFunctionPathTraces(FunctionId Function,
                                               FunctionPathTraces &Out) const {
-  TwppFunctionTable Table;
-  if (!extractFunction(Function, Table))
+  Out = FunctionPathTraces();
+  ByteSpan Block;
+  if (!functionBlock(Function, Block))
     return false;
-  if (!expandFunctionTraces(Table, Out))
-    return fail(verify::checks::ArchiveTracePartition,
-                "timestamp sets do not tile 1..Length of a trace",
-                "function " + std::to_string(Function) + " block",
-                Layout.Rows[Function].Offset);
+  obs::PhaseSpan Span("archive_extract", "function",
+                      static_cast<int64_t>(Function));
+  // The whole block decodes before any trace is tiled, so a block that
+  // does not decode fails as such wherever its first untiled trace is.
+  FlatFunctionTable Flat;
+  if (!decodeFlatFunctionTable(Block, decodeArena(), Flat))
+    return failBlock(verify::checks::ArchiveBlockDecode,
+                     "function block does not decode", Function);
+  if (!expandFunctionTraces(Flat, Out))
+    return failBlock(verify::checks::ArchiveTracePartition,
+                     "timestamp sets do not tile 1..Length of a trace",
+                     Function);
   return true;
 }
 

@@ -239,9 +239,14 @@ public:
   /// Decodes the block of \p Function. \returns false on format errors.
   bool extractFunction(FunctionId Function, TwppFunctionTable &Table) const;
 
-  /// Expands \p Function's unique path traces to raw block sequences.
-  /// Fails (twpp-archive-trace-partition) when a trace's timestamp sets
-  /// do not tile it.
+  /// Expands \p Function's unique path traces to raw block sequences in
+  /// one pass over its block: the block decodes into flat arrays in the
+  /// thread's decode scratch (arena.decode), with no TwppFunctionTable and
+  /// no heap object per timestamp set or chain, and each trace expands
+  /// straight from them (expandPathTrace). Fails
+  /// (twpp-archive-block-decode) when any of the block does not decode,
+  /// and then (twpp-archive-trace-partition) when a trace's timestamp sets
+  /// do not tile it; \p Out is left empty on failure.
   bool extractFunctionPathTraces(FunctionId Function,
                                  FunctionPathTraces &Out) const;
 
@@ -280,6 +285,14 @@ private:
   /// Records a diagnostic as lastError() and returns false.
   bool fail(std::string CheckId, std::string Message, std::string Section,
             uint64_t ByteOffset) const;
+
+  /// Sets \p Block to \p Function's block and counts one block read;
+  /// fails (twpp-archive-index-bounds) when the index has no such row.
+  bool functionBlock(FunctionId Function, ByteSpan &Block) const;
+
+  /// fail() at \p Function's block.
+  bool failBlock(const char *CheckId, const char *Message,
+                 FunctionId Function) const;
 
   MappedFile Map;
   /// The whole file, when it could not be mapped.

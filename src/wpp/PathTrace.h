@@ -39,21 +39,35 @@ struct DbbDictionary {
 
   /// Returns the chain headed by \p Head, or nullptr when \p Head is a
   /// plain static block.
-  const std::vector<BlockId> *findChain(BlockId Head) const {
-    // Binary search over the sorted heads.
-    size_t Lo = 0, Hi = Chains.size();
-    while (Lo < Hi) {
-      size_t Mid = (Lo + Hi) / 2;
-      if (Chains[Mid].front() < Head)
-        Lo = Mid + 1;
-      else
-        Hi = Mid;
-    }
-    if (Lo < Chains.size() && Chains[Lo].front() == Head)
-      return &Chains[Lo];
-    return nullptr;
-  }
+  const std::vector<BlockId> *findChain(BlockId Head) const;
 };
+
+/// Binary search over \p Count chain heads sorted ascending, \p HeadAt(I)
+/// giving the I-th: the position of the first head not below \p Head.
+/// findChain and the one-pass trace expansion (expandPathTrace) share it,
+/// so both resolve a block alike, even in a crafted, unsorted dictionary.
+template <typename HeadAtFn>
+size_t lowerBoundHead(size_t Count, BlockId Head, HeadAtFn &&HeadAt) {
+  size_t Lo = 0, Hi = Count;
+  while (Lo < Hi) {
+    size_t Mid = (Lo + Hi) / 2;
+    if (HeadAt(Mid) < Head)
+      Lo = Mid + 1;
+    else
+      Hi = Mid;
+  }
+  return Lo;
+}
+
+inline const std::vector<BlockId> *
+DbbDictionary::findChain(BlockId Head) const {
+  size_t At = lowerBoundHead(Chains.size(), Head, [this](size_t I) {
+    return Chains[I].front();
+  });
+  if (At < Chains.size() && Chains[At].front() == Head)
+    return &Chains[At];
+  return nullptr;
+}
 
 /// FNV-1a style hash of a block-id sequence, used to dedupe path traces.
 inline uint64_t hashBlockSequence(const std::vector<BlockId> &Blocks) {

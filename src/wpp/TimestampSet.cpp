@@ -430,18 +430,6 @@ std::vector<int64_t> TimestampSet::encodeSigned() const {
   return Out;
 }
 
-namespace {
-
-/// |V| when it is a valid timestamp or step (1..UINT32_MAX), else 0.
-/// INT64_MIN lands in the else branch before it could be negated.
-uint64_t entryMagnitude(int64_t V) {
-  if (V == 0 || V < -int64_t(UINT32_MAX) || V > int64_t(UINT32_MAX))
-    return 0;
-  return static_cast<uint64_t>(V < 0 ? -V : V);
-}
-
-} // namespace
-
 bool TimestampSet::decodeSigned(const int64_t *Encoded, size_t Count,
                                 TimestampSet &Out) {
   Out = TimestampSet();
@@ -450,43 +438,20 @@ bool TimestampSet::decodeSigned(const int64_t *Encoded, size_t Count,
   // memory record below is the heap the runs really take.
   Out.Runs.reserve(static_cast<size_t>(std::count_if(
       Encoded, Encoded + Count, [](int64_t V) { return V < 0; })));
-  size_t I = 0, N = Count;
-  while (I < N) {
-    int64_t First = Encoded[I++];
-    uint64_t Lo = entryMagnitude(First);
-    if (Lo == 0)
-      return false;
-    if (First < 0) {
-      // Singleton entry.
-      Out.Runs.push_back(
-          {static_cast<Timestamp>(Lo), static_cast<Timestamp>(Lo), 1});
-      continue;
-    }
-    if (I >= N)
-      return false;
-    int64_t Second = Encoded[I++];
-    uint64_t Hi = entryMagnitude(Second);
-    if (Hi <= Lo)
-      return false;
-    if (Second < 0) {
-      // l : h with step 1.
-      Out.Runs.push_back(
-          {static_cast<Timestamp>(Lo), static_cast<Timestamp>(Hi), 1});
-      continue;
-    }
-    if (I >= N)
-      return false;
-    int64_t Third = Encoded[I++];
-    uint64_t Step = entryMagnitude(Third);
-    // l : h : s.
-    if (Third >= 0 || Step == 0 || (Hi - Lo) % Step != 0)
-      return false;
-    Out.Runs.push_back({static_cast<Timestamp>(Lo),
-                        static_cast<Timestamp>(Hi),
-                        static_cast<uint32_t>(Step)});
-  }
+  if (!decodeSignedRuns(
+          Count, [&Encoded] { return *Encoded++; },
+          [&Out](const SeriesRun &Run) { Out.Runs.push_back(Run); }))
+    return false;
   obs::memAllocCurrent(Out.Runs.size() * sizeof(SeriesRun));
   return true;
+}
+
+TimestampSet TimestampSet::fromDecodedRuns(const SeriesRun *Runs,
+                                           size_t Count) {
+  TimestampSet Set;
+  Set.Runs.assign(Runs, Runs + Count);
+  obs::memAllocCurrent(Count * sizeof(SeriesRun));
+  return Set;
 }
 
 uint64_t TimestampSet::encodedValueCount() const {

@@ -48,6 +48,66 @@ struct SeriesRun {
   }
 };
 
+namespace detail {
+
+/// |V| when it is a valid timestamp or step (1..UINT32_MAX), else 0.
+/// INT64_MIN lands in the else branch before it could be negated.
+inline uint64_t seriesEntryMagnitude(int64_t V) {
+  if (V == 0 || V < -int64_t(UINT32_MAX) || V > int64_t(UINT32_MAX))
+    return 0;
+  return static_cast<uint64_t>(V < 0 ? -V : V);
+}
+
+} // namespace detail
+
+/// Decodes a sign-delimited stream of \p Count values (encodeSigned's
+/// format), pulling each value from \p Next() and handing each run to
+/// \p Emit(const SeriesRun &). The one reader of the format: decodeSigned
+/// and the archive's function-block walker both go through it.
+/// \returns false on a malformed stream: an entry cut short, a value or
+/// step outside 1..UINT32_MAX, h <= l, a step that does not divide h - l,
+/// or a three-value entry whose step is not the negative value.
+template <typename NextFn, typename EmitFn>
+bool decodeSignedRuns(uint64_t Count, NextFn &&Next, EmitFn &&Emit) {
+  while (Count != 0) {
+    --Count;
+    int64_t First = Next();
+    uint64_t Lo = detail::seriesEntryMagnitude(First);
+    if (Lo == 0)
+      return false;
+    if (First < 0) {
+      // Singleton entry.
+      Emit(SeriesRun{static_cast<Timestamp>(Lo), static_cast<Timestamp>(Lo),
+                     1});
+      continue;
+    }
+    if (Count == 0)
+      return false;
+    --Count;
+    int64_t Second = Next();
+    uint64_t Hi = detail::seriesEntryMagnitude(Second);
+    if (Hi <= Lo)
+      return false;
+    if (Second < 0) {
+      // l : h with step 1.
+      Emit(SeriesRun{static_cast<Timestamp>(Lo), static_cast<Timestamp>(Hi),
+                     1});
+      continue;
+    }
+    if (Count == 0)
+      return false;
+    --Count;
+    int64_t Third = Next();
+    uint64_t Step = detail::seriesEntryMagnitude(Third);
+    // l : h : s.
+    if (Third >= 0 || Step == 0 || (Hi - Lo) % Step != 0)
+      return false;
+    Emit(SeriesRun{static_cast<Timestamp>(Lo), static_cast<Timestamp>(Hi),
+                   static_cast<uint32_t>(Step)});
+  }
+  return true;
+}
+
 /// An ordered set of positive timestamps with run-compressed storage.
 class TimestampSet {
 public:
@@ -113,6 +173,11 @@ public:
                            TimestampSet &Out) {
     return decodeSigned(Encoded.data(), Encoded.size(), Out);
   }
+
+  /// A set holding the \p Count runs at \p Runs verbatim, as
+  /// decodeSignedRuns emitted them (capacity equals size). Records the run
+  /// bytes against the innermost MemScope, as decodeSigned does.
+  static TimestampSet fromDecodedRuns(const SeriesRun *Runs, size_t Count);
 
   /// Number of integers encodeSigned would emit (the paper's measure of a
   /// timestamp vector's size, Table 6).

@@ -45,24 +45,161 @@ TwppTrace twpp::twppFromBlockSequence(const std::vector<BlockId> &Sequence) {
   return Trace;
 }
 
-bool twpp::blockSequenceFromTwpp(const TwppTrace &Trace,
-                                 std::vector<BlockId> &Sequence) {
-  Sequence.assign(Trace.Length, 0);
-  std::vector<bool> Seen(Trace.Length, false);
-  for (const auto &[Block, Set] : Trace.Blocks) {
-    for (const SeriesRun &Run : Set.runs()) {
+namespace {
+
+/// What one block of a trace string expands to: its chain body, or the
+/// block id itself.
+struct Expansion {
+  const BlockId *Body;
+  uint32_t Length;
+};
+
+/// An empty slot of scatterBlocks.
+constexpr uint32_t NoBlock = UINT32_MAX;
+
+/// The runs of one timestamp set, as a range.
+struct RunRange {
+  const SeriesRun *First;
+  const SeriesRun *Last;
+  const SeriesRun *begin() const { return First; }
+  const SeriesRun *end() const { return Last; }
+};
+
+/// A trace string and a dictionary as the one-pass expansion reads them.
+/// The decoded table and the flat block decode each provide both.
+struct TableString {
+  const TwppTrace &Trace;
+  uint32_t length() const { return Trace.Length; }
+  size_t blockCount() const { return Trace.Blocks.size(); }
+  const BlockId &block(size_t K) const { return Trace.Blocks[K].first; }
+  RunRange runs(size_t K) const {
+    const std::vector<SeriesRun> &Runs = Trace.Blocks[K].second.runs();
+    return {Runs.data(), Runs.data() + Runs.size()};
+  }
+};
+
+struct TableDict {
+  const DbbDictionary &Dict;
+  size_t chainCount() const { return Dict.Chains.size(); }
+  BlockId head(size_t C) const { return Dict.Chains[C].front(); }
+  Expansion chain(size_t C) const {
+    return {Dict.Chains[C].data(),
+            static_cast<uint32_t>(Dict.Chains[C].size())};
+  }
+};
+
+struct FlatString {
+  const FlatFunctionTable &Table;
+  size_t String;
+  uint32_t length() const { return Table.Lengths[String]; }
+  size_t blockCount() const {
+    return Table.StringBlocks[String + 1] - Table.StringBlocks[String];
+  }
+  const BlockId &block(size_t K) const {
+    return Table.Blocks[Table.StringBlocks[String] + K];
+  }
+  RunRange runs(size_t K) const {
+    const size_t *At = Table.BlockRuns + Table.StringBlocks[String] + K;
+    return {Table.Runs + At[0], Table.Runs + At[1]};
+  }
+};
+
+struct FlatDict {
+  const FlatFunctionTable &Table;
+  size_t Dict;
+  size_t chainCount() const {
+    return Table.DictChains[Dict + 1] - Table.DictChains[Dict];
+  }
+  BlockId head(size_t C) const { return *chain(C).Body; }
+  Expansion chain(size_t C) const {
+    const size_t *At = Table.ChainStart + Table.DictChains[Dict] + C;
+    return {Table.ChainPool + At[0], static_cast<uint32_t>(At[1] - At[0])};
+  }
+};
+
+/// Gives each block of \p S its expansion under \p D in \p Out, found by
+/// findChain's binary search over the chain heads, once per block.
+template <typename StringT, typename DictT>
+void resolveExpansions(const StringT &S, const DictT &D, Expansion *Out) {
+  const size_t Heads = D.chainCount();
+  for (size_t K = 0; K != S.blockCount(); ++K) {
+    const BlockId &Block = S.block(K);
+    size_t C = lowerBoundHead(Heads, Block,
+                              [&D](size_t I) { return D.head(I); });
+    Out[K] = C < Heads && D.head(C) == Block ? D.chain(C)
+                                             : Expansion{&Block, 1};
+  }
+}
+
+/// Writes the index of each block of \p S into Slots[T - 1] for every
+/// timestamp T of its set, and calls \p Taken(K, N) with the N slots block
+/// K took. \returns false when the sets do not tile 1..Length: a
+/// timestamp that is 0, past Length or already taken, or a slot left
+/// empty.
+template <typename StringT, typename TakenFn>
+bool scatterBlocks(const StringT &S, uint32_t *Slots, TakenFn &&Taken) {
+  const uint64_t Length = S.length();
+  std::fill_n(Slots, Length, NoBlock);
+  uint64_t Filled = 0;
+  for (size_t K = 0; K != S.blockCount(); ++K) {
+    uint64_t Count = 0;
+    for (const SeriesRun &Run : S.runs(K)) {
       for (uint64_t T = Run.Lo; T <= Run.Hi; T += Run.Step) {
-        if (T == 0 || T > Trace.Length || Seen[T - 1])
+        if (T == 0 || T > Length || Slots[T - 1] != NoBlock)
           return false;
-        Seen[T - 1] = true;
-        Sequence[T - 1] = Block;
+        Slots[T - 1] = static_cast<uint32_t>(K);
+        ++Count;
       }
     }
+    Taken(K, Count);
+    Filled += Count;
   }
-  for (bool Filled : Seen)
-    if (!Filled)
-      return false;
+  // No slot was written twice, so Length writes leave none empty.
+  return Filled == Length;
+}
+
+/// The one-pass expansion of expandPathTrace, over scratch arrays of
+/// S.length() slots and S.blockCount() expansions.
+template <typename StringT, typename DictT>
+bool expandWith(const StringT &S, const DictT &D, uint32_t *Slots,
+                Expansion *Expansions, PathTrace &Out) {
+  resolveExpansions(S, D, Expansions);
+  uint64_t Total = 0;
+  if (!scatterBlocks(S, Slots, [&](size_t K, uint64_t Count) {
+        Total += Count * Expansions[K].Length;
+      }))
+    return false;
+  Out.resize(Total);
+  BlockId *Into = Out.data();
+  for (uint32_t T = 0; T != S.length(); ++T) {
+    const Expansion &E = Expansions[Slots[T]];
+    Into = std::copy_n(E.Body, E.Length, Into);
+  }
   return true;
+}
+
+} // namespace
+
+bool twpp::blockSequenceFromTwpp(const TwppTrace &Trace,
+                                 std::vector<BlockId> &Sequence) {
+  // The slots are the sequence itself: block indices first, ids after.
+  Sequence.resize(Trace.Length);
+  if (!scatterBlocks(TableString{Trace}, Sequence.data(),
+                     [](size_t, uint64_t) {})) {
+    Sequence.clear();
+    return false;
+  }
+  for (BlockId &Slot : Sequence)
+    Slot = Trace.Blocks[Slot].first;
+  return true;
+}
+
+bool twpp::expandPathTrace(const TwppTrace &String, const DbbDictionary &Dict,
+                           PathTrace &Out) {
+  std::vector<uint32_t> Slots(String.Length);
+  std::vector<Expansion> Expansions(String.Blocks.size());
+  return expandWith(TableString{String}, TableDict{Dict}, Slots.data(),
+                    Expansions.data(), Out);
 }
 
 namespace {
@@ -253,21 +390,17 @@ RawTrace twpp::reconstructRawTrace(const TwppWpp &Wpp) {
 bool twpp::expandFunctionTraces(const TwppFunctionTable &Table,
                                 FunctionPathTraces &Out) {
   Out = FunctionPathTraces();
-  Out.CallCount = Table.CallCount;
-  Out.UseCounts = Table.UseCounts;
-  Out.Traces.reserve(Table.Traces.size());
-  for (auto [StringIdx, DictIdx] : Table.Traces) {
-    std::vector<BlockId> Sequence;
-    if (!blockSequenceFromTwpp(Table.TraceStrings[StringIdx], Sequence)) {
+  Out.Traces.resize(Table.Traces.size());
+  for (size_t I = 0; I != Table.Traces.size(); ++I) {
+    auto [StringIdx, DictIdx] = Table.Traces[I];
+    if (!expandPathTrace(Table.TraceStrings[StringIdx],
+                         Table.Dictionaries[DictIdx], Out.Traces[I])) {
       Out = FunctionPathTraces();
       return false;
     }
-    PathTrace Expanded;
-    Expanded.reserve(Sequence.size());
-    for (BlockId Head : Sequence)
-      appendExpansion(Table.Dictionaries[DictIdx], Head, Expanded);
-    Out.Traces.push_back(std::move(Expanded));
   }
+  Out.CallCount = Table.CallCount;
+  Out.UseCounts = Table.UseCounts;
   return true;
 }
 
@@ -276,4 +409,31 @@ twpp::expandFunctionTraces(const TwppFunctionTable &Table) {
   FunctionPathTraces Out;
   expandFunctionTraces(Table, Out);
   return Out;
+}
+
+bool twpp::expandFunctionTraces(const FlatFunctionTable &Table,
+                                FunctionPathTraces &Out) {
+  Out = FunctionPathTraces();
+  size_t MaxLength = 0, MaxBlocks = 0;
+  for (size_t I = 0; I != Table.TraceCount; ++I) {
+    FlatString String{Table, Table.Traces[I].first};
+    MaxLength = std::max<size_t>(MaxLength, String.length());
+    MaxBlocks = std::max(MaxBlocks, String.blockCount());
+  }
+  // Heap, not decode scratch: the slots grow with the expanded length,
+  // which the pooled arena would otherwise keep for the thread's life.
+  std::vector<uint32_t> Slots(MaxLength);
+  std::vector<Expansion> Expansions(MaxBlocks);
+  Out.Traces.resize(Table.TraceCount);
+  for (size_t I = 0; I != Table.TraceCount; ++I) {
+    auto [StringIdx, DictIdx] = Table.Traces[I];
+    if (!expandWith(FlatString{Table, StringIdx}, FlatDict{Table, DictIdx},
+                    Slots.data(), Expansions.data(), Out.Traces[I])) {
+      Out = FunctionPathTraces();
+      return false;
+    }
+  }
+  Out.CallCount = Table.CallCount;
+  Out.UseCounts.assign(Table.UseCounts, Table.UseCounts + Table.TraceCount);
+  return true;
 }

@@ -55,8 +55,9 @@ struct TwppTrace {
 /// Converts a compacted block sequence (timestamp -> block) to TWPP form.
 TwppTrace twppFromBlockSequence(const std::vector<BlockId> &Sequence);
 
-/// Inverse of twppFromBlockSequence. \returns false when the trace is
-/// inconsistent (overlapping or missing timestamps).
+/// Inverse of twppFromBlockSequence. \returns false, leaving \p Sequence
+/// empty, when the timestamp sets do not tile 1..Length (a timestamp that
+/// is 0, past Length or in two sets, or one in no set).
 bool blockSequenceFromTwpp(const TwppTrace &Trace,
                            std::vector<BlockId> &Sequence);
 
@@ -136,6 +137,16 @@ bool reconstructRawTrace(const TwppWpp &Wpp, RawTrace &Out,
 /// verified); an untiled one yields an empty trace.
 RawTrace reconstructRawTrace(const TwppWpp &Wpp);
 
+/// Expands one unique path trace, trace string \p String under dictionary
+/// \p Dict, to its raw block sequence in one pass: one search of the
+/// chain heads per block (findChain's) gives each block its expansion,
+/// each block's index is scattered into one slot per timestamp, \p Out is
+/// sized exactly, and each slot's expansion is written with one copy.
+/// \returns false when the sets do not tile 1..Length, exactly when
+/// blockSequenceFromTwpp does.
+bool expandPathTrace(const TwppTrace &String, const DbbDictionary &Dict,
+                     PathTrace &Out);
+
 /// Expands the unique path traces of one function back to raw block
 /// sequences (the answer to the paper's per-function query), together with
 /// their use counts.
@@ -151,6 +162,37 @@ bool expandFunctionTraces(const TwppFunctionTable &Table,
 
 /// The same for a table known to tile; an untiled one yields no traces.
 FunctionPathTraces expandFunctionTraces(const TwppFunctionTable &Table);
+
+/// One function table in flat form, as the archive's function-block
+/// walker decodes it: a handful of arrays in decode scratch instead of a
+/// heap vector per timestamp set and per chain. Trace string S has length
+/// Lengths[S] and the blocks Blocks[StringBlocks[S] .. StringBlocks[S+1]);
+/// block K's timestamp set is Runs[BlockRuns[K] .. BlockRuns[K+1]).
+/// Dictionary D holds chains DictChains[D] .. DictChains[D+1], and chain
+/// C is ChainPool[ChainStart[C] .. ChainStart[C+1]). The pointers stay
+/// valid until the scratch is reset.
+struct FlatFunctionTable {
+  uint64_t CallCount = 0;
+  size_t StringCount = 0;
+  const uint32_t *Lengths = nullptr;
+  const size_t *StringBlocks = nullptr;
+  const BlockId *Blocks = nullptr;
+  const size_t *BlockRuns = nullptr;
+  const SeriesRun *Runs = nullptr;
+  size_t DictCount = 0;
+  const size_t *DictChains = nullptr;
+  const size_t *ChainStart = nullptr;
+  const BlockId *ChainPool = nullptr;
+  size_t TraceCount = 0;
+  const std::pair<uint32_t, uint32_t> *Traces = nullptr;
+  const uint64_t *UseCounts = nullptr;
+};
+
+/// expandFunctionTraces over the flat form, with every trace expanded as
+/// expandPathTrace does. The slot and expansion arrays are allocated
+/// once, for the longest trace.
+bool expandFunctionTraces(const FlatFunctionTable &Table,
+                          FunctionPathTraces &Out);
 
 } // namespace twpp
 
