@@ -484,34 +484,12 @@ struct IngestServer::Impl {
           P.Ledger.EventsDropped += Payload.Events.size();
           break;
         }
-        for (const TraceEvent &E : Payload.Events) {
-          // The compactor's preconditions are asserts (compiled out in
-          // release); the wire is untrusted, so guard here and account.
-          switch (E.EventKind) {
-          case TraceEvent::Kind::Enter:
-            if (E.Id >= P.Ledger.FunctionCount) {
-              P.Ledger.EventsDropped += 1;
-              continue;
-            }
-            P.Compactor->onEnter(E.Id);
-            break;
-          case TraceEvent::Kind::Block:
-            if (P.Compactor->openFrames() == 0) {
-              P.Ledger.EventsDropped += 1;
-              continue;
-            }
-            P.Compactor->onBlock(E.Id);
-            break;
-          case TraceEvent::Kind::Exit:
-            if (P.Compactor->openFrames() == 0) {
-              P.Ledger.EventsDropped += 1;
-              continue;
-            }
-            P.Compactor->onExit();
-            break;
-          }
-          P.Ledger.EventsApplied += 1;
-        }
+        // The compactor's preconditions are asserts (compiled out in
+        // release); the wire is untrusted, so onEvents guards each event
+        // and accounts for the ones it drops.
+        P.Compactor->onEvents(Payload.Events.data(),
+                              Payload.Events.data() + Payload.Events.size(),
+                              P.Ledger.EventsApplied, P.Ledger.EventsDropped);
         break;
       case WireFrameKind::Bye:
         P.Ledger.EventsDeclared = Payload.TotalEvents;

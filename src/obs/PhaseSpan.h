@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// RAII wall-time spans over support/Timer.h. A span covers one pipeline
+/// RAII wall-time spans over the steady clock. A span covers one pipeline
 /// phase; spans nest, and the registry accumulates per-path call counts,
 /// total time and self time (total minus child spans), so a run of the
 /// full pipeline yields a breakdown like
@@ -27,7 +27,7 @@
 /// (see support/Parallel.cpp).
 ///
 /// When both collection and tracing are disabled a span costs two
-/// relaxed atomic loads and records nothing.
+/// relaxed atomic loads, reads no clock and records nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +36,8 @@
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "support/Timer.h"
 
+#include <chrono>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -69,13 +69,15 @@ public:
     currentSpan() = this;
     if (Tracing)
       traceBegin(Name, ArgName, ArgValue);
-    Watch.reset();
+    Start = Clock::now();
   }
 
   ~PhaseSpan() {
     if (!Active)
       return;
-    double TotalUs = Watch.elapsedUs();
+    double TotalUs =
+        std::chrono::duration<double, std::micro>(Clock::now() - Start)
+            .count();
     if (Tracing)
       traceEnd();
     if (RecordMetrics)
@@ -128,7 +130,10 @@ private:
     return Root;
   }
 
-  Stopwatch Watch;
+  using Clock = std::chrono::steady_clock;
+
+  /// Set only when the span is active: a disabled span reads no clock.
+  Clock::time_point Start;
   std::string Path;
   PhaseSpan *Parent = nullptr;
   double ChildUs = 0;

@@ -344,6 +344,7 @@ void checkChainMaximality(const TwppFunctionTable &Table,
   if (!Engine.checkEnabled(checks::DbbChainMaximality))
     return;
   std::set<std::pair<uint32_t, uint32_t>> Done;
+  DenseIndex Scratch;
   for (auto [StringIdx, DictIdx] : Table.Traces) {
     if (StringIdx >= Table.TraceStrings.size() ||
         DictIdx >= Table.Dictionaries.size())
@@ -356,7 +357,8 @@ void checkChainMaximality(const TwppFunctionTable &Table,
     CompactedTrace Compacted;
     Compacted.Blocks = std::move(Seq);
     Compacted.Dictionary = Table.Dictionaries[DictIdx];
-    CompactedTrace Recompacted = compactWithDbbs(expandDbbs(Compacted));
+    CompactedTrace Recompacted =
+        compactWithDbbs(expandDbbs(Compacted), Scratch);
     std::string PairLoc = Loc + " / string " + std::to_string(StringIdx) +
                           " / dictionary " + std::to_string(DictIdx);
     if (Recompacted.Blocks != Compacted.Blocks)

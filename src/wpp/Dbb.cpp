@@ -30,37 +30,6 @@ uint64_t DynamicCfg::edgeCount() const {
 
 namespace {
 
-/// A path trace over dense block indices, the one derivation both the
-/// dynamic CFG and DBB chaining read: the distinct blocks, each trace
-/// element's index into them, and the sorted, deduplicated edge list.
-struct DenseTrace {
-  /// Distinct block ids, sorted ascending.
-  std::vector<BlockId> Blocks;
-  /// Index[I] is the position of Trace[I] in Blocks.
-  std::vector<uint32_t> Index;
-  /// Each observed edge as (from index << 32 | to index), ascending.
-  std::vector<uint64_t> Edges;
-};
-
-DenseTrace densify(const PathTrace &Trace) {
-  DenseTrace D;
-  D.Blocks = Trace;
-  std::sort(D.Blocks.begin(), D.Blocks.end());
-  D.Blocks.erase(std::unique(D.Blocks.begin(), D.Blocks.end()),
-                 D.Blocks.end());
-  D.Index.resize(Trace.size());
-  for (size_t I = 0; I != Trace.size(); ++I)
-    D.Index[I] = static_cast<uint32_t>(
-        std::lower_bound(D.Blocks.begin(), D.Blocks.end(), Trace[I]) -
-        D.Blocks.begin());
-  D.Edges.resize(Trace.size() - 1);
-  for (size_t I = 0; I + 1 < Trace.size(); ++I)
-    D.Edges[I] = static_cast<uint64_t>(D.Index[I]) << 32 | D.Index[I + 1];
-  std::sort(D.Edges.begin(), D.Edges.end());
-  D.Edges.erase(std::unique(D.Edges.begin(), D.Edges.end()), D.Edges.end());
-  return D;
-}
-
 uint32_t edgeFrom(uint64_t Edge) { return static_cast<uint32_t>(Edge >> 32); }
 uint32_t edgeTo(uint64_t Edge) { return static_cast<uint32_t>(Edge); }
 
@@ -71,24 +40,42 @@ DynamicCfg twpp::buildDynamicCfg(const PathTrace &Trace) {
   if (Trace.empty())
     return Cfg;
 
-  DenseTrace D = densify(Trace);
-  size_t N = D.Blocks.size();
+  DenseIndex D;
+  D.build(Trace.data(), Trace.size(), /*WithEdges=*/true);
+  const uint32_t N = D.size();
+  // Rank[I] is dense index I's position in ascending block id order.
+  std::vector<uint32_t> Rank(N);
+  Cfg.Blocks.resize(N);
+  for (uint32_t R = 0; R != N; ++R) {
+    Rank[D.Ascending[R]] = R;
+    Cfg.Blocks[R] = D.Blocks[D.Ascending[R]];
+  }
+  std::vector<uint64_t> Edges(D.Edges.size());
+  for (size_t E = 0; E != Edges.size(); ++E)
+    Edges[E] = static_cast<uint64_t>(Rank[edgeFrom(D.Edges[E])]) << 32 |
+               Rank[edgeTo(D.Edges[E])];
+  std::sort(Edges.begin(), Edges.end());
   Cfg.Successors.resize(N);
   Cfg.Predecessors.resize(N);
   Cfg.IsEntry.assign(N, false);
   Cfg.IsExit.assign(N, false);
-  Cfg.IsEntry[D.Index.front()] = true;
-  Cfg.IsExit[D.Index.back()] = true;
-  // Edges ascend by (from, to), so every list comes out sorted.
-  for (uint64_t Edge : D.Edges) {
-    Cfg.Successors[edgeFrom(Edge)].push_back(D.Blocks[edgeTo(Edge)]);
-    Cfg.Predecessors[edgeTo(Edge)].push_back(D.Blocks[edgeFrom(Edge)]);
+  Cfg.IsEntry[Rank[D.Index.front()]] = true;
+  Cfg.IsExit[Rank[D.Index.back()]] = true;
+  // Edges ascend by (from, to) rank, so every list comes out sorted.
+  for (uint64_t Edge : Edges) {
+    Cfg.Successors[edgeFrom(Edge)].push_back(Cfg.Blocks[edgeTo(Edge)]);
+    Cfg.Predecessors[edgeTo(Edge)].push_back(Cfg.Blocks[edgeFrom(Edge)]);
   }
-  Cfg.Blocks = std::move(D.Blocks);
   return Cfg;
 }
 
 CompactedTrace twpp::compactWithDbbs(const PathTrace &Trace) {
+  DenseIndex Scratch;
+  return compactWithDbbs(Trace, Scratch);
+}
+
+CompactedTrace twpp::compactWithDbbs(const PathTrace &Trace,
+                                     DenseIndex &D) {
   CompactedTrace Result;
   if (Trace.size() < 2) {
     Result.Blocks = Trace;
@@ -96,89 +83,99 @@ CompactedTrace twpp::compactWithDbbs(const PathTrace &Trace) {
   }
 
   constexpr uint32_t None = UINT32_MAX;
-  DenseTrace D = densify(Trace);
-  size_t N = D.Blocks.size();
+  D.build(Trace.data(), Trace.size(), /*WithEdges=*/true);
+  const uint32_t N = D.size();
 
-  // Real-edge degrees, and the one successor / predecessor where there is
-  // exactly one.
-  std::vector<uint32_t> OutEdges(N, 0), InEdges(N, 0);
-  std::vector<uint32_t> Succ(N, None), Pred(N, None);
+  // Per dense index: real-edge degrees, the one successor / predecessor
+  // where there is exactly one, and the chain it heads.
+  struct Node {
+    uint32_t OutEdges = 0, InEdges = 0;
+    uint32_t Succ = None, Pred = None;
+    uint32_t NextInChain = None;
+    uint32_t Chain = None, ChainLength = 1;
+    bool Interior = false;
+  };
+  std::vector<Node> Nodes(N);
   for (uint64_t Edge : D.Edges) {
     uint32_t From = edgeFrom(Edge), To = edgeTo(Edge);
-    ++OutEdges[From];
-    ++InEdges[To];
-    Succ[From] = To;
-    Pred[To] = From;
+    ++Nodes[From].OutEdges;
+    ++Nodes[To].InEdges;
+    Nodes[From].Succ = To;
+    Nodes[To].Pred = From;
   }
   // Effective degrees include the virtual entry/exit edges so that trace
   // boundaries terminate chains.
   uint32_t EntryIndex = D.Index.front(), ExitIndex = D.Index.back();
   auto OutDegree = [&](uint32_t I) {
-    return OutEdges[I] + (I == ExitIndex ? 1 : 0);
+    return Nodes[I].OutEdges + (I == ExitIndex ? 1 : 0);
   };
   auto InDegree = [&](uint32_t I) {
-    return InEdges[I] + (I == EntryIndex ? 1 : 0);
+    return Nodes[I].InEdges + (I == EntryIndex ? 1 : 0);
   };
 
   // A block is chain-interior iff it has exactly one predecessor and that
   // predecessor has exactly one successor (virtual edges included).
-  std::vector<bool> Interior(N, false);
   for (uint32_t I = 0; I != N; ++I)
-    Interior[I] =
-        InDegree(I) == 1 && InEdges[I] == 1 && OutDegree(Pred[I]) == 1;
+    Nodes[I].Interior = InDegree(I) == 1 && Nodes[I].InEdges == 1 &&
+                        OutDegree(Nodes[I].Pred) == 1;
 
-  // Assemble maximal chains starting from every non-interior head.
-  // NextInChain[I] holds the index following I inside its chain, or None.
-  std::vector<uint32_t> NextInChain(N, None);
+  // Link maximal chains: NextInChain holds the index following I inside
+  // its chain, or None.
   for (uint32_t I = 0; I != N; ++I)
-    if (OutDegree(I) == 1 && OutEdges[I] == 1 && Interior[Succ[I]])
-      NextInChain[I] = Succ[I];
+    if (OutDegree(I) == 1 && Nodes[I].OutEdges == 1 &&
+        Nodes[Nodes[I].Succ].Interior)
+      Nodes[I].NextInChain = Nodes[I].Succ;
 
   // Heads are visited in ascending id order, so the dictionary comes out
-  // sorted by head. ChainOf maps a head's index to its chain.
+  // sorted by head. Every occurrence of a head is followed by its whole
+  // chain, so the collapsed trace's length is known before it is written.
   DbbDictionary &Dict = Result.Dictionary;
-  std::vector<uint32_t> ChainOf(N, None);
-  for (uint32_t I = 0; I != N; ++I) {
-    if (Interior[I] || NextInChain[I] == None)
+  size_t Collapsed = Trace.size();
+  for (uint32_t I : D.Ascending) {
+    Node &Head = Nodes[I];
+    if (Head.Interior || Head.NextInChain == None)
       continue;
-    std::vector<BlockId> Chain;
-    for (uint32_t Walk = I; Walk != None; Walk = NextInChain[Walk]) {
-      Chain.push_back(D.Blocks[Walk]);
-      assert(Chain.size() <= N && "cycle in DBB chain");
+    uint32_t Length = 0;
+    for (uint32_t Walk = I; Walk != None; Walk = Nodes[Walk].NextInChain) {
+      ++Length;
+      assert(Length <= N && "cycle in DBB chain");
     }
-    assert(Chain.size() >= 2 && "chain head with no body");
-    ChainOf[I] = static_cast<uint32_t>(Dict.Chains.size());
+    assert(Length >= 2 && "chain head with no body");
+    std::vector<BlockId> Chain;
+    Chain.reserve(Length);
+    for (uint32_t Walk = I; Walk != None; Walk = Nodes[Walk].NextInChain)
+      Chain.push_back(D.Blocks[Walk]);
+    Head.Chain = static_cast<uint32_t>(Dict.Chains.size());
+    Head.ChainLength = Length;
+    Collapsed -= static_cast<size_t>(D.Counts[I]) * (Length - 1);
     Dict.Chains.push_back(std::move(Chain));
   }
 
   // Rewrite the trace: at each chain-head occurrence the full chain must
   // follow (guaranteed by the degree conditions); emit the head and skip
   // the body.
-  uint64_t Lookups = 0;
+  Result.Blocks.reserve(Collapsed);
   size_t Pos = 0;
   while (Pos < Trace.size()) {
-    BlockId Head = Trace[Pos];
-    uint32_t ChainIndex = ChainOf[D.Index[Pos]];
-    ++Lookups;
-    Result.Blocks.push_back(Head);
-    if (ChainIndex == None) {
-      ++Pos;
-      continue;
+    const Node &At = Nodes[D.Index[Pos]];
+    Result.Blocks.push_back(Trace[Pos]);
+    if (At.Chain != None) {
+      const std::vector<BlockId> &Chain = Dict.Chains[At.Chain];
+      for (size_t K = 0; K < Chain.size(); ++K) {
+        (void)K;
+        assert(Pos + K < Trace.size() && Trace[Pos + K] == Chain[K] &&
+               "chain occurrence does not match dictionary");
+      }
     }
-    const std::vector<BlockId> &Chain = Dict.Chains[ChainIndex];
-    for (size_t K = 0; K < Chain.size(); ++K) {
-      (void)K;
-      assert(Pos + K < Trace.size() && Trace[Pos + K] == Chain[K] &&
-             "chain occurrence does not match dictionary");
-    }
-    Pos += Chain.size();
+    Pos += At.ChainLength;
   }
+  assert(Result.Blocks.size() == Collapsed && "collapsed length mismatch");
   if (obs::enabled()) {
     obs::MetricsRegistry &M = obs::metrics();
     static obs::Counter &Chains = M.counter(obs::names::DbbChains);
     static obs::Counter &AllLookups = M.counter(obs::names::DbbLookups);
     Chains.add(Dict.Chains.size());
-    AllLookups.add(Lookups);
+    AllLookups.add(Result.Blocks.size());
   }
   return Result;
 }

@@ -23,6 +23,7 @@
 #ifndef TWPP_WPP_DBB_H
 #define TWPP_WPP_DBB_H
 
+#include "wpp/DenseIndex.h"
 #include "wpp/PathTrace.h"
 
 #include <cstddef>
@@ -69,8 +70,13 @@ DynamicCfg buildDynamicCfg(const PathTrace &Trace);
 
 /// Compacts \p Trace by discovering DBB chains and collapsing them.
 /// Traces shorter than 2 blocks are returned unchanged with an empty
-/// dictionary.
+/// dictionary. O(n) expected in the trace's length, plus sorting its
+/// distinct blocks.
 CompactedTrace compactWithDbbs(const PathTrace &Trace);
+
+/// The same, building the trace's dense index in \p Scratch: a caller
+/// compacting many traces passes one scratch to all of them.
+CompactedTrace compactWithDbbs(const PathTrace &Trace, DenseIndex &Scratch);
 
 /// Inverse of compactWithDbbs: expands every chain head back to its body.
 PathTrace expandDbbs(const CompactedTrace &Compacted);

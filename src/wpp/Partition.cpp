@@ -19,19 +19,10 @@ PartitionedWpp twpp::partitionWpp(const RawTrace &Trace) {
   // One implementation for both modes: the offline path replays the
   // event stream into the online compactor.
   StreamingCompactor Sink(Trace.FunctionCount);
-  for (const TraceEvent &Event : Trace.Events) {
-    switch (Event.EventKind) {
-    case TraceEvent::Kind::Enter:
-      Sink.onEnter(Event.Id);
-      break;
-    case TraceEvent::Kind::Block:
-      Sink.onBlock(Event.Id);
-      break;
-    case TraceEvent::Kind::Exit:
-      Sink.onExit();
-      break;
-    }
-  }
+  uint64_t Applied = 0, Dropped = 0;
+  const TraceEvent *Events = Trace.Events.data();
+  Sink.onEvents(Events, Events + Trace.Events.size(), Applied, Dropped);
+  assert(Dropped == 0 && "well-formed traces drop no event");
   return Sink.takePartitioned();
 }
 

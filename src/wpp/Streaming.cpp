@@ -253,6 +253,62 @@ struct StreamingCompactor::Impl {
         return;
     }
   }
+
+  /// What every applied event ends with: count it, then enforce the
+  /// budget and take a checkpoint when one is due.
+  void finishEvent() {
+    ++EventCount;
+    enforceBudget();
+    maybeCheckpoint();
+  }
+
+  void enter(FunctionId F) {
+    uint32_t NodeIndex = static_cast<uint32_t>(Wpp.Dcg.Nodes.size());
+    Wpp.Dcg.Nodes.push_back(DcgNode{F, 0, {}, {}});
+    if (Stack.empty()) {
+      Wpp.Dcg.Roots.push_back(NodeIndex);
+    } else {
+      Frame &Parent = Stack.back();
+      Wpp.Dcg.Nodes[Parent.NodeIndex].Children.push_back(NodeIndex);
+      Wpp.Dcg.Nodes[Parent.NodeIndex].Anchors.push_back(
+          static_cast<uint32_t>(Parent.Blocks.size()));
+    }
+    Stack.push_back(Frame{NodeIndex, takeBlocks()});
+    stateAlloc(openFrameBytes(0));
+    finishEvent();
+  }
+
+  void block(BlockId B) {
+    Stack.back().Blocks.push_back(B);
+    stateAlloc(sizeof(BlockId));
+    finishEvent();
+  }
+
+  void exit() {
+    Frame Top = std::move(Stack.back());
+    Stack.pop_back();
+    if (obs::enabled()) {
+      obs::MetricsRegistry &M = obs::metrics();
+      static obs::Counter &Calls = M.counter(obs::names::PartitionCalls);
+      static obs::Counter &BlockEvents =
+          M.counter(obs::names::PartitionBlockEvents);
+      Calls.add();
+      BlockEvents.add(Top.Blocks.size());
+    }
+    DcgNode &Node = Wpp.Dcg.Nodes[Top.NodeIndex];
+    FunctionTraceTable &Table = Wpp.Functions[Node.Function];
+    ++Table.CallCount;
+    Table.TotalBlockEvents += Top.Blocks.size();
+    size_t TraceLen = Top.Blocks.size();
+    size_t UniqueBefore = Table.UniqueTraces.size();
+    Node.TraceIndex = Interners[Node.Function].intern(Table, Top.Blocks);
+    recycleBlocks(std::move(Top.Blocks));
+    ++Table.UseCounts[Node.TraceIndex];
+    stateFree(openFrameBytes(TraceLen));
+    if (Table.UniqueTraces.size() > UniqueBefore)
+      stateAlloc(uniqueTraceBytes(TraceLen));
+    finishEvent();
+  }
 };
 
 StreamingCompactor::StreamingCompactor(uint32_t FunctionCount)
@@ -277,59 +333,59 @@ StreamingCompactor::~StreamingCompactor() = default;
 
 void StreamingCompactor::onEnter(FunctionId F) {
   assert(F < P->Wpp.Functions.size() && "function id out of range");
-  uint32_t NodeIndex = static_cast<uint32_t>(P->Wpp.Dcg.Nodes.size());
-  P->Wpp.Dcg.Nodes.push_back(DcgNode{F, 0, {}, {}});
-  if (P->Stack.empty()) {
-    P->Wpp.Dcg.Roots.push_back(NodeIndex);
-  } else {
-    Impl::Frame &Parent = P->Stack.back();
-    P->Wpp.Dcg.Nodes[Parent.NodeIndex].Children.push_back(NodeIndex);
-    P->Wpp.Dcg.Nodes[Parent.NodeIndex].Anchors.push_back(
-        static_cast<uint32_t>(Parent.Blocks.size()));
-  }
-  P->Stack.push_back(Impl::Frame{NodeIndex, P->takeBlocks()});
-  P->stateAlloc(Impl::openFrameBytes(0));
-  ++P->EventCount;
-  P->enforceBudget();
-  P->maybeCheckpoint();
+  P->enter(F);
 }
 
 void StreamingCompactor::onBlock(BlockId B) {
   assert(!P->Stack.empty() && "block event outside any call");
-  P->Stack.back().Blocks.push_back(B);
-  P->stateAlloc(sizeof(BlockId));
-  ++P->EventCount;
-  P->enforceBudget();
-  P->maybeCheckpoint();
+  P->block(B);
 }
 
 void StreamingCompactor::onExit() {
   assert(!P->Stack.empty() && "exit event outside any call");
-  Impl::Frame Top = std::move(P->Stack.back());
-  P->Stack.pop_back();
-  if (obs::enabled()) {
-    obs::MetricsRegistry &M = obs::metrics();
-    static obs::Counter &Calls = M.counter(obs::names::PartitionCalls);
-    static obs::Counter &BlockEvents =
-        M.counter(obs::names::PartitionBlockEvents);
-    Calls.add();
-    BlockEvents.add(Top.Blocks.size());
+  P->exit();
+}
+
+void StreamingCompactor::onEvents(const TraceEvent *First,
+                                  const TraceEvent *Last, uint64_t &Applied,
+                                  uint64_t &Dropped) {
+  const size_t Functions = P->Wpp.Functions.size();
+  uint64_t Done = 0, Skipped = 0;
+  try {
+    for (; First != Last; ++First) {
+      switch (First->EventKind) {
+      case TraceEvent::Kind::Enter:
+        if (First->Id >= Functions) {
+          ++Skipped;
+          continue;
+        }
+        P->enter(First->Id);
+        break;
+      case TraceEvent::Kind::Block:
+        if (P->Stack.empty()) {
+          ++Skipped;
+          continue;
+        }
+        P->block(First->Id);
+        break;
+      case TraceEvent::Kind::Exit:
+        if (P->Stack.empty()) {
+          ++Skipped;
+          continue;
+        }
+        P->exit();
+        break;
+      }
+      ++Done;
+    }
+  } catch (...) {
+    // The event that threw counts as neither.
+    Applied += Done;
+    Dropped += Skipped;
+    throw;
   }
-  DcgNode &Node = P->Wpp.Dcg.Nodes[Top.NodeIndex];
-  FunctionTraceTable &Table = P->Wpp.Functions[Node.Function];
-  ++Table.CallCount;
-  Table.TotalBlockEvents += Top.Blocks.size();
-  size_t TraceLen = Top.Blocks.size();
-  size_t UniqueBefore = Table.UniqueTraces.size();
-  Node.TraceIndex = P->Interners[Node.Function].intern(Table, Top.Blocks);
-  P->recycleBlocks(std::move(Top.Blocks));
-  ++Table.UseCounts[Node.TraceIndex];
-  P->stateFree(Impl::openFrameBytes(TraceLen));
-  if (Table.UniqueTraces.size() > UniqueBefore)
-    P->stateAlloc(uniqueTraceBytes(TraceLen));
-  ++P->EventCount;
-  P->enforceBudget();
-  P->maybeCheckpoint();
+  Applied += Done;
+  Dropped += Skipped;
 }
 
 size_t StreamingCompactor::openFrames() const { return P->Stack.size(); }

@@ -65,6 +65,16 @@ public:
   void onBlock(BlockId B) override;
   void onExit() override;
 
+  /// Applies the events [First, Last) in order, each exactly as the
+  /// matching onEnter/onBlock/onExit call would, and skips the ones that
+  /// call would reject: an Enter of a function id >= functionCount(), a
+  /// Block or Exit with no open frame. Adds the applied events to
+  /// \p Applied and the skipped ones to \p Dropped. When applying an
+  /// event throws (say, std::bad_alloc), both counts cover exactly the
+  /// events before it and the exception propagates.
+  void onEvents(const TraceEvent *First, const TraceEvent *Last,
+                uint64_t &Applied, uint64_t &Dropped);
+
   /// Number of calls currently open (the live frame stack depth).
   size_t openFrames() const;
 

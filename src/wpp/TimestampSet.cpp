@@ -16,15 +16,19 @@
 
 using namespace twpp;
 
-TimestampSet TimestampSet::fromSorted(const std::vector<Timestamp> &Sorted) {
-  TimestampSet Set;
-  size_t I = 0, N = Sorted.size();
+namespace {
+
+/// fromSorted's greedy packing of the strictly increasing Sorted[0, N):
+/// calls \p Emit once per run.
+template <typename EmitFn>
+void packRuns(const Timestamp *Sorted, size_t N, EmitFn &&Emit) {
+  size_t I = 0;
   while (I < N) {
     assert(Sorted[I] > 0 && "timestamps must be positive");
     assert((I == 0 || Sorted[I] > Sorted[I - 1]) &&
            "timestamps must be strictly increasing");
     if (I + 1 == N) {
-      Set.Runs.push_back({Sorted[I], Sorted[I], 1});
+      Emit(SeriesRun{Sorted[I], Sorted[I], 1});
       break;
     }
     uint32_t Step = Sorted[I + 1] - Sorted[I];
@@ -34,13 +38,27 @@ TimestampSet TimestampSet::fromSorted(const std::vector<Timestamp> &Sorted) {
     size_t RunLength = J - I + 1;
     if (RunLength == 2 && Step != 1) {
       // Two singletons (2 encoded ints) beat an l:h:s entry (3 ints).
-      Set.Runs.push_back({Sorted[I], Sorted[I], 1});
+      Emit(SeriesRun{Sorted[I], Sorted[I], 1});
       I += 1;
     } else {
-      Set.Runs.push_back({Sorted[I], Sorted[J], Step});
+      Emit(SeriesRun{Sorted[I], Sorted[J], Step});
       I = J + 1;
     }
   }
+}
+
+} // namespace
+
+TimestampSet TimestampSet::fromSorted(const Timestamp *Sorted,
+                                      const Timestamp *Last) {
+  TimestampSet Set;
+  size_t N = static_cast<size_t>(Last - Sorted);
+  // Count the runs first, so the set is allocated once and exactly.
+  size_t Runs = 0;
+  packRuns(Sorted, N, [&Runs](const SeriesRun &) { ++Runs; });
+  Set.Runs.reserve(Runs);
+  packRuns(Sorted, N,
+           [&Set](const SeriesRun &Run) { Set.Runs.push_back(Run); });
   if (obs::enabled()) {
     static obs::Counter &Sets =
         obs::metrics().counter(obs::names::TimestampSets);

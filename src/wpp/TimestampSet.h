@@ -116,7 +116,10 @@ public:
   /// Builds a set from a strictly increasing timestamp list, greedily
   /// packing maximal constant-stride runs (a two-element run with stride
   /// != 1 is stored as two singletons, which encodes smaller).
-  static TimestampSet fromSorted(const std::vector<Timestamp> &Sorted);
+  static TimestampSet fromSorted(const Timestamp *First, const Timestamp *Last);
+  static TimestampSet fromSorted(const std::vector<Timestamp> &Sorted) {
+    return fromSorted(Sorted.data(), Sorted.data() + Sorted.size());
+  }
 
   /// Builds a set holding a single run.
   static TimestampSet fromRun(Timestamp Lo, Timestamp Hi, uint32_t Step);

@@ -12,11 +12,11 @@
 #include "obs/PhaseSpan.h"
 #include "obs/Trace.h"
 #include "wpp/DeepSize.h"
+#include "wpp/DenseIndex.h"
 #include "wpp/Sizes.h"
 #include "wpp/VerifyHooks.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 using namespace twpp;
@@ -33,15 +33,22 @@ const TimestampSet *TwppTrace::timestampsOf(BlockId Block) const {
 }
 
 TwppTrace twpp::twppFromBlockSequence(const std::vector<BlockId> &Sequence) {
+  DenseIndex Scratch;
+  return twppFromBlockSequence(Sequence, Scratch);
+}
+
+TwppTrace twpp::twppFromBlockSequence(const std::vector<BlockId> &Sequence,
+                                      DenseIndex &D) {
   TwppTrace Trace;
   Trace.Length = static_cast<uint32_t>(Sequence.size());
-  // Gather the timestamp list of every block; std::map keeps block order.
-  std::map<BlockId, std::vector<Timestamp>> Lists;
-  for (uint32_t I = 0; I < Sequence.size(); ++I)
-    Lists[Sequence[I]].push_back(I + 1);
-  Trace.Blocks.reserve(Lists.size());
-  for (auto &[Block, List] : Lists)
-    Trace.Blocks.emplace_back(Block, TimestampSet::fromSorted(List));
+  D.build(Sequence.data(), Sequence.size(), /*WithEdges=*/false);
+  D.bucketPositions();
+  Trace.Blocks.reserve(D.size());
+  const Timestamp *Positions = D.Positions.data();
+  for (uint32_t B : D.Ascending)
+    Trace.Blocks.emplace_back(
+        D.Blocks[B], TimestampSet::fromSorted(Positions + D.Starts[B],
+                                              Positions + D.Starts[B + 1]));
   return Trace;
 }
 
@@ -253,8 +260,9 @@ DbbWpp twpp::applyDbbCompaction(const PartitionedWpp &Wpp,
         DictInterner(hashDictionary);
 
     Table.Traces.reserve(In.UniqueTraces.size());
+    DenseIndex Scratch;
     for (const PathTrace &Trace : In.UniqueTraces) {
-      CompactedTrace Compacted = compactWithDbbs(Trace);
+      CompactedTrace Compacted = compactWithDbbs(Trace, Scratch);
       uint32_t StringIdx = StringInterner.intern(
           Table.TraceStrings, std::move(Compacted.Blocks));
       uint32_t DictIdx = DictInterner.intern(Table.Dictionaries,
@@ -296,8 +304,9 @@ TwppWpp twpp::convertToTwpp(const DbbWpp &Wpp, const ParallelConfig &Config) {
     Table.Traces = In.Traces;
     Table.Dictionaries = In.Dictionaries;
     Table.TraceStrings.reserve(In.TraceStrings.size());
+    DenseIndex Scratch;
     for (const std::vector<BlockId> &Sequence : In.TraceStrings)
-      Table.TraceStrings.push_back(twppFromBlockSequence(Sequence));
+      Table.TraceStrings.push_back(twppFromBlockSequence(Sequence, Scratch));
     if (obs::memTrackingEnabled())
       obs::memAlloc(obs::memtags::TwppTables, obs::deepSize(Table));
   });

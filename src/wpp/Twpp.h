@@ -52,8 +52,15 @@ struct TwppTrace {
   const TimestampSet *timestampsOf(BlockId Block) const;
 };
 
-/// Converts a compacted block sequence (timestamp -> block) to TWPP form.
+/// Converts a compacted block sequence (timestamp -> block) to TWPP form:
+/// a counting sort of the timestamps by block, O(n) expected plus
+/// sorting the distinct blocks.
 TwppTrace twppFromBlockSequence(const std::vector<BlockId> &Sequence);
+
+/// The same, building the sequence's dense index in \p Scratch: a caller
+/// converting many sequences passes one scratch to all of them.
+TwppTrace twppFromBlockSequence(const std::vector<BlockId> &Sequence,
+                                DenseIndex &Scratch);
 
 /// Inverse of twppFromBlockSequence. \returns false, leaving \p Sequence
 /// empty, when the timestamp sets do not tile 1..Length (a timestamp that
